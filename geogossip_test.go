@@ -2,7 +2,9 @@ package geogossip
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -155,6 +157,41 @@ func TestRunSizeMismatch(t *testing.T) {
 	for _, algo := range []Algorithm{Boyd(), Geographic(), AffineHierarchical(), AffineAsync()} {
 		if _, err := algo.Run(nw, make([]float64, 3)); err == nil {
 			t.Fatalf("%s accepted mismatched values", algo.Name())
+		}
+	}
+}
+
+// TestRunRejectsNonFiniteValues: a NaN or ±Inf initial value can never
+// reach consensus, so every algorithm must refuse it up front, naming
+// the bad index and leaving values untouched, instead of spinning to its
+// tick cap and reporting a NaN error.
+func TestRunRejectsNonFiniteValues(t *testing.T) {
+	nw, err := NewNetwork(256, WithSeed(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	algos := []Algorithm{Boyd(), Geographic(), PushSum(), AffineHierarchical(), AffineAsync()}
+	const bad = 17
+	for _, algo := range algos {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			values := make([]float64, nw.N())
+			for i := range values {
+				values[i] = float64(i % 7)
+			}
+			values[bad] = v
+			before := append([]float64(nil), values...)
+			res, err := algo.Run(nw, values)
+			if err == nil {
+				t.Fatalf("%s accepted %v at index %d: %+v", algo.Name(), v, bad, res)
+			}
+			if want := fmt.Sprintf("value %d is %v", bad, v); !strings.Contains(err.Error(), want) {
+				t.Errorf("%s with %v: error %q does not name %q", algo.Name(), v, err, want)
+			}
+			for i := range values {
+				if math.Float64bits(values[i]) != math.Float64bits(before[i]) {
+					t.Fatalf("%s with %v wrote values[%d] before rejecting", algo.Name(), v, i)
+				}
+			}
 		}
 	}
 }

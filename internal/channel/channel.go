@@ -36,8 +36,8 @@ import (
 // the decision. Non-spatial media (Bernoulli, GilbertElliott) read only
 // ids and hop counts; spatial media (SpatialLoss, Partition) read
 // positions and time. Engines therefore thread their geometry through
-// every delivery call — see sim.Harness.Packet for the standard
-// constructor.
+// every delivery call on a spatial medium — see sim.Harness.Packet for
+// the standard constructor, which leaves positions zero otherwise.
 type Packet struct {
 	// Src and Dst are the endpoint node ids.
 	Src, Dst int32

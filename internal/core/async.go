@@ -216,6 +216,9 @@ func RunAsync(g *graph.Graph, h *hier.Hierarchy, x []float64, opt AsyncOptions, 
 	if g.N() != len(x) {
 		return nil, fmt.Errorf("core: %d nodes but %d values", g.N(), len(x))
 	}
+	if err := sim.CheckFinite(x); err != nil {
+		return nil, err
+	}
 	if len(h.NodeLeaf) != g.N() {
 		return nil, fmt.Errorf("core: hierarchy covers %d nodes, graph has %d", len(h.NodeLeaf), g.N())
 	}
@@ -291,7 +294,7 @@ func RunAsync(g *graph.Graph, h *hier.Hierarchy, x []float64, opt AsyncOptions, 
 		Stop:        opt.Stop,
 		RecordEvery: opt.RecordEvery,
 		Medium:      medium,
-		Points:      g.Points(),
+		Points:      sim.SpatialPoints(spec, g.Points()),
 		Router:      e.rt,
 		Tracer:      opt.Tracer,
 		Obs:         opt.Obs,

@@ -238,6 +238,9 @@ func RunRecursive(g *graph.Graph, h *hier.Hierarchy, x []float64, opt RecursiveO
 	if g.N() != len(x) {
 		return nil, fmt.Errorf("core: %d nodes but %d values", g.N(), len(x))
 	}
+	if err := sim.CheckFinite(x); err != nil {
+		return nil, err
+	}
 	if len(h.NodeLeaf) != g.N() {
 		return nil, fmt.Errorf("core: hierarchy covers %d nodes, graph has %d", len(h.NodeLeaf), g.N())
 	}

@@ -40,22 +40,19 @@ func steadyOptions() Options {
 	}
 }
 
-// BenchmarkBoydSteadyTick measures one warm boyd engine tick: clock
-// draw, neighbour pick, delivery, pairwise average, error update.
+// BenchmarkBoydSteadyTick measures one warm boyd engine tick through
+// the shipping tick pipeline: clock draw, neighbour pick, delivery,
+// pairwise average, error update.
 func BenchmarkBoydSteadyTick(b *testing.B) {
 	g := benchGraph(b, 2048)
 	e, err := newBoydRun(g, benchValues(g.N(), 2), steadyOptions(), rng.New(3))
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < 1000; i++ {
-		e.step()
-	}
+	runFor(e.h, e.run, 1000)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.step()
-	}
+	runFor(e.h, e.run, uint64(b.N))
 }
 
 // BenchmarkGeographicSteadyTick measures one warm geographic tick:
@@ -77,22 +74,19 @@ func BenchmarkGeographicSteadyTick(b *testing.B) {
 	}
 }
 
-// BenchmarkPushSumSteadyTick measures one warm push-sum tick: clock
-// draw, neighbour pick, mass halving and push, two estimate updates.
+// BenchmarkPushSumSteadyTick measures one warm push-sum tick through the
+// shipping tick pipeline: clock draw, neighbour pick, mass halving and
+// push, two estimate updates.
 func BenchmarkPushSumSteadyTick(b *testing.B) {
 	g := benchGraph(b, 2048)
 	e, err := newPushSumRun(g, benchValues(g.N(), 6), steadyOptions(), rng.New(7))
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < 1000; i++ {
-		e.step()
-	}
+	runFor(e.h, e.run, 1000)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.step()
-	}
+	runFor(e.h, e.run, uint64(b.N))
 }
 
 // Instrumented variants: the same steady ticks with a live metrics
@@ -112,14 +106,10 @@ func BenchmarkBoydSteadyTickInstrumented(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < 1000; i++ {
-		e.step()
-	}
+	runFor(e.h, e.run, 1000)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.step()
-	}
+	runFor(e.h, e.run, uint64(b.N))
 }
 
 func BenchmarkGeographicSteadyTickInstrumented(b *testing.B) {
@@ -145,12 +135,8 @@ func BenchmarkPushSumSteadyTickInstrumented(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < 1000; i++ {
-		e.step()
-	}
+	runFor(e.h, e.run, 1000)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.step()
-	}
+	runFor(e.h, e.run, uint64(b.N))
 }

@@ -117,7 +117,7 @@ func (o Options) faultSpec() (channel.Spec, error) {
 // hierarchy).
 
 // boydRun is the per-run state of the boyd engine, factored out so the
-// loop body (step) can be driven and alloc-asserted in isolation and the
+// tick loop (run) can be driven and alloc-asserted in isolation and the
 // whole bundle can live inside a pooled RunState.
 type boydRun struct {
 	g      *graph.Graph
@@ -125,11 +125,15 @@ type boydRun struct {
 	h      *sim.Harness
 	pick   *rng.RNG
 	resync resyncState
+	// ahead draws partners in the pipeline's first phase: set when no
+	// node can go down (see tickBatch.draw).
+	ahead bool
+	batch tickBatch
 }
 
 func newBoydRun(g *graph.Graph, x []float64, opt Options, r *rng.RNG) (*boydRun, error) {
 	st := stateOf(opt)
-	medium, err := st.medium(opt, g, r)
+	medium, spec, err := st.medium(opt, g, r)
 	if err != nil {
 		return nil, err
 	}
@@ -137,37 +141,56 @@ func newBoydRun(g *graph.Graph, x []float64, opt Options, r *rng.RNG) (*boydRun,
 		Stop:        opt.Stop,
 		RecordEvery: opt.RecordEvery,
 		Medium:      medium,
-		Points:      g.Points(),
+		Points:      sim.SpatialPoints(spec, g.Points()),
 		Tracer:      opt.Tracer,
 		Obs:         opt.Obs,
 		Timeline:    &st.tline,
 	}, st.stream(&st.clockRNG, r, "clock"))
 	e := &st.boyd
 	*e = boydRun{
-		g:    g,
-		x:    x,
-		h:    &st.h,
-		pick: st.stream(&st.pickRNG, r, "pick"),
+		g:     g,
+		x:     x,
+		h:     &st.h,
+		pick:  st.stream(&st.pickRNG, r, "pick"),
+		ahead: !spec.HasChurn(),
 	}
 	e.resync.reset(opt, st, g.N())
 	return e, nil
 }
 
-// step executes one clock tick: the owner averages with a uniformly
-// random graph neighbour (2 transmissions). Zero allocations in steady
-// state.
-func (e *boydRun) step() {
+// run drives ticks until the stop rule fires, through the two-phase
+// tick pipeline (DESIGN.md §7): draw a batch of owners (and, without
+// churn, partners) and read their state, then apply the batch in tick
+// order, checking the stop rule before every tick. Draws left over
+// when the run stops are discarded. Zero allocations in steady state.
+func (e *boydRun) run() {
+	h, b := e.h, &e.batch
+	for i, k := 0, 0; !h.Done(); i++ {
+		if i == k {
+			i, k = 0, b.draw(h, e.g, e.pick, e.ahead)
+			b.touch(e.x, k)
+		}
+		h.Advance()
+		e.tick(b.owner[i], b.partner[i])
+	}
+}
+
+// tick applies one clock tick of owner s, already counted: the owner
+// averages with a uniformly random graph neighbour (2 transmissions).
+// v is the partner drawn ahead (-1: none); without ahead draws it is
+// drawn here, once liveness and resync have had their turn.
+func (e *boydRun) tick(s, v int32) {
 	h := e.h
-	s := h.Tick()
 	if !h.Alive(s) {
 		e.resync.markDead(s, h)
 		h.Sample()
 		return
 	}
 	e.resync.onTick(s, e.g, h, e.x, e.pick)
-	deg := e.g.Degree(s)
-	if deg > 0 {
-		v := e.g.Neighbors(s)[e.pick.IntN(deg)]
+	if !e.ahead {
+		v = partner(e.g, s, e.pick)
+	}
+	if v >= 0 {
 		if ok, paid := h.Medium.DeliverHop(h.Packet(s, v, 1)); !ok {
 			// The outbound value was transmitted but lost; no update.
 			h.Counter.Add(sim.CatNear, paid)
@@ -193,6 +216,9 @@ func RunBoyd(g *graph.Graph, x []float64, opt Options, r *rng.RNG) (*metrics.Res
 	if g.N() != len(x) {
 		return nil, fmt.Errorf("gossip: %d nodes but %d values", g.N(), len(x))
 	}
+	if err := sim.CheckFinite(x); err != nil {
+		return nil, err
+	}
 	if g.N() == 0 {
 		return sim.EmptyResult("boyd"), nil
 	}
@@ -203,9 +229,7 @@ func RunBoyd(g *graph.Graph, x []float64, opt Options, r *rng.RNG) (*metrics.Res
 	if err != nil {
 		return nil, err
 	}
-	for !e.h.Done() {
-		e.step()
-	}
+	e.run()
 	res := e.h.Finish("boyd")
 	res.Resyncs = e.resync.count
 	return res, nil
@@ -444,7 +468,7 @@ type geoRun struct {
 
 func newGeoRun(g *graph.Graph, x []float64, opt GeoOptions, r *rng.RNG) (*geoRun, error) {
 	st := stateOf(opt.Options)
-	medium, err := st.medium(opt.Options, g, r)
+	medium, spec, err := st.medium(opt.Options, g, r)
 	if err != nil {
 		return nil, err
 	}
@@ -464,7 +488,7 @@ func newGeoRun(g *graph.Graph, x []float64, opt GeoOptions, r *rng.RNG) (*geoRun
 		Stop:        opt.Stop,
 		RecordEvery: opt.RecordEvery,
 		Medium:      medium,
-		Points:      g.Points(),
+		Points:      sim.SpatialPoints(spec, g.Points()),
 		Router:      &st.router,
 		Tracer:      opt.Tracer,
 		Obs:         opt.Obs,
@@ -545,6 +569,9 @@ func (e *geoRun) step() {
 func RunGeographic(g *graph.Graph, x []float64, opt GeoOptions, r *rng.RNG) (*metrics.Result, error) {
 	if g.N() != len(x) {
 		return nil, fmt.Errorf("gossip: %d nodes but %d values", g.N(), len(x))
+	}
+	if err := sim.CheckFinite(x); err != nil {
+		return nil, err
 	}
 	name := "geographic-" + opt.Sampling.String()
 	if g.N() == 0 {

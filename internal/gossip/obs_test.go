@@ -140,11 +140,10 @@ func TestSteadyStateTicksAllocFreeInstrumented(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2000; i++ {
-		boyd.step()
-	}
-	if avg := testing.AllocsPerRun(500, boyd.step); avg != 0 {
-		t.Errorf("boyd: %v allocs per instrumented steady-state tick, want 0", avg)
+	boydBatch := oneBatch(boyd.h, boyd.run)
+	runFor(boyd.h, boyd.run, 2000)
+	if avg := testing.AllocsPerRun(500, boydBatch); avg != 0 {
+		t.Errorf("boyd: %v allocs per instrumented steady-state pipeline batch, want 0", avg)
 	}
 
 	x = randomValues(g.N(), 923)
@@ -170,10 +169,9 @@ func TestSteadyStateTicksAllocFreeInstrumented(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2000; i++ {
-		push.step()
-	}
-	if avg := testing.AllocsPerRun(500, push.step); avg != 0 {
-		t.Errorf("push-sum: %v allocs per instrumented steady-state tick, want 0", avg)
+	pushBatch := oneBatch(push.h, push.run)
+	runFor(push.h, push.run, 2000)
+	if avg := testing.AllocsPerRun(500, pushBatch); avg != 0 {
+		t.Errorf("push-sum: %v allocs per instrumented steady-state pipeline batch, want 0", avg)
 	}
 }

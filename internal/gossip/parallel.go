@@ -191,7 +191,6 @@ func runBoydParallel(g *graph.Graph, x []float64, opt Options, r *rng.RNG) (*met
 		Stop:        opt.Stop,
 		RecordEvery: opt.RecordEvery,
 		Medium:      channel.Perfect{},
-		Points:      g.Points(),
 		Obs:         opt.Obs,
 	}, st.stream(&st.clockRNG, r, "clock"))
 	h := &st.h
@@ -245,7 +244,6 @@ func runPushSumParallel(g *graph.Graph, x []float64, opt Options, r *rng.RNG) (*
 		Stop:        opt.Stop,
 		RecordEvery: opt.RecordEvery,
 		Medium:      channel.Perfect{},
-		Points:      g.Points(),
 		Obs:         opt.Obs,
 	}, st.stream(&st.clockRNG, r, "clock"))
 	h := &st.h

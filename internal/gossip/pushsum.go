@@ -39,18 +39,20 @@ func RunPushSum(g *graph.Graph, x []float64, opt Options, r *rng.RNG) (*metrics.
 
 // pushSumRun is the per-run state of the push-sum engine (see boydRun).
 type pushSumRun struct {
-	g    *graph.Graph
-	h    *sim.Harness
-	pick *rng.RNG
-	s, w []float64
-	est  []float64
+	g     *graph.Graph
+	h     *sim.Harness
+	pick  *rng.RNG
+	s, w  []float64
+	est   []float64
+	ahead bool
+	batch tickBatch
 }
 
 func newPushSumRun(g *graph.Graph, x []float64, opt Options, r *rng.RNG) (*pushSumRun, error) {
 	st := stateOf(opt)
 	// Push-sum needs no resync recovery: the mass-conservation invariants
 	// already survive churn, so Options.Resync is ignored here.
-	medium, err := st.medium(opt, g, r)
+	medium, spec, err := st.medium(opt, g, r)
 	if err != nil {
 		return nil, err
 	}
@@ -68,36 +70,54 @@ func newPushSumRun(g *graph.Graph, x []float64, opt Options, r *rng.RNG) (*pushS
 		Stop:        opt.Stop,
 		RecordEvery: opt.RecordEvery,
 		Medium:      medium,
-		Points:      g.Points(),
+		Points:      sim.SpatialPoints(spec, g.Points()),
 		Tracer:      opt.Tracer,
 		Obs:         opt.Obs,
 		Timeline:    &st.tline,
 	}, st.stream(&st.clockRNG, r, "clock"))
 	e := &st.push
 	*e = pushSumRun{
-		g:    g,
-		h:    &st.h,
-		pick: st.stream(&st.pickRNG, r, "pick"),
-		s:    st.s,
-		w:    st.w,
-		est:  st.est,
+		g:     g,
+		h:     &st.h,
+		pick:  st.stream(&st.pickRNG, r, "pick"),
+		s:     st.s,
+		w:     st.w,
+		est:   st.est,
+		ahead: !spec.HasChurn(),
 	}
 	return e, nil
 }
 
-// step executes one clock tick: the owner halves its mass pair and pushes
-// one half to a uniformly random neighbour. Zero allocations in steady
-// state.
-func (e *pushSumRun) step() {
+// run drives ticks until the stop rule fires, through the tick pipeline
+// (see boydRun.run). Zero allocations in steady state.
+func (e *pushSumRun) run() {
+	h, b := e.h, &e.batch
+	for i, k := 0, 0; !h.Done(); i++ {
+		if i == k {
+			i, k = 0, b.draw(h, e.g, e.pick, e.ahead)
+			b.touch(e.s, k)
+			b.touch(e.w, k)
+			b.touch(e.est, k)
+		}
+		h.Advance()
+		e.tick(b.owner[i], b.partner[i])
+	}
+}
+
+// tick applies one clock tick of owner i, already counted: the owner
+// halves its mass pair and pushes one half to a uniformly random
+// neighbour. j is the partner drawn ahead (-1: none); without ahead
+// draws it is drawn here, once liveness has had its turn.
+func (e *pushSumRun) tick(i, j int32) {
 	h := e.h
-	i := h.Tick()
 	if !h.Alive(i) {
 		h.Sample()
 		return
 	}
-	deg := e.g.Degree(i)
-	if deg > 0 {
-		j := e.g.Neighbors(i)[e.pick.IntN(deg)]
+	if !e.ahead {
+		j = partner(e.g, i, e.pick)
+	}
+	if j >= 0 {
 		if ok, paid := h.Medium.DeliverHop(h.Packet(i, j, 1)); !ok {
 			// Unacknowledged push: the sender rolls its halves back, so
 			// no mass moves — only the transmission is paid.
@@ -140,6 +160,9 @@ func runPushSum(g *graph.Graph, x []float64, opt Options, r *rng.RNG) (*metrics.
 	if g.N() != len(x) {
 		return nil, nil, fmt.Errorf("gossip: %d nodes but %d values", g.N(), len(x))
 	}
+	if err := sim.CheckFinite(x); err != nil {
+		return nil, nil, err
+	}
 	if g.N() == 0 {
 		return sim.EmptyResult("push-sum"), nil, nil
 	}
@@ -150,9 +173,7 @@ func runPushSum(g *graph.Graph, x []float64, opt Options, r *rng.RNG) (*metrics.
 	if err != nil {
 		return nil, nil, err
 	}
-	for !e.h.Done() {
-		e.step()
-	}
+	e.run()
 	res := e.h.Finish("push-sum")
 	// Expose the final estimates through x, matching the other runners'
 	// contract that x converges toward the mean in place.

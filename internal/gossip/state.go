@@ -86,19 +86,21 @@ func (st *RunState) stream(slot **rng.RNG, r *rng.RNG, name string) *rng.RNG {
 }
 
 // medium builds the run's radio channel through the state's channel pool
-// over the engine's deterministic streams (see Options.medium).
-func (st *RunState) medium(o Options, g *graph.Graph, r *rng.RNG) (channel.Channel, error) {
+// over the engine's deterministic streams, and returns it with the fault
+// spec it was built from.
+func (st *RunState) medium(o Options, g *graph.Graph, r *rng.RNG) (channel.Channel, channel.Spec, error) {
 	spec, err := o.faultSpec()
 	if err != nil {
-		return nil, err
+		return nil, spec, err
 	}
 	st.tline.Reset(spec.HasTransport())
 	env := channel.Env{Points: g.Points(), Timeline: &st.tline, Obs: o.Obs, Tracer: o.Tracer}
 	if spec.TargetsHubs() {
 		env.HubOrder = g.ByDegreeDesc()
 	}
-	return spec.BuildWith(&st.ch, g.N(), env,
+	ch, err := spec.BuildWith(&st.ch, g.N(), env,
 		st.stream(&st.lossRNG, r, "loss"), st.stream(&st.churnRNG, r, "churn"))
+	return ch, spec, err
 }
 
 // accept returns the rejection-sampling acceptance table for g, computed

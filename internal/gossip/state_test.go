@@ -160,11 +160,10 @@ func TestSteadyStateTicksAllocFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 2000; i++ {
-			boyd.step()
-		}
-		if avg := testing.AllocsPerRun(500, boyd.step); avg != 0 {
-			t.Errorf("boyd/%s: %v allocs per steady-state tick, want 0", medium.name, avg)
+		boydBatch := oneBatch(boyd.h, boyd.run)
+		runFor(boyd.h, boyd.run, 2000)
+		if avg := testing.AllocsPerRun(500, boydBatch); avg != 0 {
+			t.Errorf("boyd/%s: %v allocs per steady-state pipeline batch, want 0", medium.name, avg)
 		}
 
 		x = randomValues(g.N(), 923)
@@ -188,11 +187,10 @@ func TestSteadyStateTicksAllocFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 2000; i++ {
-			push.step()
-		}
-		if avg := testing.AllocsPerRun(500, push.step); avg != 0 {
-			t.Errorf("push-sum/%s: %v allocs per steady-state tick, want 0", medium.name, avg)
+		pushBatch := oneBatch(push.h, push.run)
+		runFor(push.h, push.run, 2000)
+		if avg := testing.AllocsPerRun(500, pushBatch); avg != 0 {
+			t.Errorf("push-sum/%s: %v allocs per steady-state pipeline batch, want 0", medium.name, avg)
 		}
 	}
 }

@@ -25,7 +25,19 @@ import (
 //	return h.Finish(name), nil
 //
 // which keeps the clock/tracker/counter/curve wiring — and its exact
-// draw and sampling order — identical across engines.
+// draw and sampling order — identical across engines. Tick is Clock.Draw
+// followed by Advance; the boyd and push-sum engines split the two to
+// run the same body as a two-phase pipeline (DESIGN.md §7):
+//
+//	for i, k := 0, 0; !h.Done(); i++ {
+//	    if i == k { // phase 1: draw a batch ahead, touch its cache lines
+//	        i, k = 0, min(depth, h.Stop.MaxTicks-h.Clock.Ticks())
+//	        for j := range k { owner[j] = h.Clock.Draw() }
+//	        ... draw partners (no churn only), read their state ...
+//	    }
+//	    h.Advance() // phase 2: apply the batch in tick order
+//	    ... the loop body above with s = owner[i] ...
+//	}
 type Harness struct {
 	// Stop is the termination rule (defaults already applied).
 	Stop StopRule
@@ -72,8 +84,10 @@ type HarnessConfig struct {
 	// Medium is the radio fault model; nil selects channel.Perfect.
 	Medium channel.Channel
 	// Points holds node positions so Packet can attach the spatial
-	// context spatial fault models read; nil leaves positions zero
-	// (sufficient for non-spatial media).
+	// context spatial fault models read; nil leaves positions zero.
+	// Engines attach them only for spatial specs (see SpatialPoints):
+	// no other medium reads Packet positions, so the two loads per
+	// delivery would be wasted.
 	Points []geo.Point
 	// Router supplies the run's routing core (see Harness.Router).
 	Router *routing.Router
@@ -141,17 +155,34 @@ func (h *Harness) Done() bool {
 }
 
 // Tick advances the clock and the medium together and returns the node
-// whose clock fired. With an active timeline, due transport completions
-// drain first in (time, seq) order, advancing the medium to each
-// completion's floored time so time-windowed fault state flips at
-// delayed-delivery instants exactly as at tick crossings.
+// whose clock fired: Clock.Draw, then Advance.
 func (h *Harness) Tick() int32 {
-	s := h.Clock.Tick()
+	s := h.Clock.Draw()
+	h.Advance()
+	return s
+}
+
+// Advance counts one tick whose owner was already drawn (Clock.Draw) and
+// moves the medium to it. With an active timeline, due transport
+// completions drain first in (time, seq) order, advancing the medium to
+// each completion's floored time so time-windowed fault state flips at
+// delayed-delivery instants exactly as at tick crossings.
+func (h *Harness) Advance() {
+	h.Clock.Bump(1)
 	if h.Timeline.Active() {
 		h.Timeline.DrainTo(float64(h.Clock.Ticks()), h.Medium.Advance)
 	}
 	h.Medium.Advance(h.Clock.Ticks())
-	return s
+}
+
+// SpatialPoints returns pts when spec has geometry-dependent components
+// and nil otherwise: the HarnessConfig.Points rule. Only the spatial
+// media (SpatialLoss, Partition) read Packet positions.
+func SpatialPoints(spec channel.Spec, pts []geo.Point) []geo.Point {
+	if spec.Spatial() {
+		return pts
+	}
+	return nil
 }
 
 // Alive reports whether node i is up on the medium.
@@ -159,9 +190,9 @@ func (h *Harness) Alive(i int32) bool { return h.Medium.Alive(i) }
 
 // Packet assembles the delivery context for a src→dst transmission of
 // hops hops: endpoint positions from the configured point table (zero
-// when none was supplied) and the current tick count as the decision
-// time. Every engine delivery goes through it, so geometry-aware media
-// always see where and when a packet travels.
+// when none was supplied, as on non-spatial media) and the current tick
+// count as the decision time. Every engine delivery goes through it, so
+// geometry-aware media always see where and when a packet travels.
 func (h *Harness) Packet(src, dst int32, hops int) channel.Packet {
 	p := channel.Packet{Src: src, Dst: dst, Hops: hops, Now: h.Clock.Ticks()}
 	if h.pts != nil {

@@ -44,20 +44,20 @@ func (c *Clock) Reset(n int, r *rng.RNG) {
 	c.n, c.r, c.ticks = n, r, 0
 }
 
-// Tick returns the node whose clock fires next and advances the global
-// tick counter.
-func (c *Clock) Tick() int32 {
-	c.ticks++
-	return int32(c.r.IntN(c.n))
-}
+// Draw returns the node whose clock fires at a tick without counting
+// the tick: Harness.Tick counts it right away, while the tick pipeline
+// (DESIGN.md §7) draws a batch of owners ahead and counts each one
+// through Harness.Advance as it applies it.
+func (c *Clock) Draw() int32 { return int32(c.r.IntN(c.n)) }
 
 // Ticks returns the number of ticks issued so far.
 func (c *Clock) Ticks() uint64 { return c.ticks }
 
-// Bump advances the tick counter by k without drawing. The parallel tick
-// scheduler (DESIGN.md §9) issues its draws from per-shard streams and
-// accounts a whole block of ticks here, so curve samples, stop checks and
-// results stay denominated in global ticks.
+// Bump advances the tick counter by k without drawing. Harness.Advance
+// counts a tick drawn ahead through it, and the parallel tick scheduler
+// (DESIGN.md §9) draws from per-shard streams and accounts a whole block
+// of ticks here, so curve samples, stop checks and results stay
+// denominated in global ticks.
 func (c *Clock) Bump(k uint64) { c.ticks += k }
 
 // Category classifies transmissions for the cost breakdown of E13.
@@ -244,6 +244,20 @@ func (t *ErrTracker) ApplyExternal(dev2Delta float64, updates int) {
 		t.updates = 0
 		t.dev2 = t.exactDev2()
 	}
+}
+
+// CheckFinite returns an error naming the first NaN or ±Inf entry of x.
+// Every engine calls it next to its length check, before any draw and
+// before writing to x: a run over a non-finite value can never reach its
+// target, so it would otherwise spin to its tick cap and report a NaN
+// error with no failure.
+func CheckFinite(x []float64) error {
+	for i, v := range x {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("sim: value %d is %v; initial values must be finite", i, v)
+		}
+	}
+	return nil
 }
 
 // StopRule bundles the termination conditions shared by the algorithm
