@@ -3,14 +3,17 @@
 //
 // Usage:
 //
-//	geogossip -n 2048 -algo affine -eps 1e-3 [-seed 1] [-c 1.5] [-curve]
+//	geogossip -n 2048 -algo affine-hierarchical -eps 1e-3 [-seed 1] [-c 1.5] [-curve]
 //
-// Algorithms: boyd, geographic, geographic-uniform, affine, async.
+// Algorithms: boyd, geographic, push-sum, affine-hierarchical and
+// affine-async, plus the earlier spellings affine, async and
+// geographic-uniform (geographic with uniform partner sampling).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -19,19 +22,26 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "geogossip:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// legacyNames maps the command's earlier -algo spellings to engine names.
+var legacyNames = map[string]string{
+	"affine":             "affine-hierarchical",
+	"async":              "affine-async",
+	"geographic-uniform": "geographic",
+}
+
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("geogossip", flag.ContinueOnError)
 	var (
 		n       = fs.Int("n", 1024, "number of sensors")
 		c       = fs.Float64("c", 1.5, "radius multiplier in r = c*sqrt(log n / n)")
 		seed    = fs.Uint64("seed", 1, "placement seed")
-		algo    = fs.String("algo", "affine", "algorithm: boyd | geographic | geographic-uniform | affine | async")
+		algo    = fs.String("algo", "affine", "algorithm: boyd | geographic | push-sum | affine-hierarchical | affine-async (also affine, async, geographic-uniform)")
 		eps     = fs.Float64("eps", 1e-3, "target relative l2 error")
 		ticks   = fs.Uint64("maxticks", 200_000_000, "clock tick cap")
 		curve   = fs.Bool("curve", false, "print the sampled (transmissions, error) trajectory")
@@ -79,7 +89,7 @@ func run(args []string) error {
 		if err := nw.Save(f); err != nil {
 			return err
 		}
-		fmt.Printf("network with %d sensors written to %s\n", nw.N(), *save)
+		fmt.Fprintf(stdout, "network with %d sensors written to %s\n", nw.N(), *save)
 		return nil
 	}
 
@@ -94,20 +104,16 @@ func run(args []string) error {
 	if *doTrace {
 		runOpts = append(runOpts, geogossip.WithTraceWriter(os.Stderr))
 	}
-	var algorithm geogossip.Algorithm
-	switch *algo {
-	case "boyd":
-		algorithm = geogossip.Boyd(runOpts...)
-	case "geographic":
-		algorithm = geogossip.Geographic(runOpts...)
-	case "geographic-uniform":
-		algorithm = geogossip.Geographic(append(runOpts, geogossip.WithUniformSampling())...)
-	case "affine":
-		algorithm = geogossip.AffineHierarchical(runOpts...)
-	case "async":
-		algorithm = geogossip.AffineAsync(runOpts...)
-	default:
-		return fmt.Errorf("unknown algorithm %q", *algo)
+	if *algo == "geographic-uniform" {
+		runOpts = append(runOpts, geogossip.WithUniformSampling())
+	}
+	name := *algo
+	if canon, ok := legacyNames[name]; ok {
+		name = canon
+	}
+	algorithm, err := geogossip.NewAlgorithm(name, runOpts...)
+	if err != nil {
+		return err
 	}
 
 	// Initial field: each sensor measures x·10 + sin(7y) plus its index
@@ -118,16 +124,16 @@ func run(args []string) error {
 	}
 	want := geogossip.Mean(values)
 
-	fmt.Printf("network:   n=%d  radius=%.4f  edges=%d  mean degree=%.1f  hierarchy levels=%d\n",
+	fmt.Fprintf(stdout, "network:   n=%d  radius=%.4f  edges=%d  mean degree=%.1f  hierarchy levels=%d\n",
 		nw.N(), nw.Radius(), nw.Edges(), nw.MeanDegree(), nw.HierarchyLevels())
 	res, err := algorithm.Run(nw, values)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("algorithm: %s\n", res.Algorithm)
-	fmt.Printf("converged: %v  (final relative error %.3g, target %.3g)\n", res.Converged, res.FinalErr, *eps)
-	fmt.Printf("true mean: %.6f   sensor 0 now holds: %.6f\n", want, values[0])
-	fmt.Printf("transmissions: %d\n", res.Transmissions)
+	fmt.Fprintf(stdout, "algorithm: %s\n", res.Algorithm)
+	fmt.Fprintf(stdout, "converged: %v  (final relative error %.3g, target %.3g)\n", res.Converged, res.FinalErr, *eps)
+	fmt.Fprintf(stdout, "true mean: %.6f   sensor 0 now holds: %.6f\n", want, values[0])
+	fmt.Fprintf(stdout, "transmissions: %d\n", res.Transmissions)
 	keys := make([]string, 0, len(res.Breakdown))
 	for k := range res.Breakdown {
 		keys = append(keys, k)
@@ -135,13 +141,13 @@ func run(args []string) error {
 	sort.Strings(keys)
 	for _, k := range keys {
 		if res.Breakdown[k] > 0 {
-			fmt.Printf("  %-8s %d\n", k, res.Breakdown[k])
+			fmt.Fprintf(stdout, "  %-8s %d\n", k, res.Breakdown[k])
 		}
 	}
 	if *curve {
-		fmt.Println("transmissions,relative_error")
+		fmt.Fprintln(stdout, "transmissions,relative_error")
 		for _, pt := range res.Curve {
-			fmt.Printf("%.0f,%.6g\n", pt[0], pt[1])
+			fmt.Fprintf(stdout, "%.0f,%.6g\n", pt[0], pt[1])
 		}
 	}
 	return nil

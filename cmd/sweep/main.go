@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"geogossip"
+	"geogossip/internal/engine"
 )
 
 func main() {
@@ -51,7 +52,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	var (
-		algos      = fs.String("algos", "boyd,geographic,affine-hierarchical", "comma-separated algorithms")
+		algos      = fs.String("algos", "boyd,geographic,affine-hierarchical", "comma-separated algorithms: "+strings.Join(engine.Names(), ", "))
 		ns         = fs.String("ns", "256,512,1024", "comma-separated network sizes")
 		seeds      = fs.Int("seeds", 1, "independent placements per grid cell")
 		baseSeed   = fs.Uint64("base-seed", 1, "base seed all per-task seeds derive from")

@@ -52,9 +52,10 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"strings"
 
 	"geogossip/internal/channel"
-	"geogossip/internal/core"
+	"geogossip/internal/engine"
 	"geogossip/internal/gossip"
 	"geogossip/internal/graph"
 	"geogossip/internal/hier"
@@ -623,166 +624,71 @@ func (c runConfig) engineFaults() (channel.Spec, error) {
 	return spec, nil
 }
 
-type boydAlgo struct{ cfg runConfig }
-
-// Boyd returns randomized nearest-neighbour gossip (Boyd et al.).
-func Boyd(opts ...RunOption) Algorithm { return boydAlgo{newRunConfig(opts)} }
-
-func (a boydAlgo) Name() string { return "boyd" }
-
-func (a boydAlgo) Run(nw *Network, values []float64) (*Result, error) {
-	faults, err := a.cfg.validate()
-	if err != nil {
-		return nil, err
-	}
-	reg := obs.NewRegistry()
-	res, err := gossip.RunBoyd(nw.g, values, gossip.Options{
-		Stop:     sim.StopRule{TargetErr: a.cfg.targetErr, MaxTicks: a.cfg.maxTicks},
-		Faults:   faults,
-		Resync:   a.cfg.recover,
-		Parallel: a.cfg.parallel,
-		Tracer:   a.cfg.tracer,
-		Obs:      reg.Scope(a.Name()),
-	}, rng.New(a.cfg.seed))
-	if err != nil {
-		return nil, err
-	}
-	return fromMetrics(res, reg), nil
+// algo is every Algorithm: an engine table name and the run options.
+type algo struct {
+	name string
+	cfg  runConfig
 }
 
-type geoAlgo struct{ cfg runConfig }
+// NewAlgorithm returns the algorithm with the given engine name —
+// "boyd", "geographic", "push-sum", "affine-hierarchical" or
+// "affine-async", the names Result.Algorithm and SweepSpec.Algorithms
+// use.
+func NewAlgorithm(name string, opts ...RunOption) (Algorithm, error) {
+	if _, ok := engine.Lookup(name); !ok {
+		return nil, fmt.Errorf("geogossip: unknown algorithm %q (valid: %s)", name, strings.Join(engine.Names(), ", "))
+	}
+	return algo{name, newRunConfig(opts)}, nil
+}
+
+// Boyd returns randomized nearest-neighbour gossip (Boyd et al.).
+func Boyd(opts ...RunOption) Algorithm { return algo{engine.Boyd, newRunConfig(opts)} }
 
 // Geographic returns geographic gossip (Dimakis et al.) with rejection
 // sampling (or uniform sampling via WithUniformSampling).
-func Geographic(opts ...RunOption) Algorithm { return geoAlgo{newRunConfig(opts)} }
-
-func (a geoAlgo) Name() string { return "geographic" }
-
-func (a geoAlgo) Run(nw *Network, values []float64) (*Result, error) {
-	faults, err := a.cfg.validate()
-	if err != nil {
-		return nil, err
-	}
-	reg := obs.NewRegistry()
-	res, err := gossip.RunGeographic(nw.g, values, gossip.GeoOptions{
-		Options: gossip.Options{
-			Stop:     sim.StopRule{TargetErr: a.cfg.targetErr, MaxTicks: a.cfg.maxTicks},
-			Faults:   faults,
-			Resync:   a.cfg.recover,
-			Parallel: a.cfg.parallel,
-			Tracer:   a.cfg.tracer,
-			Obs:      reg.Scope(a.Name()),
-		},
-		Sampling: a.cfg.sampling,
-	}, rng.New(a.cfg.seed))
-	if err != nil {
-		return nil, err
-	}
-	return fromMetrics(res, reg), nil
-}
-
-type affineAlgo struct{ cfg runConfig }
+func Geographic(opts ...RunOption) Algorithm { return algo{engine.Geographic, newRunConfig(opts)} }
 
 // AffineHierarchical returns the paper's algorithm in its round-structured
 // form (§3): recursive square averaging with non-convex affine long-range
 // exchanges.
-func AffineHierarchical(opts ...RunOption) Algorithm { return affineAlgo{newRunConfig(opts)} }
-
-func (a affineAlgo) Name() string { return "affine-hierarchical" }
-
-func (a affineAlgo) Run(nw *Network, values []float64) (*Result, error) {
-	faults, err := a.cfg.validate()
-	if err != nil {
-		return nil, err
-	}
-	if a.cfg.parallel.Enabled() {
-		return nil, fmt.Errorf("geogossip: WithParallel is not supported by %s (round-structured exchanges are global)", a.Name())
-	}
-	reg := obs.NewRegistry()
-	res, err := core.RunRecursive(nw.g, nw.h, values, core.RecursiveOptions{
-		Eps:     a.cfg.targetErr,
-		Beta:    a.cfg.beta,
-		Faults:  faults,
-		Recover: a.cfg.recover,
-		Tracer:  a.cfg.tracer,
-		Obs:     reg.Scope(a.Name()),
-	}, rng.New(a.cfg.seed))
-	if err != nil {
-		return nil, err
-	}
-	return fromMetrics(res.Result, reg), nil
-}
-
-type asyncAlgo struct{ cfg runConfig }
+func AffineHierarchical(opts ...RunOption) Algorithm { return algo{engine.Affine, newRunConfig(opts)} }
 
 // AffineAsync returns the paper's algorithm as the faithful event-driven
 // §4 protocol (per-node Poisson clocks, on/off control, counters).
-func AffineAsync(opts ...RunOption) Algorithm { return asyncAlgo{newRunConfig(opts)} }
-
-func (a asyncAlgo) Name() string { return "affine-async" }
-
-func (a asyncAlgo) Run(nw *Network, values []float64) (*Result, error) {
-	faults, err := a.cfg.validate()
-	if err != nil {
-		return nil, err
-	}
-	reg := obs.NewRegistry()
-	res, err := core.RunAsync(nw.g, nw.h, values, core.AsyncOptions{
-		Eps:          a.cfg.targetErr,
-		Beta:         a.cfg.beta,
-		Throttle:     a.cfg.throttle,
-		RoundsFactor: 2,
-		Faults:       faults,
-		Recover:      a.cfg.recover,
-		Parallel:     a.cfg.parallel,
-		Tracer:       a.cfg.tracer,
-		Obs:          reg.Scope(a.Name()),
-		Stop:         sim.StopRule{TargetErr: a.cfg.targetErr, MaxTicks: a.cfg.maxTicks},
-	}, rng.New(a.cfg.seed))
-	if err != nil {
-		return nil, err
-	}
-	return fromMetrics(res.Result, reg), nil
-}
-
-type pushSumAlgo struct{ cfg runConfig }
+func AffineAsync(opts ...RunOption) Algorithm { return algo{engine.Async, newRunConfig(opts)} }
 
 // PushSum returns asynchronous push-sum averaging (Kempe–Dobra–Gehrke,
 // FOCS 2003): one one-way message per exchange. Under faults, lost
 // pushes roll back at the sender (mass-conservation bookkeeping), so
 // the Σs and Σw invariants — and with them the consensus target — hold
 // under arbitrary loss and churn; see the examples/churn scenario.
-func PushSum(opts ...RunOption) Algorithm { return pushSumAlgo{newRunConfig(opts)} }
+func PushSum(opts ...RunOption) Algorithm { return algo{engine.PushSum, newRunConfig(opts)} }
 
-func (a pushSumAlgo) Name() string { return "push-sum" }
+func (a algo) Name() string { return a.name }
 
-func (a pushSumAlgo) Run(nw *Network, values []float64) (*Result, error) {
+func (a algo) Run(nw *Network, values []float64) (*Result, error) {
 	faults, err := a.cfg.validate()
 	if err != nil {
 		return nil, err
 	}
+	e, _ := engine.Lookup(a.name)
 	reg := obs.NewRegistry()
-	res, err := gossip.RunPushSum(nw.g, values, gossip.Options{
+	res, err := e.Run(nw.g, nw.h, values, engine.Config{
 		Stop:     sim.StopRule{TargetErr: a.cfg.targetErr, MaxTicks: a.cfg.maxTicks},
 		Faults:   faults,
+		Recover:  a.cfg.recover,
+		Beta:     a.cfg.beta,
+		Throttle: a.cfg.throttle,
+		Sampling: a.cfg.sampling,
 		Parallel: a.cfg.parallel,
 		Tracer:   a.cfg.tracer,
-		Obs:      reg.Scope(a.Name()),
+		Obs:      reg.Scope(a.name),
 	}, rng.New(a.cfg.seed))
 	if err != nil {
 		return nil, err
 	}
-	return fromMetrics(res, reg), nil
+	return fromMetrics(res.Result, reg), nil
 }
-
-// Compile-time interface checks.
-var (
-	_ Algorithm = boydAlgo{}
-	_ Algorithm = geoAlgo{}
-	_ Algorithm = affineAlgo{}
-	_ Algorithm = asyncAlgo{}
-	_ Algorithm = pushSumAlgo{}
-)
 
 // Mean returns the arithmetic mean of values (the consensus target), or 0
 // for an empty slice.

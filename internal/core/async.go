@@ -56,17 +56,11 @@ type AsyncOptions struct {
 	// Routes optionally supplies a shared deterministic route/flood
 	// cache bound to the run's graph (see RecursiveOptions.Routes).
 	Routes *routing.Cache
-	// LossRate is the probability that a data packet (Near exchange or a
-	// leg of a Far route) is lost — shorthand for a Bernoulli fault model
-	// in Faults; the control plane (activation floods and routes) is
-	// assumed reliable. Lost exchanges pay partial cost and apply no
-	// update. Zero disables loss. Setting both LossRate and a loss model
-	// in Faults is an error.
-	LossRate float64
 	// Faults selects the radio fault model for the data plane (loss
 	// process, spatial jamming, partition cuts and/or node churn —
 	// including churn targeted at representatives). The zero Spec is the
-	// perfect medium.
+	// perfect medium. The control plane (activation floods and routes) is
+	// assumed reliable.
 	Faults channel.Spec
 	// Recover enables the recovery protocol: once per simulated time
 	// unit (n ticks) squares with dead representatives re-elect the
@@ -128,10 +122,6 @@ func (o AsyncOptions) withDefaults() AsyncOptions {
 		o.Recovery = routing.RecoveryBFS
 	}
 	return o
-}
-
-func (o AsyncOptions) faultSpec() (channel.Spec, error) {
-	return faultSpec(o.LossRate, o.Faults)
 }
 
 // AsyncResult extends the shared summary with protocol counters.
@@ -226,8 +216,8 @@ func RunAsync(g *graph.Graph, h *hier.Hierarchy, x []float64, opt AsyncOptions, 
 	if g.N() == 0 {
 		return &AsyncResult{Result: sim.EmptyResult("affine-async")}, nil
 	}
-	spec, err := opt.faultSpec()
-	if err != nil {
+	spec := opt.Faults
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	st := opt.State

@@ -26,8 +26,8 @@ func TestRecursiveDivergenceGuard(t *testing.T) {
 		x := append([]float64(nil), base...)
 		mean := meanOf(x)
 		res, err := RunRecursive(f.g, f.h, x, RecursiveOptions{
-			Eps:      5e-2,
-			LossRate: loss,
+			Eps:    5e-2,
+			Faults: bern(loss),
 		}, rng.New(runSeed))
 		if err != nil {
 			t.Fatal(err)

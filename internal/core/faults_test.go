@@ -118,17 +118,10 @@ func TestAsyncSumInvariantUnderChurn(t *testing.T) {
 func TestCoreFaultValidation(t *testing.T) {
 	f := newFixture(t, 64, 2.5, 532, hier.Config{})
 	x := make([]float64, f.g.N())
-	if _, err := RunRecursive(f.g, f.h, x, RecursiveOptions{LossRate: 1.5}, rng.New(1)); err == nil {
+	if _, err := RunRecursive(f.g, f.h, x, RecursiveOptions{Faults: bern(1.5)}, rng.New(1)); err == nil {
 		t.Fatal("recursive accepted loss rate 1.5")
 	}
-	if _, err := RunAsync(f.g, f.h, x, AsyncOptions{LossRate: -0.1}, rng.New(1)); err == nil {
+	if _, err := RunAsync(f.g, f.h, x, AsyncOptions{Faults: bern(-0.1)}, rng.New(1)); err == nil {
 		t.Fatal("async accepted loss rate -0.1")
-	}
-	both := RecursiveOptions{
-		LossRate: 0.1,
-		Faults:   channel.Spec{Loss: channel.LossBernoulli, LossRate: 0.2},
-	}
-	if _, err := RunRecursive(f.g, f.h, x, both, rng.New(1)); err == nil {
-		t.Fatal("recursive accepted LossRate combined with a Faults loss model")
 	}
 }

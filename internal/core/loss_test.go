@@ -4,18 +4,27 @@ import (
 	"math"
 	"testing"
 
+	"geogossip/internal/channel"
 	"geogossip/internal/hier"
 	"geogossip/internal/rng"
 	"geogossip/internal/sim"
 )
+
+// bern is the Bernoulli loss medium at rate p; 0 is the perfect medium.
+func bern(p float64) channel.Spec {
+	if p == 0 {
+		return channel.Spec{}
+	}
+	return channel.Spec{Loss: channel.LossBernoulli, LossRate: p}
+}
 
 func TestRecursiveConvergesUnderLoss(t *testing.T) {
 	f := newFixture(t, 512, 1.8, 420, hier.Config{})
 	x := randomValues(f.g.N(), 421)
 	mean := meanOf(x)
 	res, err := RunRecursive(f.g, f.h, x, RecursiveOptions{
-		Eps:      1e-2,
-		LossRate: 0.2,
+		Eps:    1e-2,
+		Faults: bern(0.2),
 	}, rng.New(422))
 	if err != nil {
 		t.Fatal(err)
@@ -36,8 +45,8 @@ func TestRecursiveLossInflatesCost(t *testing.T) {
 	run := func(loss float64) uint64 {
 		x := randomValues(f.g.N(), 424)
 		res, err := RunRecursive(f.g, f.h, x, RecursiveOptions{
-			Eps:      1e-2,
-			LossRate: loss,
+			Eps:    1e-2,
+			Faults: bern(loss),
 		}, rng.New(425))
 		if err != nil {
 			t.Fatal(err)
@@ -59,9 +68,9 @@ func TestAsyncConvergesUnderLoss(t *testing.T) {
 	x := randomValues(f.g.N(), 427)
 	mean := meanOf(x)
 	res, err := RunAsync(f.g, f.h, x, AsyncOptions{
-		Eps:      2e-2,
-		LossRate: 0.2,
-		Stop:     sim.StopRule{TargetErr: 2e-2, MaxTicks: 40_000_000},
+		Eps:    2e-2,
+		Faults: bern(0.2),
+		Stop:   sim.StopRule{TargetErr: 2e-2, MaxTicks: 40_000_000},
 	}, rng.New(428))
 	if err != nil {
 		t.Fatal(err)

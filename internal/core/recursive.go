@@ -110,14 +110,6 @@ type RecursiveOptions struct {
 	// MaxLeafExchanges caps one leaf-averaging call. Zero selects
 	// 200·L² + 1000 for a leaf of L members.
 	MaxLeafExchanges int
-	// LossRate is the probability that a data packet (single-hop
-	// exchange, or a leg of a long-range route) is lost — shorthand for
-	// a Bernoulli fault model in Faults. Lost exchanges pay for the
-	// transmissions made before the loss but apply no update; updates
-	// commit atomically per pair so the sum invariant survives. Zero
-	// disables loss. Setting both LossRate and a loss model in Faults is
-	// an error.
-	LossRate float64
 	// Faults selects the radio fault model (loss process, spatial
 	// jamming, partition cuts and/or node churn — including churn
 	// targeted at hierarchy representatives). The zero Spec is the
@@ -249,8 +241,8 @@ func RunRecursive(g *graph.Graph, h *hier.Hierarchy, x []float64, opt RecursiveO
 	if g.N() == 0 {
 		return &Result{Result: sim.EmptyResult(name)}, nil
 	}
-	spec, err := opt.faultSpec()
-	if err != nil {
+	spec := opt.Faults
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	st := opt.State
@@ -340,30 +332,6 @@ func (st *RunState) faultEnv(g *graph.Graph, h *hier.Hierarchy, spec channel.Spe
 		env.HubOrder = g.ByDegreeDesc()
 	}
 	return env
-}
-
-// faultSpec folds a legacy LossRate shorthand into a fault spec and
-// validates the result (shared by the recursive and async engines).
-func faultSpec(lossRate float64, faults channel.Spec) (channel.Spec, error) {
-	spec := faults
-	if lossRate != 0 {
-		if lossRate < 0 || lossRate > 1 {
-			return spec, fmt.Errorf("core: loss rate %v outside [0, 1]", lossRate)
-		}
-		if spec.Loss != channel.LossNone {
-			return spec, fmt.Errorf("core: LossRate and Faults both select a loss model")
-		}
-		spec.Loss = channel.LossBernoulli
-		spec.LossRate = lossRate
-	}
-	if err := spec.Validate(); err != nil {
-		return spec, err
-	}
-	return spec, nil
-}
-
-func (o RecursiveOptions) faultSpec() (channel.Spec, error) {
-	return faultSpec(o.LossRate, o.Faults)
 }
 
 func algorithmName(opt RecursiveOptions, h *hier.Hierarchy) string {

@@ -35,9 +35,9 @@ func TestRouteCacheDrawCompat(t *testing.T) {
 		run := func(routes *routing.Cache) (*Result, []float64) {
 			x := append([]float64(nil), base...)
 			res, err := RunRecursive(g, h, x, RecursiveOptions{
-				Eps:      1e-2,
-				LossRate: 0.05,
-				Routes:   routes,
+				Eps:    1e-2,
+				Faults: bern(0.05),
+				Routes: routes,
 			}, rng.New(23))
 			if err != nil {
 				t.Fatal(err)
@@ -58,9 +58,9 @@ func TestRouteCacheDrawCompat(t *testing.T) {
 		run := func(routes *routing.Cache) (*AsyncResult, []float64) {
 			x := append([]float64(nil), base...)
 			res, err := RunAsync(g, h, x, AsyncOptions{
-				Stop:     sim.StopRule{TargetErr: 1e-2, MaxTicks: 600_000},
-				LossRate: 0.05,
-				Routes:   routes,
+				Stop:   sim.StopRule{TargetErr: 1e-2, MaxTicks: 600_000},
+				Faults: bern(0.05),
+				Routes: routes,
 			}, rng.New(24))
 			if err != nil {
 				t.Fatal(err)

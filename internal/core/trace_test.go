@@ -42,9 +42,9 @@ func TestRecursiveTracesLosses(t *testing.T) {
 	buf := trace.NewBuffer(0)
 	x := randomValues(f.g.N(), 474)
 	res, err := RunRecursive(f.g, f.h, x, RecursiveOptions{
-		Eps:      1e-2,
-		LossRate: 0.3,
-		Tracer:   buf,
+		Eps:    1e-2,
+		Faults: bern(0.3),
+		Tracer: buf,
 	}, rng.New(475))
 	if err != nil {
 		t.Fatal(err)

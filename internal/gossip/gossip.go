@@ -36,19 +36,12 @@ type Options struct {
 	// RecordEvery samples the convergence curve every RecordEvery ticks.
 	// Zero selects n (≈ once per unit of simulated time).
 	RecordEvery uint64
-	// LossRate is the probability that a data packet (or, for multi-hop
-	// routes, a route leg) is lost — shorthand for a Bernoulli fault
-	// model in Faults. A lost exchange still pays for the transmissions
-	// made before the loss but applies no update, and updates commit
-	// atomically per pair, so the sum invariant survives arbitrary loss.
-	// Zero disables loss and leaves runs byte-identical to pre-loss
-	// behaviour. Setting both LossRate and a loss model in Faults is an
-	// error.
-	LossRate float64
 	// Faults selects the radio fault model (loss process, spatial
 	// jamming fields, partition cuts and/or node churn). The zero Spec is
-	// the perfect medium. Rep-targeted churn is rejected: these engines
-	// have no hierarchy.
+	// the perfect medium. A lost exchange pays the transmissions made
+	// before the loss and applies no update, so the sum invariant
+	// survives arbitrary loss. Rep-targeted churn is rejected: these
+	// engines have no hierarchy.
 	Faults channel.Spec
 	// Routes optionally supplies a deterministic route/flood cache bound
 	// to the run's graph (see routing.Cache). Routing is a pure function
@@ -88,26 +81,6 @@ type Options struct {
 	// Obs, when non-nil, receives metrics through the label-free fast
 	// path (see obs.Scope). Nil costs nothing.
 	Obs *obs.Scope
-}
-
-// faultSpec folds the legacy LossRate shorthand into the fault spec and
-// validates the result.
-func (o Options) faultSpec() (channel.Spec, error) {
-	spec := o.Faults
-	if o.LossRate != 0 {
-		if o.LossRate < 0 || o.LossRate > 1 {
-			return spec, fmt.Errorf("gossip: loss rate %v outside [0, 1]", o.LossRate)
-		}
-		if spec.Loss != channel.LossNone {
-			return spec, fmt.Errorf("gossip: LossRate and Faults both select a loss model")
-		}
-		spec.Loss = channel.LossBernoulli
-		spec.LossRate = o.LossRate
-	}
-	if err := spec.Validate(); err != nil {
-		return spec, err
-	}
-	return spec, nil
 }
 
 // The run's radio channel is built by RunState.medium over the engine's

@@ -14,8 +14,8 @@ func TestBoydConvergesUnderLoss(t *testing.T) {
 	x := randomValues(g.N(), 401)
 	mean := meanOf(x)
 	res, err := RunBoyd(g, x, Options{
-		Stop:     sim.StopRule{TargetErr: 1e-2, MaxTicks: 5_000_000},
-		LossRate: 0.3,
+		Stop:   sim.StopRule{TargetErr: 1e-2, MaxTicks: 5_000_000},
+		Faults: bern(0.3),
 	}, rng.New(402))
 	if err != nil {
 		t.Fatal(err)
@@ -33,8 +33,8 @@ func TestBoydLossInflatesCost(t *testing.T) {
 	run := func(loss float64) uint64 {
 		x := randomValues(g.N(), 404)
 		res, err := RunBoyd(g, x, Options{
-			Stop:     sim.StopRule{TargetErr: 1e-2, MaxTicks: 5_000_000},
-			LossRate: loss,
+			Stop:   sim.StopRule{TargetErr: 1e-2, MaxTicks: 5_000_000},
+			Faults: bern(loss),
 		}, rng.New(405))
 		if err != nil {
 			t.Fatal(err)
@@ -56,8 +56,8 @@ func TestBoydTotalLossFreezesValues(t *testing.T) {
 	x := randomValues(g.N(), 407)
 	before := append([]float64(nil), x...)
 	res, err := RunBoyd(g, x, Options{
-		Stop:     sim.StopRule{TargetErr: 1e-3, MaxTicks: 10_000},
-		LossRate: 1.0,
+		Stop:   sim.StopRule{TargetErr: 1e-3, MaxTicks: 10_000},
+		Faults: bern(1.0),
 	}, rng.New(408))
 	if err != nil {
 		t.Fatal(err)
@@ -77,14 +77,14 @@ func TestBoydTotalLossFreezesValues(t *testing.T) {
 }
 
 func TestZeroLossIdenticalToBaseline(t *testing.T) {
-	// LossRate 0 must not consume randomness: runs are byte-identical to
-	// runs of the pre-loss code path.
+	// A zero loss rate must not consume randomness: runs are
+	// byte-identical to runs of the pre-loss code path.
 	g := generate(t, 200, 2.0, 409)
 	run := func(loss float64) (uint64, float64) {
 		x := randomValues(g.N(), 410)
 		res, err := RunBoyd(g, x, Options{
-			Stop:     sim.StopRule{TargetErr: 1e-2, MaxTicks: 2_000_000},
-			LossRate: loss,
+			Stop:   sim.StopRule{TargetErr: 1e-2, MaxTicks: 2_000_000},
+			Faults: bern(loss),
 		}, rng.New(411))
 		if err != nil {
 			t.Fatal(err)
@@ -104,8 +104,8 @@ func TestGeographicConvergesUnderLoss(t *testing.T) {
 	mean := meanOf(x)
 	res, err := RunGeographic(g, x, GeoOptions{
 		Options: Options{
-			Stop:     sim.StopRule{TargetErr: 1e-2, MaxTicks: 2_000_000},
-			LossRate: 0.25,
+			Stop:   sim.StopRule{TargetErr: 1e-2, MaxTicks: 2_000_000},
+			Faults: bern(0.25),
 		},
 	}, rng.New(414))
 	if err != nil {
@@ -122,19 +122,19 @@ func TestGeographicConvergesUnderLoss(t *testing.T) {
 func TestLossRateValidation(t *testing.T) {
 	g := generate(t, 50, 2.5, 416)
 	for _, bad := range []float64{-0.1, 1.5} {
-		if _, err := RunBoyd(g, make([]float64, g.N()), Options{LossRate: bad}, rng.New(1)); err == nil {
+		if _, err := RunBoyd(g, make([]float64, g.N()), Options{Faults: bern(bad)}, rng.New(1)); err == nil {
 			t.Fatalf("boyd accepted loss rate %v", bad)
 		}
-		if _, err := RunGeographic(g, make([]float64, g.N()), GeoOptions{Options: Options{LossRate: bad}}, rng.New(1)); err == nil {
+		if _, err := RunGeographic(g, make([]float64, g.N()), GeoOptions{Options: Options{Faults: bern(bad)}}, rng.New(1)); err == nil {
 			t.Fatalf("geographic accepted loss rate %v", bad)
 		}
 	}
-	// LossRate and an explicit Faults loss model together are ambiguous.
-	both := Options{
-		LossRate: 0.1,
-		Faults:   channel.Spec{Loss: channel.LossBernoulli, LossRate: 0.2},
+}
+
+// bern is the Bernoulli loss medium at rate p; 0 is the perfect medium.
+func bern(p float64) channel.Spec {
+	if p == 0 {
+		return channel.Spec{}
 	}
-	if _, err := RunBoyd(g, make([]float64, g.N()), both, rng.New(1)); err == nil {
-		t.Fatal("boyd accepted LossRate combined with a Faults loss model")
-	}
+	return channel.Spec{Loss: channel.LossBernoulli, LossRate: p}
 }

@@ -47,7 +47,7 @@ const DefaultShards = sim.DefaultShards
 // parallelGate rejects option combinations the sharded schedule cannot
 // execute deterministically.
 func (o Options) parallelGate() error {
-	if o.LossRate != 0 || !o.Faults.IsZero() {
+	if !o.Faults.IsZero() {
 		return fmt.Errorf("gossip: Parallel requires the perfect medium (no loss, jamming or churn)")
 	}
 	if o.Resync {

@@ -159,7 +159,6 @@ func TestParallelGateRejections(t *testing.T) {
 		name string
 		opt  Options
 	}{
-		{"loss", Options{Parallel: p, LossRate: 0.1}},
 		{"faults", Options{Parallel: p, Faults: channel.Spec{Loss: channel.LossBernoulli, LossRate: 0.2}}},
 		{"resync", Options{Parallel: p, Resync: true}},
 		{"tracer", Options{Parallel: p, Tracer: trace.NewBuffer(16)}},

@@ -95,8 +95,8 @@ func TestPushSumConservesMassUnderLoss(t *testing.T) {
 	mean := meanOf(x)
 	sum0 := mean * float64(g.N())
 	res, s, w, err := RunPushSumState(g, x, Options{
-		Stop:     sim.StopRule{TargetErr: 1e-3, MaxTicks: 10_000_000},
-		LossRate: 0.3,
+		Stop:   sim.StopRule{TargetErr: 1e-3, MaxTicks: 10_000_000},
+		Faults: bern(0.3),
 	}, rng.New(444))
 	if err != nil {
 		t.Fatal(err)

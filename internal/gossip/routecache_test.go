@@ -44,14 +44,14 @@ func TestRouteCacheDrawCompat(t *testing.T) {
 	}
 
 	run(t, "boyd", func(routes *routing.Cache, x []float64) (*metrics.Result, []float64) {
-		res, err := RunBoyd(g, x, Options{Stop: stop, LossRate: 0.1, Routes: routes}, rng.New(5))
+		res, err := RunBoyd(g, x, Options{Stop: stop, Faults: bern(0.1), Routes: routes}, rng.New(5))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res, x
 	})
 	run(t, "push-sum", func(routes *routing.Cache, x []float64) (*metrics.Result, []float64) {
-		res, err := RunPushSum(g, x, Options{Stop: stop, LossRate: 0.1, Routes: routes}, rng.New(6))
+		res, err := RunPushSum(g, x, Options{Stop: stop, Faults: bern(0.1), Routes: routes}, rng.New(6))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func TestRouteCacheDrawCompat(t *testing.T) {
 	})
 	run(t, "geographic-rejection", func(routes *routing.Cache, x []float64) (*metrics.Result, []float64) {
 		res, err := RunGeographic(g, x, GeoOptions{
-			Options:  Options{Stop: stop, LossRate: 0.1, Routes: routes},
+			Options:  Options{Stop: stop, Faults: bern(0.1), Routes: routes},
 			Sampling: SamplingRejection,
 		}, rng.New(7))
 		if err != nil {

@@ -89,8 +89,8 @@ func (st *RunState) stream(slot **rng.RNG, r *rng.RNG, name string) *rng.RNG {
 // over the engine's deterministic streams, and returns it with the fault
 // spec it was built from.
 func (st *RunState) medium(o Options, g *graph.Graph, r *rng.RNG) (channel.Channel, channel.Spec, error) {
-	spec, err := o.faultSpec()
-	if err != nil {
+	spec := o.Faults
+	if err := spec.Validate(); err != nil {
 		return nil, spec, err
 	}
 	st.tline.Reset(spec.HasTransport())

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"geogossip/internal/routing"
@@ -37,5 +38,46 @@ func TestRouteStatsAggregated(t *testing.T) {
 	if stats.FloodMisses == 0 || stats.FloodHits == 0 {
 		t.Errorf("flood stats %d hits / %d misses: async leaf floods should hit the cache",
 			stats.FloodHits, stats.FloodMisses)
+	}
+}
+
+// TestExecutorStatsWhileBuilding polls the executor's route and build
+// stats, as a distributed worker's heartbeat does, while its slots build
+// networks; run under -race it checks that the polls are synchronized
+// with the builds.
+func TestExecutorStatsWhileBuilding(t *testing.T) {
+	tasks := Spec{Algorithms: []string{AlgoAffine}, Ns: []int{64, 96}, Seeds: 4, RadiusMultiplier: 2.2}.Expand()
+	ex := NewExecutor(2, 1, nil)
+	done := make(chan struct{})
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				ex.RouteStats()
+				ex.NetStats()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for slot := 0; slot < ex.Slots(); slot++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := slot; i < len(tasks); i += ex.Slots() {
+				if r, _ := ex.Execute(slot, tasks[i]); r.Error != "" {
+					t.Errorf("task %d: %s", r.TaskID, r.Error)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	<-polled
+	if got := ex.NetStats().Networks; got != len(tasks) {
+		t.Fatalf("%d networks built, want %d", got, len(tasks))
 	}
 }

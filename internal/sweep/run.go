@@ -9,6 +9,7 @@ import (
 
 	"geogossip/internal/channel"
 	"geogossip/internal/core"
+	"geogossip/internal/engine"
 	"geogossip/internal/gossip"
 	"geogossip/internal/graph"
 	"geogossip/internal/hier"
@@ -130,6 +131,10 @@ func (c *netCache) get(key netKey) (*graph.Graph, *hier.Hierarchy, *routing.Cach
 			e.err = err
 			return
 		}
+		// netStats and routeStats read built entries under mu while other
+		// entries are still building.
+		c.mu.Lock()
+		defer c.mu.Unlock()
 		e.g, e.h, e.routes = g, h, routing.NewCache()
 		e.loaded = loaded
 		if loaded {
@@ -310,108 +315,42 @@ func executeWith(t Task, cache *netCache, st *runStates) TaskResult {
 	}
 	st.x = t.values(g, st.x)
 	x := st.x
-	stop := sim.StopRule{TargetErr: t.TargetErr, MaxTicks: t.MaxTicks}
-	switch t.Algorithm {
-	case AlgoBoyd:
-		res, err := gossip.RunBoyd(g, x, gossip.Options{
-			Stop:   stop,
-			Faults: faults,
-			Resync: t.Recover,
-			State:  &st.gossip,
-			Obs:    st.scope(t.Algorithm),
-		}, st.rng(out.RunSeed))
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		out.fill(res.Converged, res.FinalErr, res.Transmissions, res.SimSeconds, res.TransmissionsByCategory)
-	case AlgoGeographic:
-		mode := gossip.SamplingRejection
-		if t.Sampling == SamplingUniform {
-			mode = gossip.SamplingUniformNode
-		}
-		// Geographic routes between random endpoints: the shared cache
-		// would accumulate unreusable entries (see gossip.Options.Routes),
-		// so only the hierarchy engines pool their routing work.
-		res, err := gossip.RunGeographic(g, x, gossip.GeoOptions{
-			Options: gossip.Options{
-				Stop:   stop,
-				Faults: faults,
-				Resync: t.Recover,
-				State:  &st.gossip,
-				Obs:    st.scope(t.Algorithm),
-			},
-			Sampling: mode,
-		}, st.rng(out.RunSeed))
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		out.fill(res.Converged, res.FinalErr, res.Transmissions, res.SimSeconds, res.TransmissionsByCategory)
-	case AlgoPushSum:
-		// Push-sum ignores the recovery axis: its mass-conservation
-		// bookkeeping already survives churn.
-		res, err := gossip.RunPushSum(g, x, gossip.Options{
-			Stop:   stop,
-			Faults: faults,
-			State:  &st.gossip,
-			Obs:    st.scope(t.Algorithm),
-		}, st.rng(out.RunSeed))
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		out.fill(res.Converged, res.FinalErr, res.Transmissions, res.SimSeconds, res.TransmissionsByCategory)
-	case AlgoAffine:
-		res, err := core.RunRecursive(g, h, x, core.RecursiveOptions{
-			Eps:     t.TargetErr,
-			Beta:    t.Beta,
-			Faults:  faults,
-			Recover: t.Recover,
-			Routes:  routes,
-			State:   &st.core,
-			Obs:     st.scope(t.Algorithm),
-		}, st.rng(out.RunSeed))
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		out.fill(res.Converged, res.FinalErr, res.Transmissions, res.SimSeconds, res.TransmissionsByCategory)
-		out.FarExchanges = res.FarExchanges
-		out.HierarchyEll = h.Ell
-	case AlgoAsync:
-		res, err := core.RunAsync(g, h, x, core.AsyncOptions{
-			Eps:          t.TargetErr,
-			Beta:         t.Beta,
-			Throttle:     t.AsyncThrottle,
-			LeafTicks:    t.AsyncLeafTicks,
-			RoundsFactor: 2,
-			Faults:       faults,
-			Recover:      t.Recover,
-			Routes:       routes,
-			Stop:         stop,
-			State:        &st.core,
-			Obs:          st.scope(t.Algorithm),
-		}, st.rng(out.RunSeed))
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		out.fill(res.Converged, res.FinalErr, res.Transmissions, res.SimSeconds, res.TransmissionsByCategory)
-		out.FarExchanges = res.FarExchanges
-		out.HierarchyEll = h.Ell
-	default:
+	e, ok := engine.Lookup(t.Algorithm)
+	if !ok {
 		out.Error = fmt.Sprintf("sweep: unknown algorithm %q", t.Algorithm)
+		return out
+	}
+	sampling := gossip.SamplingRejection
+	if t.Sampling == SamplingUniform {
+		sampling = gossip.SamplingUniformNode
+	}
+	res, err := e.Run(g, h, x, engine.Config{
+		Stop:      sim.StopRule{TargetErr: t.TargetErr, MaxTicks: t.MaxTicks},
+		Faults:    faults,
+		Recover:   t.Recover,
+		Beta:      t.Beta,
+		Throttle:  t.AsyncThrottle,
+		LeafTicks: t.AsyncLeafTicks,
+		Sampling:  sampling,
+		Obs:       st.scope(t.Algorithm),
+		Routes:    routes,
+		Gossip:    &st.gossip,
+		Core:      &st.core,
+	}, st.rng(out.RunSeed))
+	if err != nil {
+		out.Error = err.Error()
+		return out
+	}
+	out.Converged = res.Converged
+	out.FinalErr = res.FinalErr
+	out.Transmissions = res.Transmissions
+	out.SimSeconds = res.SimSeconds
+	out.Breakdown = maps.Clone(res.TransmissionsByCategory)
+	if e.Hierarchical {
+		out.FarExchanges = res.FarExchanges
+		out.HierarchyEll = h.Ell
 	}
 	return out
-}
-
-func (r *TaskResult) fill(converged bool, finalErr float64, tx uint64, simSeconds float64, byCat map[string]uint64) {
-	r.Converged = converged
-	r.FinalErr = finalErr
-	r.Transmissions = tx
-	r.SimSeconds = simSeconds
-	r.Breakdown = maps.Clone(byCat)
 }
 
 // NetBuildStats summarizes the network constructions one sweep performed:

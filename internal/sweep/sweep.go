@@ -18,16 +18,17 @@ import (
 	"math"
 
 	"geogossip/internal/channel"
+	"geogossip/internal/engine"
 	"geogossip/internal/rng"
 )
 
-// Algorithm names accepted by Spec.Algorithms.
+// Algorithm names accepted by Spec.Algorithms: the engine table's names.
 const (
-	AlgoBoyd       = "boyd"
-	AlgoGeographic = "geographic"
-	AlgoPushSum    = "push-sum"
-	AlgoAffine     = "affine-hierarchical"
-	AlgoAsync      = "affine-async"
+	AlgoBoyd       = engine.Boyd
+	AlgoGeographic = engine.Geographic
+	AlgoPushSum    = engine.PushSum
+	AlgoAffine     = engine.Affine
+	AlgoAsync      = engine.Async
 )
 
 // Sampling mode names accepted by Spec.Samplings.
@@ -217,9 +218,7 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("sweep: spec has no algorithms")
 	}
 	for _, a := range s.Algorithms {
-		switch a {
-		case AlgoBoyd, AlgoGeographic, AlgoPushSum, AlgoAffine, AlgoAsync:
-		default:
+		if _, ok := engine.Lookup(a); !ok {
 			return fmt.Errorf("sweep: unknown algorithm %q", a)
 		}
 	}
