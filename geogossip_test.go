@@ -62,6 +62,14 @@ func TestNewNetworkDisconnected(t *testing.T) {
 	}
 }
 
+func TestNewNetworkRejectsNaNRadius(t *testing.T) {
+	// A NaN multiplier is a bad radius, not a disconnected instance.
+	_, err := NewNetwork(128, WithRadiusMultiplier(math.NaN()))
+	if err == nil || errors.Is(err, ErrNotConnected) || !strings.Contains(err.Error(), "radius") {
+		t.Fatalf("err = %v, want a radius error", err)
+	}
+}
+
 func TestNetworkOptions(t *testing.T) {
 	deep, err := NewNetwork(1024, WithSeed(3))
 	if err != nil {

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
+
+	"geogossip/internal/par"
 )
 
 // CellIndex is a uniform-grid spatial index over a fixed set of points.
@@ -100,15 +103,14 @@ func (ci *CellIndex) cell(c int) []int32 {
 // WithinRadius appends to dst the indices of all points within distance
 // radius of p (including any point exactly at p) and returns the extended
 // slice. If exclude >= 0 that index is omitted. Results are sorted
-// ascending. radius must not exceed the index cell size; larger radii
-// return an error at construction-time users should have avoided, so here
-// the method widens the scan instead of failing.
+// ascending. A radius larger than the cell size widens the scan to every
+// cell within reach.
 func (ci *CellIndex) WithinRadius(p Point, radius float64, exclude int32, dst []int32) []int32 {
 	if radius < 0 {
 		return dst
 	}
 	r2 := radius * radius
-	reach := int(math.Ceil(radius / ci.cellSize)) // usually 1
+	reach := ci.reach(radius)
 	col := clamp(int((p.X-ci.bounds.MinX)/ci.cellSize), 0, ci.cols-1)
 	row := clamp(int((p.Y-ci.bounds.MinY)/ci.cellSize), 0, ci.rows-1)
 	start := len(dst)
@@ -136,39 +138,76 @@ func (ci *CellIndex) WithinRadius(p Point, radius float64, exclude int32, dst []
 	return dst
 }
 
-// CountWithinRadius returns the number of points WithinRadius would
-// append for the same query, without writing them anywhere. It exists so
-// graph construction can pre-size exact CSR segments in a counting pass.
-func (ci *CellIndex) CountWithinRadius(p Point, radius float64, exclude int32) int {
-	if radius < 0 {
-		return 0
+// reach returns how many cells a radius query must scan on each side of
+// the query's own cell: ceil(radius / cellSize), capped at the grid so a
+// huge radius cannot overflow the int conversion.
+func (ci *CellIndex) reach(radius float64) int {
+	reach := ci.cols + ci.rows
+	if f := math.Ceil(radius / ci.cellSize); f < float64(reach) {
+		reach = int(f)
 	}
-	r2 := radius * radius
-	reach := int(math.Ceil(radius / ci.cellSize))
-	col := clamp(int((p.X-ci.bounds.MinX)/ci.cellSize), 0, ci.cols-1)
-	row := clamp(int((p.Y-ci.bounds.MinY)/ci.cellSize), 0, ci.rows-1)
-	count := 0
-	for dr := -reach; dr <= reach; dr++ {
-		rr := row + dr
-		if rr < 0 || rr >= ci.rows {
-			continue
-		}
-		for dc := -reach; dc <= reach; dc++ {
-			cc := col + dc
-			if cc < 0 || cc >= ci.cols {
-				continue
+	return reach
+}
+
+// Windows calls visit once for every nonempty cell, on up to workers
+// goroutines (<= 0 selects GOMAXPROCS), with the cell's members and the
+// candidate window they share for a query of the given positive radius:
+// ids holds every point of the cells within reach (the scan WithinRadius
+// makes from any member), sorted ascending, and pts[k] is the point of
+// ids[k]. Each member is in its own window exactly once.
+//
+// A window is sorted once for all of its cell's members, so a member
+// that keeps the window points within the radius, in window order, gets
+// its neighbours sorted without a per-query sort, and reads candidate
+// points contiguously instead of through the id array. Each worker owns
+// one window buffer set for the whole walk; ids and pts are valid only
+// until visit returns. Cells are handed out dynamically, so visit must
+// only write state owned by the cell's members.
+func (ci *CellIndex) Windows(radius float64, workers int, visit func(members, ids []int32, pts []Point)) {
+	reach := ci.reach(radius)
+	nc := ci.cols * ci.rows
+	workers = par.Resolve(workers)
+	// Cells go out in runs of 1/16 of a worker's share, so a sparse grid
+	// (far more cells than points) costs a few dozen atomic adds rather
+	// than one per cell.
+	run := max(nc/(16*workers), 1)
+	var next atomic.Int64
+	// One unit per worker: each unit takes runs off the shared counter
+	// until none are left, so a goroutine that finishes its unit finds
+	// any later unit empty and allocates nothing for it.
+	par.Do(workers, workers, func(int) {
+		var ids []int32
+		var pts []Point
+		for {
+			lo := int(next.Add(int64(run))) - run
+			if lo >= nc {
+				return
 			}
-			for _, j := range ci.cell(rr*ci.cols + cc) {
-				if j == exclude {
-					continue
-				}
-				if ci.points[j].Dist2(p) <= r2 {
-					count++
+			for c := lo; c < min(lo+run, nc); c++ {
+				if members := ci.cell(c); len(members) > 0 {
+					ids, pts = ci.window(c, reach, ids[:0], pts[:0])
+					visit(members, ids, pts)
 				}
 			}
 		}
+	})
+}
+
+// window appends to ids the ids of every point in the cells within reach
+// of cell c, sorted ascending, and to pts their points in the same order.
+func (ci *CellIndex) window(c, reach int, ids []int32, pts []Point) ([]int32, []Point) {
+	row, col := c/ci.cols, c%ci.cols
+	c0, c1 := max(col-reach, 0), min(col+reach, ci.cols-1)
+	for rr := max(row-reach, 0); rr <= min(row+reach, ci.rows-1); rr++ {
+		// Row-major CSR: the cells c0..c1 of one row are one contiguous
+		// run of the id array.
+		ids = append(ids, ci.cellIDs[ci.cellStart[rr*ci.cols+c0]:ci.cellStart[rr*ci.cols+c1+1]]...)
 	}
-	return count
+	sortInt32(ids)
+	for _, j := range ids {
+		pts = append(pts, ci.points[j])
+	}
+	return ids, pts
 }
 
 // Nearest returns the index of the point nearest to p, or -1 if the index

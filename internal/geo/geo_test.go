@@ -2,6 +2,7 @@ package geo
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -265,6 +266,59 @@ func TestCellIndexWithinRadiusLargerThanCell(t *testing.T) {
 		}
 		if len(got) != count {
 			t.Fatalf("point %d: got %d neighbours, want %d", i, len(got), count)
+		}
+	}
+}
+
+// TestCellIndexWindows checks every window against WithinRadius from each
+// of its members, on a grid whose cells are smaller than the radius (a
+// 9×9-cell reach) and at several worker counts: the window is sorted,
+// carries its points alongside, holds each member once, and filtering
+// it reproduces the member's sorted neighbour list.
+func TestCellIndexWindows(t *testing.T) {
+	pts := randomPoints(600, 9)
+	pts = append(pts, pts[:40]...) // duplicates share a position
+	idx, err := NewCellIndex(pts, UnitSquare(), 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const radius = 0.17
+	for _, workers := range []int{1, 3} {
+		got := make([][]int32, len(pts))
+		visited := make([]int, len(pts))
+		idx.Windows(radius, workers, func(members, ids []int32, wpts []Point) {
+			if !slices.IsSorted(ids) || len(wpts) != len(ids) {
+				t.Errorf("window of %d ids unsorted or with %d points", len(ids), len(wpts))
+				return
+			}
+			for k, j := range ids {
+				if wpts[k] != pts[j] {
+					t.Errorf("window point %d is %v, want point %d = %v", k, wpts[k], j, pts[j])
+					return
+				}
+			}
+			for _, i := range members {
+				visited[i]++
+				var row []int32
+				self := 0
+				for k, j := range ids {
+					if j == i {
+						self++
+					} else if wpts[k].Dist2(pts[i]) <= radius*radius {
+						row = append(row, j)
+					}
+				}
+				if self != 1 {
+					t.Errorf("point %d appears %d times in its window", i, self)
+				}
+				got[i] = row
+			}
+		})
+		for i := range pts {
+			want := idx.WithinRadius(pts[i], radius, int32(i), nil)
+			if visited[i] != 1 || !slices.Equal(got[i], want) {
+				t.Fatalf("workers=%d point %d: visited %d times, row %v, want %v", workers, i, visited[i], got[i], want)
+			}
 		}
 	}
 }

@@ -98,15 +98,16 @@ func Build(points []geo.Point, radius float64) (*Graph, error) {
 }
 
 // BuildWorkers is Build with a construction worker-pool size (<= 0 selects
-// GOMAXPROCS). The per-node WithinRadius scan is sharded across workers in
-// two passes — count, prefix-sum, fill — so the packed flat/offsets arrays
-// are byte-identical to the serial build at every worker count: each
-// node's neighbour segment is a pure function of the immutable cell index,
-// written into its exact pre-sized CSR slot. The counting pass also means
-// the serial path never pays append grow-copies on flat.
+// GOMAXPROCS). The build walks the cell index's windows (geo.CellIndex.
+// Windows) in two passes — count, prefix-sum, fill — so the packed
+// flat/offsets arrays are byte-identical to the serial build at every
+// worker count: each node's neighbour row is a pure function of its
+// cell's window, written into its exact pre-sized CSR slot. A window is
+// sorted by id, so filtering it in order yields a sorted row with no
+// per-node sort.
 func BuildWorkers(points []geo.Point, radius float64, workers int) (*Graph, error) {
-	if radius <= 0 {
-		return nil, fmt.Errorf("graph: radius %v must be positive", radius)
+	if radius <= 0 || math.IsInf(radius, 0) || math.IsNaN(radius) {
+		return nil, fmt.Errorf("graph: radius %v must be positive and finite", radius)
 	}
 	workers = par.Resolve(workers)
 	bounds := geo.UnitSquare()
@@ -134,35 +135,69 @@ func BuildWorkers(points []geo.Point, radius float64, workers int) (*Graph, erro
 		offsets: make([]int32, len(points)+1),
 	}
 	n := len(points)
-	// Pass 1 (parallel): exact neighbour count per node.
-	par.Blocks(workers, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			g.offsets[i+1] = int32(g.index.CountWithinRadius(points[i], radius, int32(i)))
+	r2 := radius * radius
+	// Pass 1 (parallel): exact neighbour count per node. A node sits in
+	// its own window once at d² = 0, so the count starts at -1.
+	idx.Windows(radius, workers, func(members, _ []int32, pts []geo.Point) {
+		for _, i := range members {
+			p, c := points[i], -1
+			for _, q := range pts {
+				c += within(p, q, r2)
+			}
+			g.offsets[i+1] = int32(c)
 		}
 	})
 	// Prefix-sum stitch (serial): offsets[i+1] becomes the end of node i's
-	// segment, exactly as the serial append loop would have left it.
+	// segment.
 	for i := 0; i < n; i++ {
 		g.offsets[i+1] += g.offsets[i]
 	}
-	// Pass 2 (parallel): fill each node's pre-sized segment in place. The
-	// three-index slice caps the append run at the counted length, so the
-	// appends land inside flat; if a count/fill mismatch ever made append
-	// grow past the cap (spilling into a fresh backing array) the length
-	// check below catches it instead of corrupting a neighbour segment.
+	// Pass 2 (parallel): fill each node's pre-sized segment in place from
+	// the window candidates before and after the node itself.
 	g.flat = make([]int32, g.offsets[n])
-	par.Blocks(workers, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			seg := g.flat[g.offsets[i]:g.offsets[i]:g.offsets[i+1]]
-			out := g.index.WithinRadius(points[i], radius, int32(i), seg)
-			if len(out) != cap(seg) {
+	idx.Windows(radius, workers, func(members, ids []int32, pts []geo.Point) {
+		s := 0
+		for _, i := range members {
+			for ids[s] != i { // members and window share ascending order
+				s++
+			}
+			seg := g.flat[g.offsets[i]:g.offsets[i+1]]
+			m := fillRow(seg, 0, ids[:s], pts[:s], pts[s], r2)
+			m = fillRow(seg, m, ids[s+1:], pts[s+1:], pts[s], r2)
+			if m != len(seg) {
 				panic(fmt.Sprintf("graph: node %d neighbour count changed between passes (%d != %d)",
-					i, len(out), cap(seg)))
+					i, m, len(seg)))
 			}
 		}
 	})
 	g.edges = len(g.flat) / 2
 	return g, nil
+}
+
+// within is 1 when q lies within the radius of p (d² ≤ r²) and 0
+// otherwise, without a branch: for finite values r² − d² is zero only
+// when d² == r², so its sign bit is clear exactly when d² ≤ r².
+func within(p, q geo.Point, r2 float64) int {
+	return int(^math.Float64bits(r2-q.Dist2(p)) >> 63)
+}
+
+// fillRow writes the ids whose points lie within the radius of p into
+// seg from index m on, in order, and returns m plus the number found.
+// Every candidate is written at seg[m] and m advances by within's 0 or 1,
+// so the loop has no data-dependent branch. Writing stops once seg is
+// full, so nothing lands past it; the rest is only counted, which lets
+// the caller see a count that outgrew seg.
+func fillRow(seg []int32, m int, ids []int32, pts []geo.Point, p geo.Point, r2 float64) int {
+	pts = pts[:len(ids)]
+	k := 0
+	for ; k < len(ids) && m < len(seg); k++ {
+		seg[m] = ids[k]
+		m += within(p, pts[k], r2)
+	}
+	for ; k < len(ids); k++ {
+		m += within(p, pts[k], r2)
+	}
+	return m
 }
 
 // N returns the number of nodes.

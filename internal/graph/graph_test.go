@@ -40,8 +40,22 @@ func TestConnectivityRadius(t *testing.T) {
 }
 
 func TestBuildValidation(t *testing.T) {
-	if _, err := Build([]geo.Point{geo.Pt(0.5, 0.5)}, 0); err == nil {
-		t.Fatal("zero radius accepted")
+	// Two points 0.01 apart: a radius that is not positive and finite is
+	// an error, never an edgeless graph (or a complete one).
+	pair := []geo.Point{geo.Pt(0.5, 0.5), geo.Pt(0.51, 0.5)}
+	for _, radius := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -0.1} {
+		for _, workers := range []int{1, 2} {
+			if g, err := BuildWorkers(pair, radius, workers); err == nil {
+				t.Errorf("radius %v workers %d accepted: %d edges", radius, workers, g.Edges())
+			}
+		}
+	}
+	// A huge finite radius reaches every cell without overflowing the
+	// cell reach.
+	if g, err := Build(pair, 1e300); err != nil {
+		t.Fatalf("radius 1e300: %v", err)
+	} else if g.Edges() != 1 {
+		t.Fatalf("radius 1e300: %d edges, want 1", g.Edges())
 	}
 	if _, err := Build([]geo.Point{geo.Pt(1.5, 0.5)}, 0.1); err == nil {
 		t.Fatal("point outside unit square accepted")

@@ -1,9 +1,13 @@
 package graph
 
 import (
+	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
+	"geogossip/internal/geo"
 	"geogossip/internal/par"
 	"geogossip/internal/rng"
 )
@@ -115,5 +119,77 @@ func TestBuildFlatPreSized(t *testing.T) {
 	}
 	if int(g.offsets[g.N()]) != len(g.flat) {
 		t.Fatalf("offsets end %d != len(flat) %d", g.offsets[g.N()], len(g.flat))
+	}
+}
+
+// referenceAdjacency assembles offsets and flat the way the per-node
+// build did: one sorted WithinRadius query per node over the same cell
+// index.
+func referenceAdjacency(t *testing.T, pts []geo.Point, radius float64) (offsets, flat []int32) {
+	t.Helper()
+	idx, err := geo.NewCellIndex(pts, geo.UnitSquare(), min(radius, 0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	offsets = make([]int32, len(pts)+1)
+	for i, p := range pts {
+		flat = idx.WithinRadius(p, radius, int32(i), flat)
+		offsets[i+1] = int32(len(flat))
+	}
+	return offsets, flat
+}
+
+// TestBuildMatchesPerNodeReference holds the windowed build to the
+// per-node WithinRadius scan on degenerate inputs as well as uniform
+// ones: duplicate points (d² = 0 between distinct ids), points on cell
+// boundaries (many neighbours at exactly d² = r², and cell assignment at
+// the floor's edge), and radii above 0.5, where the cell is capped at 0.5
+// and the reach is more than one cell.
+func TestBuildMatchesPerNodeReference(t *testing.T) {
+	layouts := []struct {
+		name string
+		make func(n int, radius float64, r *rng.RNG) []geo.Point
+	}{
+		{"uniform", func(n int, _ float64, r *rng.RNG) []geo.Point {
+			return UniformPoints(n, r)
+		}},
+		{"duplicates", func(n int, _ float64, r *rng.RNG) []geo.Point {
+			pts := UniformPoints(n, r)
+			for i := 2; i < n; i += 3 {
+				pts[i] = pts[i-2]
+			}
+			return pts
+		}},
+		{"cell-boundaries", func(n int, radius float64, r *rng.RNG) []geo.Point {
+			cell := min(radius, 0.5)
+			lines := int(math.Ceil(1 / cell))
+			at := func() float64 {
+				return min(float64(r.IntN(lines))*cell, math.Nextafter(1, 0))
+			}
+			pts := make([]geo.Point, n)
+			for i := range pts {
+				pts[i] = geo.Pt(at(), at())
+			}
+			return pts
+		}},
+	}
+	for _, n := range []int{0, 1, 2, 3, 8, 50, 300, 2000} {
+		for _, c := range []float64{0.5, 1, 1.5, 3} {
+			radius := ConnectivityRadius(n, c)
+			for _, layout := range layouts {
+				pts := layout.make(n, radius, rng.New(uint64(n)).Stream(layout.name))
+				wantOffsets, wantFlat := referenceAdjacency(t, pts, radius)
+				for _, w := range []int{1, 2, 3} {
+					name := fmt.Sprintf("n=%d/c=%v/%s/workers=%d", n, c, layout.name, w)
+					g, err := BuildWorkers(pts, radius, w)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if !slices.Equal(g.offsets, wantOffsets) || !slices.Equal(g.flat, wantFlat) {
+						t.Fatalf("%s: adjacency differs from the per-node reference", name)
+					}
+				}
+			}
+		}
 	}
 }

@@ -10,12 +10,11 @@ import (
 	"geogossip/internal/rng"
 )
 
-// Load-vs-build benchmarks: the headline contract of this package is
-// that decoding a snapshot (sequential read + validation) beats
-// reconstructing the network (O(n·deg) radius scan + hierarchy
-// recursion) by a wide margin at scale. Reference numbers live in
-// BENCH_engines.json; the million-node cases are skipped under -short so
-// bench smoke stays bounded.
+// Load-vs-build benchmarks: decoding a snapshot (sequential read +
+// validation) against reconstructing the network (O(n·deg) radius scan +
+// hierarchy recursion). Reference numbers and the measured build/load
+// ratio live in BENCH_engines.json; the million-node cases are skipped
+// under -short so bench smoke stays bounded.
 func BenchmarkSnapshotLoad(b *testing.B) {
 	for _, c := range []struct {
 		n     int

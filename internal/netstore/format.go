@@ -4,8 +4,8 @@
 // content-addressed on-disk store keyed by the semantic build
 // fingerprint. Loading a snapshot is a sequential I/O pass plus
 // validation; the O(n·deg) radius scan and the hierarchy recursion are
-// skipped entirely, which is where effectively all of the ~13s
-// million-node build goes (DESIGN.md §11).
+// skipped entirely, which is where effectively all of the million-node
+// build goes (~3 s on two cores; README "Scale", DESIGN.md §11).
 //
 // A snapshot that decodes successfully is bit-identical to the fresh
 // build it was taken from: floats travel as raw IEEE-754 bits, and the

@@ -2,9 +2,13 @@ package netstore
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"geogossip/internal/graph"
@@ -49,6 +53,37 @@ func TestEncodeDecodeBitIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(g2.Points(), g.Points()) {
 		t.Fatal("points differ after round trip")
+	}
+}
+
+// TestEncodePinnedBytes pins the exact bytes of one snapshot with every
+// section present, VORO included; the round trip above cannot see a
+// format change that encoder and decoder agree on. The digest was taken
+// from the per-element encoder that the bulk array writes replaced, so a
+// mismatch means the format moved: that needs a FormatVersion bump, not
+// a new digest. It also bounds the bytes one Encode allocates, so the
+// array writes stay one growth to the final size.
+func TestEncodePinnedBytes(t *testing.T) {
+	g, h := buildNet(t, 2048, 2048, 1.5)
+	g.VoronoiAreas()
+	meta := Meta{N: g.N(), Radius: g.Radius()}
+	var buf bytes.Buffer
+	if err := Encode(&buf, meta, g, h); err != nil {
+		t.Fatal(err)
+	}
+	const want = "60f2ba4fdebbcbc3fbb9e13b96edf947e58eb0b5aadb763e3f3e4fc735171aed"
+	if sum := sha256.Sum256(buf.Bytes()); hex.EncodeToString(sum[:]) != want {
+		t.Fatalf("snapshot of %d bytes hashes to %x, want %s", buf.Len(), sum, want)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := Encode(io.Discard, meta, g, h); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; float64(alloc) > 1.25*float64(buf.Len()) {
+		t.Fatalf("Encode allocated %d bytes for a %d-byte snapshot, want under 1.25x", alloc, buf.Len())
 	}
 }
 

@@ -120,28 +120,46 @@ func (e *Enc) I64(v int64) { e.U64(uint64(v)) }
 // bit-exact including NaN payloads and signed zeros.
 func (e *Enc) F64(v float64) { e.U64(math.Float64bits(v)) }
 
+// grow extends the payload by n bytes and returns them for the caller to
+// fill: an array costs at most one growth of the buffer, never one per
+// element. The growth is an explicit make and copy because slices.Grow's
+// append idiom allocates a temporary of n bytes in race builds.
+func (e *Enc) grow(n int) []byte {
+	off := len(e.buf)
+	if cap(e.buf)-off < n {
+		grown := make([]byte, off, max(2*cap(e.buf), off+n))
+		copy(grown, e.buf)
+		e.buf = grown
+	}
+	e.buf = e.buf[:off+n]
+	return e.buf[off:]
+}
+
 // I32s appends a count-prefixed []int32.
 func (e *Enc) I32s(s []int32) {
 	e.U64(uint64(len(s)))
-	for _, v := range s {
-		e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(v))
+	b := e.grow(4 * len(s))
+	for i, v := range s {
+		binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
 	}
 }
 
 // F64s appends a count-prefixed []float64.
 func (e *Enc) F64s(s []float64) {
 	e.U64(uint64(len(s)))
-	for _, v := range s {
-		e.F64(v)
+	b := e.grow(8 * len(s))
+	for i, v := range s {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
 	}
 }
 
 // Points appends a count-prefixed point slice (X then Y per point).
 func (e *Enc) Points(s []geo.Point) {
 	e.U64(uint64(len(s)))
-	for _, p := range s {
-		e.F64(p.X)
-		e.F64(p.Y)
+	b := e.grow(16 * len(s))
+	for i, p := range s {
+		binary.LittleEndian.PutUint64(b[16*i:], math.Float64bits(p.X))
+		binary.LittleEndian.PutUint64(b[16*i+8:], math.Float64bits(p.Y))
 	}
 }
 

@@ -230,6 +230,24 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("sweep: invalid network size %d", n)
 		}
 	}
+	// A non-finite value would run, then fail the sink's JSON encoding on
+	// the first result line; reject it here, by field name.
+	for _, f := range []struct {
+		name string
+		vs   []float64
+	}{
+		{"RadiusMultiplier", []float64{s.RadiusMultiplier}},
+		{"LossRates", s.LossRates},
+		{"Betas", s.Betas},
+		{"TargetErr", []float64{s.TargetErr}},
+		{"AsyncThrottle", []float64{s.AsyncThrottle}},
+	} {
+		for _, v := range f.vs {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("sweep: %s value %v is not finite", f.name, v)
+			}
+		}
+	}
 	for _, p := range s.LossRates {
 		if p < 0 || p >= 1 {
 			return fmt.Errorf("sweep: loss rate %v outside [0, 1)", p)

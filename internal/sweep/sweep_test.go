@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -44,6 +45,41 @@ func TestExpandAssignsSequentialIDs(t *testing.T) {
 	// Expansion must be reproducible.
 	if !reflect.DeepEqual(tasks, spec.Expand()) {
 		t.Fatal("Expand is not deterministic")
+	}
+}
+
+// TestValidateRejectsNonFinite covers the float fields cmd/sweep parses
+// straight from its flags: NaN or ±Inf in any of them fails validation
+// with the field named, instead of running and then failing the sink's
+// JSON encoding. NaN and +Inf survive Normalized, so they fail the
+// path every caller takes too; Normalized maps a non-positive radius
+// multiplier or target, -Inf included, to its default.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*Spec, float64)
+	}{
+		{"RadiusMultiplier", func(s *Spec, v float64) { s.RadiusMultiplier = v }},
+		{"LossRates", func(s *Spec, v float64) { s.LossRates = []float64{0, v} }},
+		{"Betas", func(s *Spec, v float64) { s.Betas = []float64{0.5, v} }},
+		{"TargetErr", func(s *Spec, v float64) { s.TargetErr = v }},
+		{"AsyncThrottle", func(s *Spec, v float64) { s.AsyncThrottle = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			s := smallSpec().Normalized()
+			f.set(&s, v)
+			if err := s.Validate(); err == nil || !strings.Contains(err.Error(), f.name) {
+				t.Errorf("%s = %v: Validate() = %v, want an error naming the field", f.name, v, err)
+			}
+			if !math.IsInf(v, -1) {
+				raw := smallSpec()
+				f.set(&raw, v)
+				if err := raw.Normalized().Validate(); err == nil {
+					t.Errorf("%s = %v validated after Normalized", f.name, v)
+				}
+			}
+		}
 	}
 }
 
