@@ -8,10 +8,13 @@
 // build goes (~3 s on two cores; README "Scale", DESIGN.md §11).
 //
 // A snapshot that decodes successfully is bit-identical to the fresh
-// build it was taken from: floats travel as raw IEEE-754 bits, and the
-// graph/hier FromSnapshot constructors cross-validate every table
-// against re-derived structure, so sweeps produce byte-identical JSONL
-// whether their networks were built or loaded.
+// build it was taken from: floats travel as raw IEEE-754 bits, the
+// section checksums catch corruption, and the graph/hier FromSnapshot
+// constructors revalidate the tables' structure, so sweeps produce
+// byte-identical JSONL whether their networks were built or loaded.
+// The validators do not re-derive the adjacency: a crafted file with
+// valid checksums can carry a different graph over the right points
+// (DESIGN.md §11).
 package netstore
 
 import (
@@ -97,8 +100,11 @@ func Encode(w io.Writer, meta Meta, g *graph.Graph, h *hier.Hierarchy) error {
 // validating every table (see graph.FromSnapshot, hier.FromSnapshot).
 // workers seeds the loaded graph's derived-computation pool exactly like
 // the build-time parameter; it never affects the loaded tables. Decode
-// never trusts declared sizes: allocations are bounded by bytes actually
-// delivered, so hostile inputs fail with an error, not an OOM.
+// never trusts declared sizes: tables are allocated against the bytes r
+// holds (an *os.File or a reader with Len) or has delivered (any other
+// reader), so hostile inputs fail with an error, not an OOM. Tables are
+// decoded as they stream in, and every section's checksum passes before
+// any table reaches the validators or the caller.
 func Decode(r io.Reader, workers int) (*graph.Graph, *hier.Hierarchy, Meta, error) {
 	sr, err := snap.NewReader(r)
 	if err != nil {

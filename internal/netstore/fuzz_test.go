@@ -3,6 +3,7 @@ package netstore
 import (
 	"bytes"
 	"testing"
+	"testing/iotest"
 
 	"geogossip/internal/graph"
 	"geogossip/internal/hier"
@@ -30,11 +31,17 @@ func fuzzSeed(f *testing.F, n int, seed uint64, c float64, leafTarget float64) [
 }
 
 // FuzzDecode asserts the decoder never panics and never lets a hostile
-// length prefix drive allocations: allocation is bounded by bytes
-// actually delivered (snap.Reader grows payloads in 1MB chunks against
-// the real stream), and every count is validated against its section's
-// remaining payload before use. Inputs either decode to a fully
-// validated network or fail with an error.
+// length prefix or array count drive allocations: every count is checked
+// against its section's remaining declared bytes before anything is
+// allocated, so allocation is bounded by the bytes the stream holds or
+// has delivered. Each input is decoded through a reader that reports its
+// size, where a section longer than the stream fails before it is read,
+// and through one that does not, where tables grow only as bytes arrive;
+// both must fail, or both must return the same network bit for bit.
+// Tables fill straight from the stream in steps of at most the input
+// buffer's size, so values are decoded before their section's checksum
+// is read; no value reaches Decode's caller before its section's
+// checksum passes, so a network that decodes is fully verified.
 func FuzzDecode(f *testing.F) {
 	valid := fuzzSeed(f, 40, 1, 2.0, 8)
 	f.Add(valid)
@@ -47,6 +54,10 @@ func FuzzDecode(f *testing.F) {
 	f.Add(hostile)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, h, meta, err := Decode(bytes.NewReader(data), 1)
+		g2, h2, meta2, err2 := Decode(iotest.HalfReader(bytes.NewReader(data)), 1)
+		if (err == nil) != (err2 == nil) {
+			t.Fatalf("known-size reader: %v; unknown-size reader: %v", err, err2)
+		}
 		if err != nil {
 			return
 		}
@@ -54,6 +65,16 @@ func FuzzDecode(f *testing.F) {
 		// validated wreckage.
 		if g.N() != meta.N || len(h.NodeLeaf) != meta.N {
 			t.Fatalf("decoded network inconsistent with meta %+v", meta)
+		}
+		var a, b bytes.Buffer
+		if err := Encode(&a, meta, g, h); err != nil {
+			t.Fatal(err)
+		}
+		if err := Encode(&b, meta2, g2, h2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatal("the two readers decoded different networks")
 		}
 	})
 }

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"testing/iotest"
 
 	"geogossip/internal/graph"
 	"geogossip/internal/hier"
@@ -29,6 +30,16 @@ func buildNet(t *testing.T, n int, seed uint64, c float64) (*graph.Graph, *hier.
 	return g, h
 }
 
+// readerKinds hands a snapshot to Decode through a reader that reports
+// its size and through one that does not, which also returns short reads.
+var readerKinds = []struct {
+	name string
+	wrap func([]byte) io.Reader
+}{
+	{"known-size", func(b []byte) io.Reader { return bytes.NewReader(b) }},
+	{"unknown-size", func(b []byte) io.Reader { return iotest.HalfReader(bytes.NewReader(b)) }},
+}
+
 func TestEncodeDecodeBitIdentical(t *testing.T) {
 	g, h := buildNet(t, 3000, 9, 1.3)
 	g.VoronoiAreas() // exercise the optional VORO section
@@ -38,21 +49,25 @@ func TestEncodeDecodeBitIdentical(t *testing.T) {
 	if err := Encode(&buf, meta, g, h); err != nil {
 		t.Fatal(err)
 	}
-	g2, h2, meta2, err := Decode(bytes.NewReader(buf.Bytes()), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta2 != meta {
-		t.Fatalf("meta = %+v, want %+v", meta2, meta)
-	}
-	if !reflect.DeepEqual(g2.Snapshot(), g.Snapshot()) {
-		t.Fatal("graph snapshots differ after round trip")
-	}
-	if !reflect.DeepEqual(h2.Snapshot(), h.Snapshot()) {
-		t.Fatal("hierarchy snapshots differ after round trip")
-	}
-	if !reflect.DeepEqual(g2.Points(), g.Points()) {
-		t.Fatal("points differ after round trip")
+	// The adjacency spans several read steps, so the unknown-size reader
+	// grows it more than once.
+	for _, k := range readerKinds {
+		g2, h2, meta2, err := Decode(k.wrap(buf.Bytes()), 1)
+		if err != nil {
+			t.Fatalf("%s: %v", k.name, err)
+		}
+		if meta2 != meta {
+			t.Fatalf("%s: meta = %+v, want %+v", k.name, meta2, meta)
+		}
+		if !reflect.DeepEqual(g2.Snapshot(), g.Snapshot()) {
+			t.Fatalf("%s: graph snapshots differ after round trip", k.name)
+		}
+		if !reflect.DeepEqual(h2.Snapshot(), h.Snapshot()) {
+			t.Fatalf("%s: hierarchy snapshots differ after round trip", k.name)
+		}
+		if !reflect.DeepEqual(g2.Points(), g.Points()) {
+			t.Fatalf("%s: points differ after round trip", k.name)
+		}
 	}
 }
 
@@ -87,6 +102,30 @@ func TestEncodePinnedBytes(t *testing.T) {
 	}
 }
 
+// TestDecodeAllocationBound bounds what one Decode from a known-size
+// reader allocates: each table is allocated once, at its exact count, and
+// filled straight from the stream, so the tables plus the validators' own
+// scratch stay under 1.5x the snapshot's bytes.
+func TestDecodeAllocationBound(t *testing.T) {
+	g, h := buildNet(t, 16384, 16384, 1.5)
+	g.VoronoiAreas()
+	var buf bytes.Buffer
+	if err := Encode(&buf, Meta{N: g.N(), Radius: g.Radius()}, g, h); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, _, _, err := Decode(bytes.NewReader(raw), 1); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; float64(alloc) > 1.5*float64(len(raw)) {
+		t.Fatalf("Decode allocated %d bytes for a %d-byte snapshot (%.2fx), want under 1.5x",
+			alloc, len(raw), float64(alloc)/float64(len(raw)))
+	}
+}
+
 func TestDecodeRejectsEveryBitFlip(t *testing.T) {
 	g, h := buildNet(t, 64, 3, 2.0)
 	var buf bytes.Buffer
@@ -97,13 +136,33 @@ func TestDecodeRejectsEveryBitFlip(t *testing.T) {
 	// Flip one bit at a spread of offsets; every corruption must surface
 	// as an error (almost always a checksum mismatch), never a panic and
 	// never a silently different network.
-	for off := 0; off < len(raw); off += 13 {
-		mut := append([]byte(nil), raw...)
-		mut[off] ^= 0x10
-		if _, _, _, err := Decode(bytes.NewReader(mut), 1); err == nil {
-			g2, _, _, _ := Decode(bytes.NewReader(mut), 1)
-			if !reflect.DeepEqual(g2.Snapshot(), g.Snapshot()) {
-				t.Fatalf("bit flip at %d produced a different network without error", off)
+	for _, k := range readerKinds {
+		for off := 0; off < len(raw); off += 13 {
+			mut := bytes.Clone(raw)
+			mut[off] ^= 0x10
+			if _, _, _, err := Decode(k.wrap(mut), 1); err == nil {
+				t.Fatalf("%s: bit flip at %d decoded without error", k.name, off)
+			}
+		}
+	}
+}
+
+// Every proper prefix of a snapshot fails to decode, on both reader
+// kinds: values are read before their checksum, so a cut anywhere —
+// mid-table included — must still end in an error, never a panic or a
+// partial network.
+func TestDecodeRejectsEveryTruncation(t *testing.T) {
+	g, h := buildNet(t, 64, 3, 2.0)
+	g.VoronoiAreas()
+	var buf bytes.Buffer
+	if err := Encode(&buf, Meta{N: g.N(), Radius: g.Radius()}, g, h); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	for _, k := range readerKinds {
+		for cut := 0; cut < len(raw); cut++ {
+			if _, _, _, err := Decode(k.wrap(raw[:cut]), 1); err == nil {
+				t.Fatalf("%s: snapshot cut at %d of %d bytes decoded without error", k.name, cut, len(raw))
 			}
 		}
 	}

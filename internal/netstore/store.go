@@ -165,7 +165,7 @@ func (s *Store) GetOrBuild(key Key, workers int, build func() (*graph.Graph, *hi
 // wrong network. Replaying the O(n) point draw is noise next to the
 // O(n·deg) adjacency scan the load avoids, and it anchors the whole
 // entry: the points must match the seed bit-for-bit, and Decode already
-// cross-validated every other table against the points.
+// validated every other table's structure against the points.
 func (s *Store) load(path string, key Key, workers int) (*graph.Graph, *hier.Hierarchy, error) {
 	fh, err := os.Open(path)
 	if err != nil {

@@ -6,12 +6,28 @@
 // their payloads mean) belongs to internal/netstore; everything below it
 // (byte order, checksums, hostile-input discipline) lives here.
 //
-// The reader is written for hostile inputs: a corrupted or adversarial
-// length prefix never allocates more than one growth chunk beyond the
-// bytes the stream actually delivers, every payload is checksummed
-// before any field of it is interpreted, and all array counts inside a
-// payload are validated against the in-memory payload length before
-// allocation.
+// The reader streams: values are decoded straight from the buffered
+// input into their destination tables, in steps no larger than the input
+// buffer rather than whole payloads or fixed 1 MB chunks, while a running
+// CRC-32C covers every payload byte. The contract is that no value
+// reaches a caller before its section's checksum passes. A value a Dec
+// method returns is provisional until Done, or the following Next, has
+// checked the section's trailer; the decoding layer above
+// (netstore.Decode) may use it before then only to reject the input, and
+// hands nothing on until every section has passed.
+//
+// The reader is written for hostile inputs. Every array count is checked
+// against its section's remaining declared bytes before anything is
+// allocated, so allocation is bounded by the bytes the stream holds or
+// has delivered:
+//   - When the stream reports its size (a regular *os.File, or a reader
+//     with Len() int such as *bytes.Reader), a section longer than the
+//     bytes left fails before any of it is read, and each table is
+//     allocated once at its exact count.
+//   - Otherwise a table starts at one buffer-sized step and doubles only
+//     when the next step does not fit, so a hostile length prefix fails
+//     after at most one step past the bytes the stream delivers, with
+//     each table's capacity at most twice the bytes it has received.
 package snap
 
 import (
@@ -21,6 +37,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
 
 	"geogossip/internal/geo"
 )
@@ -163,39 +180,112 @@ func (e *Enc) Points(s []geo.Point) {
 	}
 }
 
-// Reader consumes one snapshot stream section by section.
+// Reader consumes one snapshot stream section by section. Errors are
+// sticky: after the first failure, Next and every Dec method return it.
 type Reader struct {
 	br      *bufio.Reader
 	version uint32
-	payload []byte // reused across sections
+	// left counts the bytes a known-size stream holds past what the
+	// reader has consumed; -1 when the stream cannot tell.
+	left int64
+	err  error
+	dec  Dec // the current section
 }
 
-// NewReader validates the magic and reads the version header.
+// NewReader validates the magic and reads the version header. A
+// *bufio.Reader is read through as it is, with its size unknown; any
+// other reader gets a 64 KiB buffer, and its size is known when it is a
+// regular *os.File or has a Len() int method.
 func NewReader(r io.Reader) (*Reader, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 1<<16)
+	sr := &Reader{left: -1}
+	if br, ok := r.(*bufio.Reader); ok {
+		sr.br = br
+	} else {
+		sr.left = streamLen(r)
+		sr.br = bufio.NewReaderSize(r, 1<<16)
 	}
-	var hdr [12]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	hdr, err := sr.take(12)
+	if err != nil {
 		return nil, fmt.Errorf("snap: short header: %w", err)
 	}
 	if [8]byte(hdr[:8]) != Magic {
 		return nil, fmt.Errorf("snap: bad magic %x", hdr[:8])
 	}
-	return &Reader{br: br, version: binary.LittleEndian.Uint32(hdr[8:])}, nil
+	sr.version = binary.LittleEndian.Uint32(hdr[8:])
+	return sr, nil
+}
+
+// streamLen returns the bytes r still holds when it can tell without
+// reading, and -1 otherwise.
+func streamLen(r io.Reader) int64 {
+	switch s := r.(type) {
+	case interface{ Len() int }:
+		return int64(s.Len())
+	case *os.File:
+		fi, err := s.Stat()
+		if err != nil || !fi.Mode().IsRegular() {
+			return -1
+		}
+		off, err := s.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return -1
+		}
+		return max(fi.Size()-off, 0)
+	}
+	return -1
 }
 
 // Version returns the stream's format version.
 func (r *Reader) Version() uint32 { return r.version }
 
-// Next reads the next section, verifies its checksum, and returns its
-// tag plus a decoder over the payload. The decoder's storage is reused
-// by the following Next call. Callers stop at EndTag.
+// take consumes the stream's next n bytes, n at most the buffer's size.
+// The bytes alias the buffer and stay valid until the next read.
+func (r *Reader) take(n int) ([]byte, error) {
+	b, err := r.br.Peek(n)
+	if err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	r.br.Discard(n) // cannot fail: Peek has just buffered n bytes
+	if r.left >= 0 {
+		r.left -= int64(n)
+	}
+	return b, nil
+}
+
+// fail records the stream's first error and returns it.
+func (r *Reader) fail(err error) error {
+	if r.err == nil {
+		r.err = err
+	}
+	return r.err
+}
+
+// Next finishes the current section — reading and checking whatever its
+// caller left unread — then reads the next section's header and returns
+// its tag plus a decoder over its payload. The decoder is reused by the
+// following Next. A zero-length section, such as EndTag, is checked
+// here. Callers stop at EndTag.
 func (r *Reader) Next() (string, *Dec, error) {
-	var hdr [12]byte
-	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
-		return "", nil, fmt.Errorf("snap: truncated section header: %w", err)
+	d := &r.dec
+	if d.open {
+		for d.left > 0 {
+			if _, err := d.take(int(min(d.left, uint64(r.br.Size())))); err != nil {
+				return "", nil, err
+			}
+		}
+		if err := d.Done(); err != nil {
+			return "", nil, err
+		}
+	}
+	if r.err != nil {
+		return "", nil, r.err
+	}
+	hdr, err := r.take(12)
+	if err != nil {
+		return "", nil, r.fail(fmt.Errorf("snap: truncated section header: %w", err))
 	}
 	tag := string(hdr[:4])
 	for _, c := range hdr[:4] {
@@ -203,86 +293,63 @@ func (r *Reader) Next() (string, *Dec, error) {
 		// stream lost framing — typically a corrupted length on the
 		// previous section landing us mid-payload.
 		if (c < 'A' || c > 'Z') && (c < '0' || c > '9') && c != ' ' {
-			return "", nil, fmt.Errorf("snap: invalid section tag %q (lost framing?)", tag)
+			return "", nil, r.fail(fmt.Errorf("snap: invalid section tag %q (lost framing?)", tag))
 		}
 	}
 	length := binary.LittleEndian.Uint64(hdr[4:])
-	payload, err := r.readPayload(length)
-	if err != nil {
-		return "", nil, fmt.Errorf("snap: section %q: %w", tag, err)
+	if length > MaxSection {
+		return "", nil, r.fail(fmt.Errorf("snap: section %q: payload of %d bytes exceeds the %d limit", tag, length, int64(MaxSection)))
 	}
-	var sum [4]byte
-	if _, err := io.ReadFull(r.br, sum[:]); err != nil {
-		return "", nil, fmt.Errorf("snap: section %q: truncated checksum: %w", tag, err)
+	if r.left >= 0 && length+4 > uint64(r.left) {
+		return "", nil, r.fail(fmt.Errorf("snap: section %q: truncated payload (%d bytes and a checksum declared, %d left in the stream)", tag, length, r.left))
 	}
-	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(sum[:]); got != want {
-		return "", nil, fmt.Errorf("snap: section %q: checksum mismatch (payload %08x, trailer %08x)", tag, got, want)
+	*d = Dec{r: r, tag: tag, size: length, left: length, open: true}
+	if length == 0 {
+		if err := d.Done(); err != nil {
+			return "", nil, err
+		}
 	}
-	return tag, &Dec{b: payload}, nil
+	return tag, d, nil
 }
 
-// readPayload reads a declared-length payload into the reader's reusable
-// buffer. Growth is chunked: a hostile length prefix on a short stream
-// fails with a truncation error after allocating at most one chunk past
-// the bytes actually delivered, never the declared size.
-func (r *Reader) readPayload(n uint64) ([]byte, error) {
-	if n > MaxSection {
-		return nil, fmt.Errorf("payload of %d bytes exceeds the %d limit", n, int64(MaxSection))
-	}
-	want := int(n)
-	buf := r.payload[:0]
-	const chunk = 1 << 20
-	for len(buf) < want {
-		step := want - len(buf)
-		if step > chunk {
-			step = chunk
-		}
-		start := len(buf)
-		if cap(buf) < start+step {
-			// Grow geometrically (capped at the declared size) so large
-			// sections cost O(n) copying, but never reserve more than
-			// double the bytes already delivered plus one chunk — a
-			// hostile length prefix still can't force a huge allocation.
-			newCap := 2 * cap(buf)
-			if newCap < start+step {
-				newCap = start + step
-			}
-			if newCap > want {
-				newCap = want
-			}
-			grown := make([]byte, start, newCap)
-			copy(grown, buf)
-			buf = grown
-		}
-		buf = buf[:start+step]
-		if _, err := io.ReadFull(r.br, buf[start:]); err != nil {
-			r.payload = buf[:0]
-			return nil, fmt.Errorf("truncated payload (%d of %d bytes): %w", start, want, err)
-		}
-	}
-	r.payload = buf
-	return buf, nil
-}
-
-// Dec reads little-endian primitives out of one section payload. Every
-// method validates remaining length before touching the buffer, and
-// slice reads validate their count against the payload before
-// allocating.
+// Dec decodes one section's payload as it streams past. Every method
+// checks the section's remaining declared bytes before reading, and
+// array reads check their count against them before allocating.
 type Dec struct {
-	b   []byte
-	off int
+	r    *Reader
+	tag  string
+	size uint64 // declared payload length
+	left uint64 // payload bytes not yet read
+	crc  uint32 // CRC-32C of the payload bytes read so far
+	open bool   // the trailer is still unchecked
 }
 
-func (d *Dec) remaining() int { return len(d.b) - d.off }
+// take reads the payload's next n bytes (n ≤ d.left and the buffer's
+// size) into the running checksum and returns them, valid until the
+// next read.
+func (d *Dec) take(n int) ([]byte, error) {
+	if d.r.err != nil {
+		return nil, d.r.err
+	}
+	b, err := d.r.take(n)
+	if err != nil {
+		return nil, d.r.fail(fmt.Errorf("snap: section %q: truncated payload (%d of %d bytes): %w", d.tag, d.size-d.left, d.size, err))
+	}
+	d.left -= uint64(n)
+	d.crc = crc32.Update(d.crc, castagnoli, b)
+	return b, nil
+}
 
 // U64 reads one uint64.
 func (d *Dec) U64() (uint64, error) {
-	if d.remaining() < 8 {
-		return 0, fmt.Errorf("snap: payload underrun at offset %d", d.off)
+	if d.left < 8 {
+		return 0, d.r.fail(fmt.Errorf("snap: section %q: payload underrun at offset %d", d.tag, d.size-d.left))
 	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v, nil
+	b, err := d.take(8)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(b), nil
 }
 
 // I64 reads one int64.
@@ -297,63 +364,96 @@ func (d *Dec) F64() (float64, error) {
 	return math.Float64frombits(v), err
 }
 
-// I32s reads a count-prefixed []int32.
-func (d *Dec) I32s() ([]int32, error) {
+// table reads a count-prefixed table of size-byte elements, filling it
+// from the stream in steps that fit the buffer; put decodes one step's
+// bytes into as many elements.
+func table[T any](d *Dec, what string, size int, put func([]T, []byte)) ([]T, error) {
 	count, err := d.U64()
 	if err != nil {
 		return nil, err
 	}
-	if count > uint64(d.remaining())/4 {
-		return nil, fmt.Errorf("snap: int32 array count %d exceeds the %d payload bytes left", count, d.remaining())
+	if count > d.left/uint64(size) {
+		return nil, d.r.fail(fmt.Errorf("snap: section %q: %s array count %d exceeds the %d payload bytes left", d.tag, what, count, d.left))
 	}
-	out := make([]int32, count)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(d.b[d.off:]))
-		d.off += 4
+	n := int(count)
+	step := d.r.br.Size() / size
+	// A known-size stream has shown that it holds the whole section, so
+	// the table is allocated once. Otherwise it grows only as the bytes
+	// arrive (see the package comment).
+	c := n
+	if d.r.left < 0 {
+		c = min(n, step)
+	}
+	out := make([]T, 0, c)
+	for len(out) < n {
+		k := min(n-len(out), step)
+		if len(out)+k > cap(out) {
+			grown := make([]T, len(out), min(n, max(2*cap(out), len(out)+k)))
+			copy(grown, out)
+			out = grown
+		}
+		b, err := d.take(k * size)
+		if err != nil {
+			return nil, err
+		}
+		put(out[len(out):len(out)+k], b)
+		out = out[:len(out)+k]
 	}
 	return out, nil
+}
+
+// I32s reads a count-prefixed []int32.
+func (d *Dec) I32s() ([]int32, error) {
+	return table(d, "int32", 4, func(dst []int32, b []byte) {
+		for i := range dst {
+			dst[i] = int32(binary.LittleEndian.Uint32(b))
+			b = b[4:]
+		}
+	})
 }
 
 // F64s reads a count-prefixed []float64.
 func (d *Dec) F64s() ([]float64, error) {
-	count, err := d.U64()
-	if err != nil {
-		return nil, err
-	}
-	if count > uint64(d.remaining())/8 {
-		return nil, fmt.Errorf("snap: float64 array count %d exceeds the %d payload bytes left", count, d.remaining())
-	}
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:]))
-		d.off += 8
-	}
-	return out, nil
+	return table(d, "float64", 8, func(dst []float64, b []byte) {
+		for i := range dst {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b))
+			b = b[8:]
+		}
+	})
 }
 
 // Points reads a count-prefixed point slice.
 func (d *Dec) Points() ([]geo.Point, error) {
-	count, err := d.U64()
-	if err != nil {
-		return nil, err
-	}
-	if count > uint64(d.remaining())/16 {
-		return nil, fmt.Errorf("snap: point array count %d exceeds the %d payload bytes left", count, d.remaining())
-	}
-	out := make([]geo.Point, count)
-	for i := range out {
-		out[i].X = math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:]))
-		out[i].Y = math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off+8:]))
-		d.off += 16
-	}
-	return out, nil
+	return table(d, "point", 16, func(dst []geo.Point, b []byte) {
+		for i := range dst {
+			dst[i].X = math.Float64frombits(binary.LittleEndian.Uint64(b))
+			dst[i].Y = math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
+			b = b[16:]
+		}
+	})
 }
 
 // Done errors unless the payload was consumed exactly — trailing bytes
-// mean the writer and reader disagree about the section's schema.
+// mean the writer and reader disagree about the section's schema — and
+// then checks the section's checksum. The values read from the section
+// are verified once Done returns nil.
 func (d *Dec) Done() error {
-	if d.remaining() != 0 {
-		return fmt.Errorf("snap: %d unconsumed payload bytes", d.remaining())
+	if d.r.err != nil {
+		return d.r.err
+	}
+	if !d.open {
+		return nil
+	}
+	if d.left != 0 {
+		return d.r.fail(fmt.Errorf("snap: section %q: %d unconsumed payload bytes", d.tag, d.left))
+	}
+	d.open = false
+	sum, err := d.r.take(4)
+	if err != nil {
+		return d.r.fail(fmt.Errorf("snap: section %q: truncated checksum: %w", d.tag, err))
+	}
+	if want := binary.LittleEndian.Uint32(sum); d.crc != want {
+		return d.r.fail(fmt.Errorf("snap: section %q: checksum mismatch (payload %08x, trailer %08x)", d.tag, d.crc, want))
 	}
 	return nil
 }

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"geogossip/internal/geo"
 	"geogossip/internal/graph"
@@ -48,24 +50,33 @@ func (nw *Network) Save(w io.Writer) error {
 }
 
 // LoadNetwork reads a network previously written by Save. The format is
-// sniffed from the first bytes: gzip-wrapped input is unwrapped
+// sniffed from the first bytes: one gzip layer is unwrapped
 // transparently, the binary snapshot magic selects the snapshot decoder
 // (every table validated, bit-identical to the build it was saved from),
 // and a leading '{' selects the legacy JSON decoder, which rebuilds the
-// graph and hierarchy from the stored positions.
+// graph and hierarchy from the stored positions. A gzip stream inside
+// the gzip layer is an error: each layer costs a buffer and a
+// decompressor, so unbounded nesting would let a small file exhaust
+// memory.
 func LoadNetwork(r io.Reader) (*Network, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	head, err := br.Peek(2)
 	if err != nil {
 		return nil, fmt.Errorf("geogossip: decode network: %w", err)
 	}
-	if head[0] == 0x1f && head[1] == 0x8b {
+	if isGzip(head) {
 		gz, err := gzip.NewReader(br)
 		if err != nil {
 			return nil, fmt.Errorf("geogossip: decode network: %w", err)
 		}
 		defer gz.Close()
-		return LoadNetwork(gz)
+		br = bufio.NewReaderSize(gz, 1<<16)
+		if head, err = br.Peek(2); err != nil {
+			return nil, fmt.Errorf("geogossip: decode network: %w", err)
+		}
+		if isGzip(head) {
+			return nil, errors.New("geogossip: decode network: gzip nested inside gzip; only one layer is accepted")
+		}
 	}
 	if head[0] == snap.Magic[0] {
 		g, h, meta, err := netstore.Decode(br, 0)
@@ -77,6 +88,8 @@ func LoadNetwork(r io.Reader) (*Network, error) {
 	return loadNetworkJSON(br)
 }
 
+func isGzip(head []byte) bool { return head[0] == 0x1f && head[1] == 0x8b }
+
 func loadNetworkJSON(r io.Reader) (*Network, error) {
 	var in networkJSON
 	dec := json.NewDecoder(r)
@@ -85,6 +98,13 @@ func loadNetworkJSON(r io.Reader) (*Network, error) {
 	}
 	if in.Version != networkFormatVersion {
 		return nil, fmt.Errorf("geogossip: unsupported network format version %d", in.Version)
+	}
+	// The rebuild's cell grid has about 1/r² cells. Every network Save
+	// wrote as JSON was connected, which keeps the grid within a small
+	// multiple of n cells; a radius far below that would let a few bytes
+	// of JSON size a grid of any size.
+	if cells := math.Ceil(1/in.Radius) * math.Ceil(1/in.Radius); in.Radius > 0 && cells > float64(max(64*len(in.Points), 1<<20)) {
+		return nil, fmt.Errorf("geogossip: network radius %v is too small for %d points (%.3g index cells)", in.Radius, len(in.Points), cells)
 	}
 	pts := make([]geo.Point, len(in.Points))
 	for i, p := range in.Points {

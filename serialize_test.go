@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -147,6 +148,87 @@ func TestLoadNetworkGzip(t *testing.T) {
 	}
 }
 
+// gzipLayers wraps raw in the given number of uncompressed gzip layers,
+// each a few dozen bytes larger than the one inside it.
+func gzipLayers(tb testing.TB, raw []byte, layers int) []byte {
+	tb.Helper()
+	var zw *gzip.Writer
+	for i := 0; i < layers; i++ {
+		var buf bytes.Buffer
+		if zw == nil {
+			var err error
+			if zw, err = gzip.NewWriterLevel(&buf, gzip.NoCompression); err != nil {
+				tb.Fatal(err)
+			}
+		} else {
+			zw.Reset(&buf)
+		}
+		if _, err := zw.Write(raw); err != nil {
+			tb.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			tb.Fatal(err)
+		}
+		raw = buf.Bytes()
+	}
+	return raw
+}
+
+// LoadNetwork unwraps one gzip layer and rejects a second. Each unwrapped
+// layer holds a buffer and a decompressor, so unbounded nesting would let
+// a file of a few hundred kilobytes allocate hundreds of MB.
+func TestLoadNetworkGzipLayers(t *testing.T) {
+	orig, err := NewNetwork(64, WithSeed(50), WithRadiusMultiplier(1.2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plain bytes.Buffer
+	if err := orig.Save(&plain); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadNetwork(bytes.NewReader(gzipLayers(t, plain.Bytes(), 1)))
+	if err != nil {
+		t.Fatalf("one gzip layer: %v", err)
+	}
+	if loaded.N() != orig.N() || loaded.Edges() != orig.Edges() {
+		t.Fatal("one gzip layer changed the network")
+	}
+	if _, err := LoadNetwork(bytes.NewReader(gzipLayers(t, plain.Bytes(), 2))); err == nil || !strings.Contains(err.Error(), "nested") {
+		t.Fatalf("two gzip layers: %v", err)
+	}
+
+	deep := gzipLayers(t, plain.Bytes(), 5000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = LoadNetwork(bytes.NewReader(deep))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "nested") {
+		t.Fatalf("5000 gzip layers: %v", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+		t.Fatalf("5000 gzip layers in %d bytes allocated %d bytes before failing, want under 4 MB", len(deep), grew)
+	}
+}
+
+// FuzzLoadNetwork feeds LoadNetwork's format sniffing — one gzip layer
+// around the binary snapshot or the legacy JSON container — arbitrary
+// bytes. It must return an error or a coherent network, never panic.
+// The seed corpus in testdata/fuzz/FuzzLoadNetwork holds a 64-node
+// snapshot, its gzip, a two-layer gzip, the legacy JSON network and a
+// truncated snapshot.
+func FuzzLoadNetwork(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		nw, err := LoadNetwork(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if len(nw.Positions()) != nw.N() || len(nw.h.NodeLeaf) != nw.N() {
+			t.Fatalf("loaded network inconsistent: %d points, %d nodes, %d in the hierarchy",
+				len(nw.Positions()), nw.N(), len(nw.h.NodeLeaf))
+		}
+	})
+}
+
 func TestLoadNetworkErrors(t *testing.T) {
 	if _, err := LoadNetwork(strings.NewReader("not json")); err == nil {
 		t.Fatal("garbage accepted")
@@ -159,5 +241,10 @@ func TestLoadNetworkErrors(t *testing.T) {
 	}
 	if _, err := LoadNetwork(strings.NewReader(`{"version":1,"radius":-1,"points":[]}`)); err == nil {
 		t.Fatal("negative radius accepted")
+	}
+	// A radius far below connectivity must fail before the rebuild sizes
+	// its cell grid by it (here 10^18 cells).
+	if _, err := LoadNetwork(strings.NewReader(`{"version":1,"radius":1e-9,"points":[[0.5,0.5]]}`)); err == nil || !strings.Contains(err.Error(), "too small") {
+		t.Fatalf("tiny radius: %v", err)
 	}
 }
