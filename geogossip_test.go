@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -67,6 +68,22 @@ func TestNewNetworkRejectsNaNRadius(t *testing.T) {
 	_, err := NewNetwork(128, WithRadiusMultiplier(math.NaN()))
 	if err == nil || errors.Is(err, ErrNotConnected) || !strings.Contains(err.Error(), "radius") {
 		t.Fatalf("err = %v, want a radius error", err)
+	}
+}
+
+// A radius multiplier far below connectivity must fail before the build
+// sizes its cell grid by the radius: at n = 1000 and c = 1e-5 the grid
+// would have about 1.4·10¹² cells.
+func TestNewNetworkRejectsTinyRadius(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewNetwork(1000, WithRadiusMultiplier(1e-5))
+	runtime.ReadMemStats(&after)
+	if err == nil || errors.Is(err, ErrNotConnected) || !strings.Contains(err.Error(), "too small for 1000 points") {
+		t.Fatalf("err = %v, want a radius error naming the radius and n", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+		t.Fatalf("rejecting the radius allocated %d bytes, want under 4 MB", grew)
 	}
 }
 

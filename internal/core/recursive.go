@@ -26,6 +26,7 @@ import (
 	"math"
 
 	"geogossip/internal/channel"
+	"geogossip/internal/geo"
 	"geogossip/internal/graph"
 	"geogossip/internal/hier"
 	"geogossip/internal/metrics"
@@ -215,6 +216,9 @@ type engine struct {
 	// is driven by the transmission counter (this engine has no tick
 	// clock).
 	ch channel.Channel
+	// pts holds node positions for spatial media and is nil otherwise
+	// (sim.SpatialPoints): no other medium reads Packet positions.
+	pts []geo.Point
 
 	res Result
 }
@@ -274,6 +278,7 @@ func RunRecursive(g *graph.Graph, h *hier.Hierarchy, x []float64, opt RecursiveO
 		pick:    st.stream(&st.pickRNG, r, "pick"),
 		leafRNG: st.stream(&st.leafRNG, r, "leaf"),
 		ch:      ch,
+		pts:     sim.SpatialPoints(spec, g.Points()),
 	}
 	e.curve.Samples = samples
 	st.tracker.Reset(x)
@@ -529,14 +534,14 @@ func (e *engine) advance() {
 }
 
 // packet assembles the delivery context for a transmission: endpoint
-// positions from the graph and the transmission counter as this engine's
-// clock.
+// positions on spatial media (zero otherwise, as in sim.Harness.Packet)
+// and the transmission counter as this engine's clock.
 func (e *engine) packet(src, dst int32, hops int) channel.Packet {
-	return channel.Packet{
-		Src: src, Dst: dst,
-		SrcPos: e.g.Point(src), DstPos: e.g.Point(dst),
-		Hops: hops, Now: e.counter.Total(),
+	p := channel.Packet{Src: src, Dst: dst, Hops: hops, Now: e.counter.Total()}
+	if e.pts != nil {
+		p.SrcPos, p.DstPos = e.pts[src], e.pts[dst]
 	}
+	return p
 }
 
 // ensureRep re-elects square sq's representative if it has died

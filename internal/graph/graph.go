@@ -109,18 +109,21 @@ func BuildWorkers(points []geo.Point, radius float64, workers int) (*Graph, erro
 	if radius <= 0 || math.IsInf(radius, 0) || math.IsNaN(radius) {
 		return nil, fmt.Errorf("graph: radius %v must be positive and finite", radius)
 	}
+	// Cell size = radius keeps radius queries to a 3×3 cell scan; radii
+	// over 0.5 still get a 2×2 grid. The grid then has ⌈1/r⌉² cells
+	// whatever n is. A connected network keeps that within a small
+	// multiple of n, so a grid past max(64n, 2^20) cells means a radius
+	// far below connectivity, whose index alone could exhaust memory.
+	cell := min(radius, 0.5)
+	if side, limit := math.Ceil(1/cell), max(64*len(points), 1<<20); side*side > float64(limit) {
+		return nil, fmt.Errorf("graph: radius %v is too small for %d points (%.3g index cells, limit %d)", radius, len(points), side*side, limit)
+	}
 	workers = par.Resolve(workers)
 	bounds := geo.UnitSquare()
 	for i, p := range points {
 		if !bounds.Contains(p) {
 			return nil, fmt.Errorf("graph: point %d = %v outside the unit square", i, p)
 		}
-	}
-	// Cell size = radius keeps radius queries to a 3×3 cell scan, but cap
-	// the grid at a sane resolution for tiny radii on small inputs.
-	cell := radius
-	if cell > 0.5 {
-		cell = 0.5
 	}
 	idx, err := geo.NewCellIndex(points, bounds, cell)
 	if err != nil {

@@ -58,6 +58,10 @@ type Meta struct {
 
 // Encode writes the network as a binary snapshot. The graph and
 // hierarchy must be over the same point set (hier.Build(g.Points(), …)).
+// The snapshot streams to w through a fixed chunk, so Encode's own memory
+// is that chunk plus the hierarchy's flattened tables. Every section's
+// fill reads only these immutable tables, so its sizing and streaming
+// runs (snap.Writer.Section) write the same bytes.
 func Encode(w io.Writer, meta Meta, g *graph.Graph, h *hier.Hierarchy) error {
 	gs := g.Snapshot()
 	hs := h.Snapshot()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -74,10 +75,9 @@ func TestEncodeDecodeBitIdentical(t *testing.T) {
 // TestEncodePinnedBytes pins the exact bytes of one snapshot with every
 // section present, VORO included; the round trip above cannot see a
 // format change that encoder and decoder agree on. The digest was taken
-// from the per-element encoder that the bulk array writes replaced, so a
-// mismatch means the format moved: that needs a FormatVersion bump, not
-// a new digest. It also bounds the bytes one Encode allocates, so the
-// array writes stay one growth to the final size.
+// from the per-element encoder that the bulk array writes replaced, and
+// the streaming writer reproduces it, so a mismatch means the format
+// moved: that needs a FormatVersion bump, not a new digest.
 func TestEncodePinnedBytes(t *testing.T) {
 	g, h := buildNet(t, 2048, 2048, 1.5)
 	g.VoronoiAreas()
@@ -90,15 +90,64 @@ func TestEncodePinnedBytes(t *testing.T) {
 	if sum := sha256.Sum256(buf.Bytes()); hex.EncodeToString(sum[:]) != want {
 		t.Fatalf("snapshot of %d bytes hashes to %x, want %s", buf.Len(), sum, want)
 	}
+}
 
+// TestEncodeAllocationBound bounds what one Encode allocates: the writer
+// streams every section through one fixed chunk, so what is left is the
+// chunk and the hierarchy's flattened tables, a small fraction of the
+// snapshot rather than a copy of its largest section.
+func TestEncodeAllocationBound(t *testing.T) {
+	g, h := buildNet(t, 16384, 16384, 1.5)
+	g.VoronoiAreas()
+	meta := Meta{N: g.N(), Radius: g.Radius()}
+	var buf bytes.Buffer
+	if err := Encode(&buf, meta, g, h); err != nil {
+		t.Fatal(err)
+	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	if err := Encode(io.Discard, meta, g, h); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	if alloc := after.TotalAlloc - before.TotalAlloc; float64(alloc) > 1.25*float64(buf.Len()) {
-		t.Fatalf("Encode allocated %d bytes for a %d-byte snapshot, want under 1.25x", alloc, buf.Len())
+	if alloc := after.TotalAlloc - before.TotalAlloc; float64(alloc) > 0.15*float64(buf.Len()) {
+		t.Fatalf("Encode allocated %d bytes for a %d-byte snapshot (%.3fx), want under 0.15x",
+			alloc, buf.Len(), float64(alloc)/float64(buf.Len()))
+	}
+}
+
+// failAfter accepts the first left bytes written to it and fails every
+// write past them, as a full disk would.
+type failAfter struct{ left int }
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) > f.left {
+		n := f.left
+		f.left = 0
+		return n, errors.New("no space left")
+	}
+	f.left -= len(p)
+	return len(p), nil
+}
+
+// An Encode whose writer fails at any byte of the snapshot returns an
+// error: the writer's errors are sticky, whichever section or chunk
+// they hit.
+func TestEncodeFailingWriter(t *testing.T) {
+	g, h := buildNet(t, 64, 3, 2.0)
+	g.VoronoiAreas()
+	meta := Meta{N: g.N(), Radius: g.Radius()}
+	var buf bytes.Buffer
+	if err := Encode(&buf, meta, g, h); err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < buf.Len(); k++ {
+		if err := Encode(&failAfter{left: k}, meta, g, h); err == nil {
+			t.Fatalf("writer failing after %d of %d bytes: Encode returned nil", k, buf.Len())
+		}
+	}
+	if err := Encode(&failAfter{left: buf.Len()}, meta, g, h); err != nil {
+		t.Fatalf("writer with room for all %d bytes: %v", buf.Len(), err)
 	}
 }
 

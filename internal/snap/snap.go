@@ -6,7 +6,16 @@
 // their payloads mean) belongs to internal/netstore; everything below it
 // (byte order, checksums, hostile-input discipline) lives here.
 //
-// The reader streams: values are decoded straight from the buffered
+// The writer streams: Writer.Section runs its fill twice. The first run
+// only counts bytes, so a section's length prefix is written, and
+// MaxSection enforced, before any of its payload. The second run encodes
+// the payload through one fixed chunk per Writer, folding each chunk into
+// a running CRC-32C before writing it out. fill must write the same
+// values on both runs; a section whose two runs disagree on its length
+// fails. The writer's memory therefore does not depend on a section's
+// size.
+//
+// The reader streams too: values are decoded straight from the buffered
 // input into their destination tables, in steps no larger than the input
 // buffer rather than whole payloads or fixed 1 MB chunks, while a running
 // CRC-32C covers every payload byte. The contract is that no value
@@ -59,9 +68,16 @@ const MaxSection = 8 << 30
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// chunkSize is the size of a Writer's one encoding buffer: payload bytes
+// are encoded into it, folded into the section's running checksum and
+// written out whenever it fills.
+const chunkSize = 64 << 10
+
 // Writer emits one snapshot stream: header at construction, then one
 // Section call per section, then Close (which appends the END section).
-// Errors are sticky; check Close's return.
+// It streams every section through one fixed chunk, so its memory does
+// not depend on a section's size. Errors are sticky; check Close's
+// return.
 type Writer struct {
 	w   io.Writer
 	enc Enc
@@ -79,9 +95,15 @@ func NewWriter(w io.Writer, version uint32) *Writer {
 	return sw
 }
 
-// Section buffers one section's payload through fill, then writes the
-// framed section (tag, length, payload, checksum). The Enc passed to
-// fill is reused across sections, so fill must not retain it.
+// Section writes one framed section (tag, length, payload, checksum),
+// running fill twice. The first run only counts the payload's bytes, so
+// the length prefix is written, and MaxSection enforced, before any
+// payload byte. The second run encodes the payload through the writer's
+// chunk into the underlying writer, and the section fails if the two
+// runs disagree on its length. fill must therefore write the same values
+// on both runs, and must not retain the Enc, which every section reuses.
+// All of the section's bytes are in the underlying writer when Section
+// returns.
 func (sw *Writer) Section(tag string, fill func(*Enc)) {
 	if sw.err != nil {
 		return
@@ -90,26 +112,36 @@ func (sw *Writer) Section(tag string, fill func(*Enc)) {
 		sw.err = fmt.Errorf("snap: section tag %q is not 4 bytes", tag)
 		return
 	}
-	sw.enc.buf = sw.enc.buf[:0]
+	e := &sw.enc
+	e.start(nil)
 	if fill != nil {
-		fill(&sw.enc)
+		fill(e)
 	}
-	payload := sw.enc.buf
-	if uint64(len(payload)) > MaxSection {
-		sw.err = fmt.Errorf("snap: section %q payload of %d bytes exceeds the %d limit", tag, len(payload), int64(MaxSection))
+	size := e.n
+	if size > MaxSection {
+		sw.err = fmt.Errorf("snap: section %q payload of %d bytes exceeds the %d limit", tag, size, int64(MaxSection))
 		return
 	}
 	var hdr [12]byte
 	copy(hdr[:4], tag)
-	binary.LittleEndian.PutUint64(hdr[4:], uint64(len(payload)))
+	binary.LittleEndian.PutUint64(hdr[4:], size)
 	if _, sw.err = sw.w.Write(hdr[:]); sw.err != nil {
 		return
 	}
-	if _, sw.err = sw.w.Write(payload); sw.err != nil {
+	e.start(sw.w)
+	if fill != nil {
+		fill(e)
+	}
+	e.flush()
+	if e.err == nil && e.n != size {
+		e.err = fmt.Errorf("fill wrote %d payload bytes on its streaming run, %d on its sizing run", e.n, size)
+	}
+	if e.err != nil {
+		sw.err = fmt.Errorf("snap: section %q: %w", tag, e.err)
 		return
 	}
 	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint32(sum[:], e.crc)
 	_, sw.err = sw.w.Write(sum[:])
 }
 
@@ -120,60 +152,104 @@ func (sw *Writer) Close() error {
 	return sw.err
 }
 
-// Enc appends little-endian primitives to a section payload.
+// Enc encodes little-endian primitives into a section payload. While a
+// section is being sized it only counts bytes; while it streams, it
+// encodes them into the chunk and flushes each full chunk through the
+// running CRC-32C to the underlying writer.
 type Enc struct {
-	buf []byte
+	w     io.Writer // nil while sizing
+	chunk []byte    // encoded bytes not yet written
+	n     uint64    // payload bytes counted or encoded so far
+	crc   uint32
+	err   error
 }
 
-// U64 appends one uint64.
+// start resets the encoder for a sizing run (w nil) or a streaming run
+// into w.
+func (e *Enc) start(w io.Writer) {
+	if w != nil && e.chunk == nil {
+		e.chunk = make([]byte, 0, chunkSize)
+	}
+	e.w, e.chunk, e.n, e.crc, e.err = w, e.chunk[:0], 0, 0, nil
+}
+
+// flush folds the chunk into the checksum and writes it out; after a
+// write error it only drops the chunk.
+func (e *Enc) flush() {
+	if e.err == nil && len(e.chunk) > 0 {
+		e.crc = crc32.Update(e.crc, castagnoli, e.chunk)
+		_, e.err = e.w.Write(e.chunk)
+	}
+	e.chunk = e.chunk[:0]
+}
+
+// U64 writes one uint64.
 func (e *Enc) U64(v uint64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
+	e.n += 8
+	if e.w == nil {
+		return
+	}
+	if cap(e.chunk)-len(e.chunk) < 8 {
+		e.flush()
+	}
+	e.chunk = binary.LittleEndian.AppendUint64(e.chunk, v)
 }
 
-// I64 appends one int64 (two's complement).
+// I64 writes one int64 (two's complement).
 func (e *Enc) I64(v int64) { e.U64(uint64(v)) }
 
-// F64 appends one float64 as its IEEE-754 bits, so round trips are
+// F64 writes one float64 as its IEEE-754 bits, so round trips are
 // bit-exact including NaN payloads and signed zeros.
 func (e *Enc) F64(v float64) { e.U64(math.Float64bits(v)) }
 
-// grow extends the payload by n bytes and returns them for the caller to
-// fill: an array costs at most one growth of the buffer, never one per
-// element. The growth is an explicit make and copy because slices.Grow's
-// append idiom allocates a temporary of n bytes in race builds.
-func (e *Enc) grow(n int) []byte {
-	off := len(e.buf)
-	if cap(e.buf)-off < n {
-		grown := make([]byte, off, max(2*cap(e.buf), off+n))
-		copy(grown, e.buf)
-		e.buf = grown
+// array writes a count-prefixed array of size-byte elements, encoding as
+// many as the chunk has room for at a time; put encodes one step's
+// elements into as many bytes.
+func array[T any](e *Enc, s []T, size int, put func([]byte, []T)) {
+	e.U64(uint64(len(s)))
+	if e.w == nil {
+		e.n += uint64(size) * uint64(len(s))
+		return
 	}
-	e.buf = e.buf[:off+n]
-	return e.buf[off:]
+	for len(s) > 0 && e.err == nil {
+		if cap(e.chunk)-len(e.chunk) < size {
+			e.flush()
+		}
+		k := min(len(s), (cap(e.chunk)-len(e.chunk))/size)
+		off := len(e.chunk)
+		e.chunk = e.chunk[:off+k*size]
+		put(e.chunk[off:], s[:k])
+		e.n += uint64(k * size)
+		s = s[k:]
+	}
 }
 
-// I32s appends a count-prefixed []int32.
-func (e *Enc) I32s(s []int32) {
-	e.U64(uint64(len(s)))
-	b := e.grow(4 * len(s))
+// I32s writes a count-prefixed []int32.
+func (e *Enc) I32s(s []int32) { array(e, s, 4, putI32s) }
+
+// F64s writes a count-prefixed []float64.
+func (e *Enc) F64s(s []float64) { array(e, s, 8, putF64s) }
+
+// Points writes a count-prefixed point slice (X then Y per point).
+func (e *Enc) Points(s []geo.Point) { array(e, s, 16, putPoints) }
+
+// The put functions are named rather than literal so that they compile,
+// with binary's byte-order helpers inlined, in this package even where
+// the array methods are inlined into a caller's closure.
+
+func putI32s(b []byte, s []int32) {
 	for i, v := range s {
 		binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
 	}
 }
 
-// F64s appends a count-prefixed []float64.
-func (e *Enc) F64s(s []float64) {
-	e.U64(uint64(len(s)))
-	b := e.grow(8 * len(s))
+func putF64s(b []byte, s []float64) {
 	for i, v := range s {
 		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
 	}
 }
 
-// Points appends a count-prefixed point slice (X then Y per point).
-func (e *Enc) Points(s []geo.Point) {
-	e.U64(uint64(len(s)))
-	b := e.grow(16 * len(s))
+func putPoints(b []byte, s []geo.Point) {
 	for i, p := range s {
 		binary.LittleEndian.PutUint64(b[16*i:], math.Float64bits(p.X))
 		binary.LittleEndian.PutUint64(b[16*i+8:], math.Float64bits(p.Y))

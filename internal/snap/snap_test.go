@@ -409,3 +409,126 @@ func TestTruncatedStream(t *testing.T) {
 		}
 	}
 }
+
+// Sections longer than one chunk, and not a multiple of it, round-trip
+// through both reader kinds for every array kind. In the mixed section
+// values of different sizes meet the chunk boundaries, so some chunks go
+// out with bytes to spare.
+func TestChunkedSectionsRoundTrip(t *testing.T) {
+	n := 2*chunkSize/4 + 1001 // int32s: just over two chunks
+	i32 := make([]int32, n)
+	f64 := make([]float64, n/2+3)
+	pts := make([]geo.Point, n/4+5)
+	for i := range i32 {
+		i32[i] = int32(i*2654435761) ^ int32(i>>3)
+	}
+	for i := range f64 {
+		f64[i] = float64(i)/7 - 1e3
+	}
+	for i := range pts {
+		pts[i] = geo.Point{X: float64(i) / float64(len(pts)), Y: 1 / float64(i+1)}
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf, 3)
+	w.Section("I32S", func(e *Enc) { e.U64(7); e.I32s(i32); e.U64(8) })
+	w.Section("F64S", func(e *Enc) { e.U64(7); e.F64s(f64); e.U64(8) })
+	w.Section("PNTS", func(e *Enc) { e.U64(7); e.Points(pts); e.U64(8) })
+	w.Section("MIXD", func(e *Enc) { e.I32s(i32[:n-1]); e.U64(7); e.Points(pts); e.F64s(f64) })
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range readerKinds {
+		r, err := NewReader(k.wrap(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		section := func(want string) *Dec {
+			tag, d, err := r.Next()
+			if err != nil || tag != want {
+				t.Fatalf("%s: Next = %q, %v; want %q", k.name, tag, err, want)
+			}
+			if d.size%chunkSize == 0 || d.size < chunkSize {
+				t.Fatalf("%s: section %q has %d bytes, want more than one chunk and not a multiple", k.name, tag, d.size)
+			}
+			return d
+		}
+		scalar := func(d *Dec, want uint64) {
+			if v, err := d.U64(); err != nil || v != want {
+				t.Fatalf("%s: U64 = %d, %v; want %d", k.name, v, err, want)
+			}
+		}
+		d := section("I32S")
+		scalar(d, 7)
+		if got, err := d.I32s(); err != nil || !slices.Equal(got, i32) {
+			t.Fatalf("%s: I32s: %v", k.name, err)
+		}
+		scalar(d, 8)
+		d = section("F64S")
+		scalar(d, 7)
+		if got, err := d.F64s(); err != nil || !slices.Equal(got, f64) {
+			t.Fatalf("%s: F64s: %v", k.name, err)
+		}
+		scalar(d, 8)
+		d = section("PNTS")
+		scalar(d, 7)
+		if got, err := d.Points(); err != nil || !slices.Equal(got, pts) {
+			t.Fatalf("%s: Points: %v", k.name, err)
+		}
+		scalar(d, 8)
+		d = section("MIXD")
+		if got, err := d.I32s(); err != nil || !slices.Equal(got, i32[:n-1]) {
+			t.Fatalf("%s: mixed I32s: %v", k.name, err)
+		}
+		scalar(d, 7)
+		if got, err := d.Points(); err != nil || !slices.Equal(got, pts) {
+			t.Fatalf("%s: mixed Points: %v", k.name, err)
+		}
+		if got, err := d.F64s(); err != nil || !slices.Equal(got, f64) {
+			t.Fatalf("%s: mixed F64s: %v", k.name, err)
+		}
+		if err := d.Done(); err != nil {
+			t.Fatalf("%s: %v", k.name, err)
+		}
+		if tag, _, err := r.Next(); err != nil || tag != EndTag {
+			t.Fatalf("%s: end section: %q %v", k.name, tag, err)
+		}
+	}
+}
+
+// Section runs fill once to size the payload and once to stream it. A
+// fill whose second run writes a different length fails its section,
+// Close reports the section by name, and nothing follows it.
+func TestSectionLengthMismatch(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		second int // values the second run writes; the first writes 2
+	}{
+		{"shorter", 1},
+		{"longer", 3},
+		{"longer by chunks", 3 * chunkSize / 8},
+	} {
+		var buf bytes.Buffer
+		w := NewWriter(&buf, 1)
+		w.Section("GOOD", func(e *Enc) { e.U64(1) })
+		runs := 0
+		w.Section("VARY", func(e *Enc) {
+			runs++
+			k := 2
+			if runs > 1 {
+				k = c.second
+			}
+			for i := 0; i < k; i++ {
+				e.U64(uint64(i))
+			}
+		})
+		after := buf.Len()
+		w.Section("LATE", func(e *Enc) { e.U64(2) })
+		err := w.Close()
+		if err == nil || !strings.Contains(err.Error(), `"VARY"`) {
+			t.Fatalf("%s: Close = %v, want an error naming section \"VARY\"", c.name, err)
+		}
+		if buf.Len() != after {
+			t.Fatalf("%s: %d bytes written after the failed section", c.name, buf.Len()-after)
+		}
+	}
+}

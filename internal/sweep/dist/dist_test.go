@@ -3,10 +3,13 @@ package dist
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -340,6 +343,54 @@ func TestReadMsgRejectsGarbage(t *testing.T) {
 	if _, err := readMsg(bytes.NewReader([]byte{0, 0, 0, 9, '{', '}'})); err == nil {
 		t.Error("truncated frame accepted")
 	}
+}
+
+// A header declaring the largest frame, followed by ten payload bytes,
+// fails as a truncated frame without the reader allocating anything near
+// the declared 64 MiB: the payload grows only with the bytes delivered.
+func TestReadMsgShortFrameAllocation(t *testing.T) {
+	raw := binary.BigEndian.AppendUint32(nil, maxFrame)
+	raw = append(raw, `{"type":"x`...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readMsg(bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated frame") {
+		t.Fatalf("%d-byte input declaring %d: err = %v, want a truncated frame", len(raw), maxFrame, err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("%d-byte input allocated %d bytes before failing, want under 1 MiB", len(raw), grew)
+	}
+}
+
+// FuzzReadMsg feeds the coordinator's and the workers' frame reader
+// arbitrary bytes. It must return an error or a message, never panic,
+// and a message it accepts must re-encode stably: sending it, reading
+// the frame back and sending that again gives identical bytes. The seed
+// corpus in testdata/fuzz/FuzzReadMsg holds one frame of each message
+// type as frameWriter.send writes it, a truncated frame, and zero-length
+// and oversized headers.
+func FuzzReadMsg(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := readMsg(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := (&frameWriter{w: &first}).send(m); err != nil {
+			t.Fatalf("accepted %+v but cannot send it: %v", m, err)
+		}
+		again, err := readMsg(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("cannot read back a sent frame: %v", err)
+		}
+		if err := (&frameWriter{w: &second}).send(again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("re-encoding moved the frame:\n%q\n%q", first.Bytes(), second.Bytes())
+		}
+	})
 }
 
 func TestProtocolVersionMismatchRejected(t *testing.T) {

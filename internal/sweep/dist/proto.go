@@ -18,6 +18,7 @@
 package dist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -150,7 +151,9 @@ func (fw *frameWriter) send(m *Msg) error {
 }
 
 // readMsg reads one frame. io.EOF surfaces unchanged so callers can
-// distinguish a closed peer from a corrupt one.
+// distinguish a closed peer from a corrupt one. The payload grows with
+// the bytes the peer actually delivers, never to the declared length up
+// front, so a header alone cannot make the reader hold maxFrame bytes.
 func readMsg(r io.Reader) (*Msg, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -163,12 +166,15 @@ func readMsg(r io.Reader) (*Msg, error) {
 	if n == 0 || n > maxFrame {
 		return nil, fmt.Errorf("dist: frame length %d outside (0, %d]", n, maxFrame)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	var payload bytes.Buffer
+	if got, err := io.CopyN(&payload, r, int64(n)); err != nil {
+		if err == io.EOF && got > 0 {
+			err = io.ErrUnexpectedEOF // as io.ReadFull reports a short payload
+		}
 		return nil, fmt.Errorf("dist: truncated frame: %w", err)
 	}
 	var m Msg
-	if err := json.Unmarshal(payload, &m); err != nil {
+	if err := json.Unmarshal(payload.Bytes(), &m); err != nil {
 		return nil, fmt.Errorf("dist: malformed frame: %w", err)
 	}
 	if m.Type == "" {

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"geogossip/internal/geo"
 	"geogossip/internal/graph"
@@ -35,7 +34,9 @@ const networkFormatVersion = 1
 // checksummed (DESIGN.md §11). Files are larger than the legacy JSON
 // points-only encoding, but loading is a sequential validation pass that
 // skips network construction entirely — the point at million-node scale,
-// where rebuilding dominates. LoadNetwork reads both formats.
+// where rebuilding dominates. The snapshot streams to w through a fixed
+// 64 KiB chunk, so saving holds no copy of the network. LoadNetwork reads
+// both formats.
 func (nw *Network) Save(w io.Writer) error {
 	meta := netstore.Meta{
 		N:          nw.g.N(),
@@ -98,13 +99,6 @@ func loadNetworkJSON(r io.Reader) (*Network, error) {
 	}
 	if in.Version != networkFormatVersion {
 		return nil, fmt.Errorf("geogossip: unsupported network format version %d", in.Version)
-	}
-	// The rebuild's cell grid has about 1/r² cells. Every network Save
-	// wrote as JSON was connected, which keeps the grid within a small
-	// multiple of n cells; a radius far below that would let a few bytes
-	// of JSON size a grid of any size.
-	if cells := math.Ceil(1/in.Radius) * math.Ceil(1/in.Radius); in.Radius > 0 && cells > float64(max(64*len(in.Points), 1<<20)) {
-		return nil, fmt.Errorf("geogossip: network radius %v is too small for %d points (%.3g index cells)", in.Radius, len(in.Points), cells)
 	}
 	pts := make([]geo.Point, len(in.Points))
 	for i, p := range in.Points {
