@@ -97,9 +97,7 @@ func run(args []string, stdout io.Writer) error {
 		geogossip.WithTargetError(*eps),
 		geogossip.WithMaxTicks(*ticks),
 		geogossip.WithRunSeed(*seed + 1),
-	}
-	if *loss > 0 {
-		runOpts = append(runOpts, geogossip.WithLossRate(*loss))
+		geogossip.WithLossRate(*loss),
 	}
 	if *doTrace {
 		runOpts = append(runOpts, geogossip.WithTraceWriter(os.Stderr))

@@ -6,30 +6,47 @@ import (
 )
 
 // TestRunOptionValidation: every constructor defers validation to Run
-// and reports a descriptive error instead of silently accepting garbage.
+// and reports a descriptive error instead of silently accepting garbage,
+// leaving the caller's values untouched.
 func TestRunOptionValidation(t *testing.T) {
 	nw, err := NewNetwork(96, WithSeed(70), WithRadiusMultiplier(2.5))
 	if err != nil {
 		t.Fatal(err)
 	}
+	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
 		name string
 		opts []RunOption
 	}{
 		{"zero target error", []RunOption{WithTargetError(0)}},
 		{"negative target error", []RunOption{WithTargetError(-1e-3)}},
+		{"NaN target error", []RunOption{WithTargetError(nan)}},
+		{"infinite target error", []RunOption{WithTargetError(inf)}},
 		{"negative loss rate", []RunOption{WithLossRate(-0.1)}},
 		{"loss rate above one", []RunOption{WithLossRate(1.5)}},
+		{"NaN loss rate", []RunOption{WithLossRate(nan)}},
 		{"zero beta", []RunOption{WithBeta(0)}},
 		{"negative beta", []RunOption{WithBeta(-0.4)}},
+		{"NaN beta", []RunOption{WithBeta(nan)}},
+		{"infinite beta", []RunOption{WithBeta(inf)}},
 		{"zero throttle", []RunOption{WithThrottle(0)}},
 		{"negative throttle", []RunOption{WithThrottle(-8)}},
+		{"NaN throttle", []RunOption{WithThrottle(nan)}},
+		{"infinite throttle", []RunOption{WithThrottle(inf)}},
 		{"unknown fault model", []RunOption{WithFaults("quantum:0.5")}},
 		{"malformed fault model", []RunOption{WithFaults("ge:0.1/0.2")}},
 		{"loss rate and fault loss model", []RunOption{WithLossRate(0.1), WithFaults("bernoulli:0.2")}},
 		{"churn option and churn fault model", []RunOption{WithChurn(100, 0), WithFaults("churn:100/0")}},
 		{"non-positive churn up-time", []RunOption{WithChurn(0, 10)}},
 		{"negative churn down-time", []RunOption{WithChurn(100, -1)}},
+		{"NaN churn up-time", []RunOption{WithChurn(nan, 10)}},
+		{"infinite churn up-time", []RunOption{WithChurn(inf, 10)}},
+		{"NaN churn down-time", []RunOption{WithChurn(1000, nan)}},
+		{"infinite churn down-time", []RunOption{WithChurn(1000, inf)}},
+		{"NaN arq timeout", []RunOption{WithARQ(2, nan, 2)}},
+		{"infinite arq timeout", []RunOption{WithARQ(2, inf, 2)}},
+		{"NaN arq backoff", []RunOption{WithARQ(2, 1, nan)}},
+		{"infinite arq backoff", []RunOption{WithARQ(2, 1, inf)}},
 	}
 	builders := map[string]func(...RunOption) Algorithm{
 		"boyd":                Boyd,
@@ -39,10 +56,21 @@ func TestRunOptionValidation(t *testing.T) {
 		"affine-async":        AffineAsync,
 	}
 	for _, tc := range cases {
+		// The tick cap bounds a run that slips past validation.
+		opts := append([]RunOption{WithMaxTicks(100_000)}, tc.opts...)
 		for name, build := range builders {
 			values := make([]float64, nw.N())
-			if _, err := build(tc.opts...).Run(nw, values); err == nil {
+			for i := range values {
+				values[i] = float64(i)
+			}
+			if _, err := build(opts...).Run(nw, values); err == nil {
 				t.Errorf("%s accepted %s", name, tc.name)
+			}
+			for i, v := range values {
+				if v != float64(i) {
+					t.Errorf("%s with %s changed value %d to %v", name, tc.name, i, v)
+					break
+				}
 			}
 		}
 	}
@@ -121,6 +149,29 @@ func TestWithChurnReportsLiveness(t *testing.T) {
 	}
 	if dead == 0 || dead == nw.N() {
 		t.Fatalf("want partial churn, got %d/%d dead", dead, nw.N())
+	}
+}
+
+// TestAsyncRecoveryResyncsRevivedNodes runs the facade's affine-async
+// engine under reviving churn with WithRecovery: its recovery sweep must
+// resync the control state of revived nodes.
+func TestAsyncRecoveryResyncsRevivedNodes(t *testing.T) {
+	nw, err := NewNetwork(200, WithSeed(25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := make([]float64, nw.N())
+	for i, p := range nw.Positions() {
+		values[i] = 10*p[0] + p[1]
+	}
+	algo := AffineAsync(WithTargetError(1e-2), WithRecovery(),
+		WithChurn(60000, 60000), WithMaxTicks(2_000_000))
+	res, err := algo.Run(nw, values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Resyncs == 0 {
+		t.Fatalf("recovery sweep performed no resyncs under reviving churn: %+v", res)
 	}
 }
 

@@ -52,6 +52,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"strings"
 
 	"geogossip/internal/channel"
@@ -103,7 +104,8 @@ func WithRadiusMultiplier(c float64) NetworkOption {
 
 // WithLeafTarget overrides the hierarchy's leaf occupancy target
 // (default Θ(log n); see DESIGN.md §4.2 on the substitution for the
-// paper's asymptotic (log n)^8 threshold).
+// paper's asymptotic (log n)^8 threshold). NewNetwork rejects a NaN or
+// infinite target.
 func WithLeafTarget(t float64) NetworkOption {
 	return func(c *networkConfig) { c.leafTarget = t }
 }
@@ -136,6 +138,9 @@ func NewNetwork(n int, opts ...NetworkOption) (*Network, error) {
 	cfg := networkConfig{seed: 1, radiusMult: 1.5}
 	for _, o := range opts {
 		o(&cfg)
+	}
+	if math.IsNaN(cfg.leafTarget) || math.IsInf(cfg.leafTarget, 0) {
+		return nil, fmt.Errorf("geogossip: WithLeafTarget(%v): leaf target must be finite", cfg.leafTarget)
 	}
 	g, err := graph.GenerateWorkers(n, cfg.radiusMult, rng.New(cfg.seed), cfg.buildWorkers)
 	if err != nil {
@@ -301,7 +306,6 @@ type runConfig struct {
 	churnDown   float64
 	churnSet    bool
 	recover     bool
-	parallel    sim.Parallel
 	tracer      trace.Tracer
 	// optErr carries the first invalid option input; surfaced by validate
 	// so constructors stay error-free.
@@ -309,7 +313,8 @@ type runConfig struct {
 }
 
 // WithTargetError sets the relative ℓ₂ accuracy at which the run stops
-// (default 1e-3).
+// (default 1e-3). It must be positive and finite; Run reports an error
+// otherwise.
 func WithTargetError(eps float64) RunOption {
 	return func(c *runConfig) { c.targetErr = eps }
 }
@@ -326,7 +331,7 @@ func WithRunSeed(seed uint64) RunOption {
 
 // WithBeta overrides the affine multiplier (default 2/5, the paper's
 // value; only meaningful for the affine algorithms). It must be
-// positive; Run reports an error otherwise.
+// positive and finite; Run reports an error otherwise.
 func WithBeta(beta float64) RunOption {
 	return func(c *runConfig) { c.beta = beta; c.betaSet = true }
 }
@@ -338,8 +343,8 @@ func WithUniformSampling() RunOption {
 }
 
 // WithThrottle sets the async protocol's round-serialization factor
-// (default 8; stands in for the paper's n^a). It must be positive; Run
-// reports an error otherwise.
+// (default 8; stands in for the paper's n^a). It must be positive and
+// finite; Run reports an error otherwise.
 func WithThrottle(t float64) RunOption {
 	return func(c *runConfig) { c.throttle = t; c.throttleSet = true }
 }
@@ -467,33 +472,6 @@ func WithRecovery() RunOption {
 	return func(c *runConfig) { c.recover = true }
 }
 
-// WithParallel enables deterministic intra-run parallelism (DESIGN.md
-// §9): the node set is split into shards contiguous deterministic shards
-// (0 selects the fixed default of 8) executed by workers goroutines
-// (0 selects all cores). The shard count is part of the schedule — two
-// runs agree bit-for-bit only when their shard counts agree — while the
-// worker count never changes any output, so a run is bit-identical to
-// itself at every worker count. The sharded schedule is a different,
-// equally valid interleaving of the protocol than the serial one, so its
-// results are not draw-compatible with non-parallel runs; the option is
-// off by default, which keeps every historical fingerprint byte-identical.
-//
-// Engine support: Boyd and PushSum shard their tick loops and require
-// the perfect medium (no loss, faults, recovery or tracing); AffineAsync
-// shards its recovery sweep and requires WithRecovery; Geographic and
-// AffineHierarchical reject the option (their exchanges are global).
-func WithParallel(shards, workers int) RunOption {
-	return func(c *runConfig) {
-		p := sim.Parallel{Shards: shards, Workers: workers}
-		if !p.Enabled() {
-			// Calling the option at all opts in; all-zero arguments mean
-			// "defaults for everything".
-			p.Shards = sim.DefaultShards
-		}
-		c.parallel = p
-	}
-}
-
 // WithChurn overlays crash-stop node failure on the run: each node
 // stays up for an exponential duration with mean meanUp, crashes, and
 // (when meanDown > 0) revives after an exponential downtime with mean
@@ -561,17 +539,22 @@ func (c runConfig) validate() (channel.Spec, error) {
 	if c.optErr != nil {
 		return channel.Spec{}, c.optErr
 	}
-	if c.targetErr <= 0 {
-		return channel.Spec{}, fmt.Errorf("geogossip: target error %v must be positive", c.targetErr)
+	if !positiveFinite(c.targetErr) {
+		return channel.Spec{}, fmt.Errorf("geogossip: WithTargetError(%v): target error must be positive and finite", c.targetErr)
 	}
-	if c.betaSet && c.beta <= 0 {
-		return channel.Spec{}, fmt.Errorf("geogossip: beta %v must be positive", c.beta)
+	if c.betaSet && !positiveFinite(c.beta) {
+		return channel.Spec{}, fmt.Errorf("geogossip: WithBeta(%v): beta must be positive and finite", c.beta)
 	}
-	if c.throttleSet && c.throttle <= 0 {
-		return channel.Spec{}, fmt.Errorf("geogossip: throttle %v must be positive", c.throttle)
+	if c.throttleSet && !positiveFinite(c.throttle) {
+		return channel.Spec{}, fmt.Errorf("geogossip: WithThrottle(%v): throttle must be positive and finite", c.throttle)
 	}
 	return c.engineFaults()
 }
+
+// positiveFinite reports whether v is positive and finite. NaN fails
+// every comparison and +Inf passes "v > 0", so "v <= 0" alone lets both
+// through.
+func positiveFinite(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // engineFaults assembles the channel spec the engines run on from the
 // WithFaults / WithLossRate / WithChurn options.
@@ -581,8 +564,8 @@ func (c runConfig) engineFaults() (channel.Spec, error) {
 		return spec, fmt.Errorf("geogossip: WithFaults: %w", err)
 	}
 	if c.lossRate != 0 {
-		if c.lossRate < 0 || c.lossRate > 1 {
-			return spec, fmt.Errorf("geogossip: loss rate %v outside [0, 1]", c.lossRate)
+		if !(c.lossRate >= 0 && c.lossRate <= 1) { // NaN-safe
+			return spec, fmt.Errorf("geogossip: WithLossRate(%v): loss rate outside [0, 1]", c.lossRate)
 		}
 		if spec.Loss != channel.LossNone {
 			return spec, fmt.Errorf("geogossip: WithLossRate combined with a WithFaults loss model")
@@ -680,7 +663,6 @@ func (a algo) Run(nw *Network, values []float64) (*Result, error) {
 		Beta:     a.cfg.beta,
 		Throttle: a.cfg.throttle,
 		Sampling: a.cfg.sampling,
-		Parallel: a.cfg.parallel,
 		Tracer:   a.cfg.tracer,
 		Obs:      reg.Scope(a.name),
 	}, rng.New(a.cfg.seed))

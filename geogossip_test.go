@@ -71,6 +71,17 @@ func TestNewNetworkRejectsNaNRadius(t *testing.T) {
 	}
 }
 
+// A non-finite leaf target stops the hierarchy recursion at the root
+// (+Inf) or only at the depth cap (NaN).
+func TestNewNetworkRejectsNonFiniteLeafTarget(t *testing.T) {
+	for _, target := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := NewNetwork(512, WithSeed(3), WithLeafTarget(target))
+		if err == nil || !strings.Contains(err.Error(), "WithLeafTarget") {
+			t.Fatalf("leaf target %v: err = %v, want an error naming WithLeafTarget", target, err)
+		}
+	}
+}
+
 // A radius multiplier far below connectivity must fail before the build
 // sizes its cell grid by the radius: at n = 1000 and c = 1e-5 the grid
 // would have about 1.4·10¹² cells.

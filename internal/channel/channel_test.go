@@ -293,6 +293,13 @@ func TestSpecValidate(t *testing.T) {
 	if err := (Spec{}).Validate(); err != nil {
 		t.Fatalf("zero spec invalid: %v", err)
 	}
+	nan, inf := math.NaN(), math.Inf(1)
+	disk := func(center, vel geo.Point) []FieldParams {
+		return []FieldParams{{Kind: FieldDisk, Center: center, Radius: 0.2, Loss: 0.5, Vel: vel}}
+	}
+	square := func(corner geo.Point) []FieldParams {
+		return []FieldParams{{Kind: FieldPolygon, Loss: 0.5, Poly: []geo.Point{geo.Pt(0, 0), geo.Pt(1, 0), geo.Pt(1, 1), corner}}}
+	}
 	bad := []Spec{
 		{LossRate: 0.5}, // rate without model
 		{Loss: LossBernoulli, LossRate: -1},
@@ -300,6 +307,33 @@ func TestSpecValidate(t *testing.T) {
 		{Loss: LossGilbertElliott, GE: GEParams{PGoodToBad: 1.5}},
 		{Churn: ChurnParams{MeanUp: -1}},
 		{Churn: ChurnParams{MeanDown: 5}}, // down without up
+		// Non-finite parameters: NaN passes every range check, +Inf
+		// every one-sided one.
+		{Loss: LossBernoulli, LossRate: nan},
+		{Loss: LossGilbertElliott, GE: GEParams{PGoodToBad: nan}},
+		{Loss: LossGilbertElliott, GE: GEParams{PBadToGood: nan}},
+		{Loss: LossGilbertElliott, GE: GEParams{LossGood: nan}},
+		{Loss: LossGilbertElliott, GE: GEParams{LossBad: nan}},
+		{Fields: disk(geo.Pt(nan, 0.5), geo.Point{})},
+		{Fields: disk(geo.Pt(0.5, inf), geo.Point{})},
+		{Fields: disk(geo.Pt(0.5, 0.5), geo.Pt(nan, 0))},
+		{Fields: disk(geo.Pt(0.5, 0.5), geo.Pt(0, inf))},
+		{Fields: square(geo.Pt(nan, 1))},
+		{Fields: square(geo.Pt(0, inf))},
+		{Churn: ChurnParams{MeanUp: nan}},
+		{Churn: ChurnParams{MeanUp: inf}},
+		{Churn: ChurnParams{MeanUp: 100, MeanDown: nan}},
+		{Churn: ChurnParams{MeanUp: 100, MeanDown: inf}},
+		{Delay: DelayParams{Kind: DelayFixed, A: nan}},
+		{Delay: DelayParams{Kind: DelayFixed, A: inf}},
+		{Delay: DelayParams{Kind: DelayUniform, B: nan}},
+		{Delay: DelayParams{Kind: DelayUniform, B: inf}},
+		{Delay: DelayParams{Kind: DelayFixed, A: 1}, Reorder: nan},
+		{Dup: nan},
+		{ARQ: ARQParams{Retries: 2, Timeout: nan, Backoff: 2}},
+		{ARQ: ARQParams{Retries: 2, Timeout: inf, Backoff: 2}},
+		{ARQ: ARQParams{Retries: 2, Timeout: 1, Backoff: nan}},
+		{ARQ: ARQParams{Retries: 2, Timeout: 1, Backoff: inf}},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {

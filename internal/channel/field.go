@@ -155,8 +155,8 @@ func (f FieldParams) MeanLoss() float64 {
 func (f FieldParams) validate() error {
 	switch f.Kind {
 	case FieldDisk:
-		if !(f.Radius > 0) || math.IsInf(f.Radius, 0) { // NaN-safe
-			return fmt.Errorf("channel: jamming disk radius %v must be positive and finite", f.Radius)
+		if f.Radius <= 0 {
+			return fmt.Errorf("channel: jamming disk radius %v must be positive", f.Radius)
 		}
 	case FieldPolygon:
 		if len(f.Poly) < 3 {
@@ -171,7 +171,7 @@ func (f FieldParams) validate() error {
 	default:
 		return fmt.Errorf("channel: unknown field kind %d", int(f.Kind))
 	}
-	if !(f.Loss >= 0 && f.Loss <= 1) { // NaN-safe
+	if f.Loss < 0 || f.Loss > 1 {
 		return fmt.Errorf("channel: field loss %v outside [0, 1]", f.Loss)
 	}
 	if f.Scheduled() && f.Until <= f.From {
@@ -408,11 +408,6 @@ func (c CutParams) validate() error {
 	}
 	if c.A == 0 && c.B == 0 {
 		return fmt.Errorf("channel: cut line 0·x + 0·y = %v is degenerate", c.C)
-	}
-	for _, v := range []float64{c.A, c.B, c.C} {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("channel: cut line coefficient %v is not finite", v)
-		}
 	}
 	if c.Until <= c.From {
 		return fmt.Errorf("channel: cut window [%d, %d) is empty", c.From, c.Until)

@@ -190,6 +190,9 @@ func (s Spec) ExpectedLossRate() float64 {
 
 // Validate reports the first problem with the spec.
 func (s Spec) Validate() error {
+	if err := s.checkFinite(); err != nil {
+		return err
+	}
 	switch s.Loss {
 	case LossNone:
 		if s.LossRate != 0 {
@@ -262,6 +265,52 @@ func (s Spec) Validate() error {
 	}
 	if err := s.ARQ.validate(); err != nil {
 		return err
+	}
+	return nil
+}
+
+// checkFinite rejects a NaN or ±Inf float parameter, the rule Parse
+// applies to spec text, so a Spec built in code obeys it too. The range
+// checks in Validate assume finite values: NaN fails every comparison,
+// so it passes a two-sided bound, and +Inf passes a one-sided one.
+func (s Spec) checkFinite() error {
+	if err := finite("loss rate", s.LossRate); err != nil {
+		return err
+	}
+	if err := finite("gilbert-elliott probability", s.GE.PGoodToBad, s.GE.PBadToGood, s.GE.LossGood, s.GE.LossBad); err != nil {
+		return err
+	}
+	for _, f := range s.Fields {
+		if err := finite("field parameter", f.Center.X, f.Center.Y, f.Radius, f.Loss, f.Vel.X, f.Vel.Y); err != nil {
+			return err
+		}
+		for _, v := range f.Poly {
+			if err := finite("field polygon vertex", v.X, v.Y); err != nil {
+				return err
+			}
+		}
+	}
+	if err := finite("cut line coefficient", s.Cut.A, s.Cut.B, s.Cut.C); err != nil {
+		return err
+	}
+	if err := finite("churn duration", s.Churn.MeanUp, s.Churn.MeanDown); err != nil {
+		return err
+	}
+	if err := finite("delay parameter", s.Delay.A, s.Delay.B); err != nil {
+		return err
+	}
+	if err := finite("reorder/dup probability", s.Reorder, s.Dup); err != nil {
+		return err
+	}
+	return finite("arq timeout/backoff", s.ARQ.Timeout, s.ARQ.Backoff)
+}
+
+// finite returns an error naming what when any of vs is NaN or ±Inf.
+func finite(what string, vs ...float64) error {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("channel: %s %v is not finite", what, v)
+		}
 	}
 	return nil
 }

@@ -9,7 +9,6 @@ import (
 	"geogossip/internal/hier"
 	"geogossip/internal/metrics"
 	"geogossip/internal/obs"
-	"geogossip/internal/par"
 	"geogossip/internal/rng"
 	"geogossip/internal/routing"
 	"geogossip/internal/sim"
@@ -72,16 +71,6 @@ type AsyncOptions struct {
 	// happen on a copy-on-write representative view (hier.RepView); the
 	// shared hierarchy build is never mutated.
 	Recover bool
-	// Parallel, when enabled, shards the recovery sweep's O(n) revival
-	// scan — the engine's per-time-unit clock sweep — across workers on
-	// the deterministic snapshot schedule of DESIGN.md §9: liveness and
-	// local.state are snapshotted once per sweep, per-node classification
-	// runs sharded over the snapshots, and accounting applies serially in
-	// node order, so results are bit-identical at every worker count.
-	// Donors are selected against the sweep-start snapshot (the serial
-	// sweep reads evolving state), so the option defaults off to keep
-	// historical Recover fingerprints byte-identical. Requires Recover.
-	Parallel sim.Parallel
 	// State optionally supplies a reusable run state shared with the
 	// recursive engine (see RecursiveOptions.State). Nil gives the run a
 	// fresh private state.
@@ -179,13 +168,6 @@ type asyncEngine struct {
 	// prevAlive tracks liveness between recovery sweeps so revivals can
 	// trigger a state resync (nil when Recover is off).
 	prevAlive []bool
-	// Parallel-heal state (nil/false unless opt.Parallel is enabled):
-	// liveness and local.state snapshots plus the per-node classification
-	// the sharded scan writes and the serial accounting pass reads.
-	healPar   bool
-	healAlive []bool
-	healLocal []bool
-	healDonor []int32
 	// healEvery is the recovery-sweep period in ticks (n = once per
 	// simulated time unit; 0 when Recover is off).
 	healEvery uint64
@@ -244,9 +226,6 @@ func RunAsync(g *graph.Graph, h *hier.Hierarchy, x []float64, opt AsyncOptions, 
 	st.active = sim.GrowBool(st.active, len(h.Squares))
 	st.count = sim.GrowUint64(st.count, len(h.Squares))
 	e.localOn, e.globalOn, e.active, e.count = st.localOn, st.globalOn, st.active, st.count
-	if opt.Parallel.Enabled() && !opt.Recover {
-		return nil, fmt.Errorf("core: AsyncOptions.Parallel shards the recovery sweep and requires Recover")
-	}
 	if opt.Recover {
 		e.healEvery = uint64(g.N())
 		st.prevAlive = sim.GrowBool(st.prevAlive, g.N())
@@ -254,13 +233,6 @@ func RunAsync(g *graph.Graph, h *hier.Hierarchy, x []float64, opt AsyncOptions, 
 			st.prevAlive[i] = true
 		}
 		e.prevAlive = st.prevAlive
-		if opt.Parallel.Enabled() {
-			e.healPar = true
-			st.healAlive = sim.GrowBool(st.healAlive, g.N())
-			st.healLocal = sim.GrowBool(st.healLocal, g.N())
-			st.healDonor = sim.GrowInt32(st.healDonor, g.N())
-			e.healAlive, e.healLocal, e.healDonor = st.healAlive, st.healLocal, st.healDonor
-		}
 	}
 	// The data-plane medium draws losses from the protocol stream (the
 	// same stream the inline checks used, keeping pre-channel runs
@@ -350,10 +322,6 @@ func (e *asyncEngine) heal() {
 		// view keeps node→roles current by itself.
 		e.buildSibs()
 	}
-	if e.healPar {
-		e.healScanParallel(alive)
-		return
-	}
 	for i := range e.prevAlive {
 		up := alive(int32(i))
 		if up && !e.prevAlive[i] {
@@ -387,88 +355,6 @@ func (e *asyncEngine) heal() {
 			e.run.Trace(trace.Event{Kind: trace.KindChurn, Square: int(e.h.NodeLeaf[i]), NodeA: int32(i), NodeB: 0})
 		}
 		e.prevAlive[i] = up
-	}
-}
-
-// healDonor classification sentinels (values >= 0 are donor node ids,
-// -1 is "revived but no live donor: retry next sweep").
-const (
-	healNone = int32(-3) // no liveness transition
-	healDied = int32(-2) // up -> down transition
-)
-
-// healScanParallel is the revival scan of heal on the deterministic
-// sharded snapshot schedule (AsyncOptions.Parallel):
-//
-//	phase A (parallel): snapshot per-node liveness. Alive is node-local
-//	  (churn schedules extend lazily per node), so disjoint node ranges
-//	  are race-free, and at a fixed tick the snapshot equals what the
-//	  serial sweep would read node by node.
-//	phase B (parallel): classify each node and pick its resync donor —
-//	  the first live in-leaf neighbour — against the phase-A liveness
-//	  and a sweep-start local.state snapshot. Each node writes only its
-//	  own localOn/healDonor slot.
-//	phase C (serial, node order): transmissions, counters, traces and
-//	  prevAlive updates.
-//
-// The schedule depends only on (n, Shards); Workers never changes any
-// output (asserted by test at worker counts {1, 2, NumCPU}).
-func (e *asyncEngine) healScanParallel(alive func(int32) bool) {
-	n := e.g.N()
-	p := e.opt.Parallel.WithDefaults()
-	shards := p.Shards
-	if shards > n {
-		shards = n
-	}
-	bounds := par.Ranges(n, shards)
-	par.Do(p.Workers, shards, func(si int) {
-		for i := bounds[si]; i < bounds[si+1]; i++ {
-			e.healAlive[i] = alive(int32(i))
-		}
-	})
-	copy(e.healLocal, e.localOn)
-	par.Do(p.Workers, shards, func(si int) {
-		for i := bounds[si]; i < bounds[si+1]; i++ {
-			up := e.healAlive[i]
-			switch {
-			case up && !e.prevAlive[i]:
-				donor := int32(-1)
-				for _, v := range e.st.leafNbrs(int32(i)) {
-					if e.healAlive[v] {
-						donor = v
-						break
-					}
-				}
-				e.healDonor[i] = donor
-				e.localOn[i] = donor >= 0 && e.healLocal[donor]
-			case !up && e.prevAlive[i]:
-				e.healDonor[i] = healDied
-			default:
-				e.healDonor[i] = healNone
-			}
-		}
-	})
-	for i := 0; i < n; i++ {
-		switch d := e.healDonor[i]; d {
-		case healNone:
-		case healDied:
-			e.run.Scope.Churn(false)
-			e.run.Trace(trace.Event{Kind: trace.KindChurn, Square: int(e.h.NodeLeaf[i]), NodeA: int32(i), NodeB: 0})
-			e.prevAlive[i] = false
-		case -1:
-			// Revived with no live leaf neighbour: stays off and
-			// prevAlive stays false, retrying next sweep — exactly the
-			// serial sweep's conservative branch.
-		default:
-			e.run.Counter.Add(sim.CatControl, 2)
-			e.resyncs++
-			leaf := int(e.h.NodeLeaf[i])
-			e.run.Scope.Churn(true)
-			e.run.Scope.Resync()
-			e.run.Trace(trace.Event{Kind: trace.KindChurn, Square: leaf, NodeA: int32(i), NodeB: 1})
-			e.run.Trace(trace.Event{Kind: trace.KindResync, Square: leaf, NodeA: int32(i), NodeB: d, Hops: 2})
-			e.prevAlive[i] = true
-		}
 	}
 }
 

@@ -134,6 +134,9 @@ func TestAsyncRecoverySurvivesTargetedChurn(t *testing.T) {
 	if rec.Reelections == 0 {
 		t.Fatal("async recovery performed no re-elections")
 	}
+	if rec.Resyncs == 0 {
+		t.Fatal("async recovery resynced no revived node")
+	}
 	if !rec.Converged {
 		t.Fatalf("async recovery run did not converge: err=%v", rec.FinalErr)
 	}

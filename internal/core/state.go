@@ -94,11 +94,6 @@ type RunState struct {
 	// first) when a recovery sweep changes representatives.
 	sibsOff []int32
 	sibsIDs []int32
-	// Parallel-heal scratch (see asyncEngine.healParallel): liveness and
-	// local.state snapshots plus the per-node classification table.
-	healAlive []bool
-	healLocal []bool
-	healDonor []int32
 }
 
 // NewRunState returns an empty reusable run state.

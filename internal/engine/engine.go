@@ -5,8 +5,6 @@
 package engine
 
 import (
-	"fmt"
-
 	"geogossip/internal/channel"
 	"geogossip/internal/core"
 	"geogossip/internal/gossip"
@@ -45,7 +43,6 @@ type Config struct {
 	Throttle  float64
 	LeafTicks int
 	Sampling  gossip.Sampling
-	Parallel  sim.Parallel
 	Tracer    trace.Tracer
 	Obs       *obs.Scope
 	// Routes is the network's shared route/flood cache.
@@ -102,13 +99,12 @@ func Names() []string {
 // shared cache would only grow, and boyd and push-sum do not route.
 func baseline(c Config) gossip.Options {
 	return gossip.Options{
-		Stop:     c.Stop,
-		Faults:   c.Faults,
-		Resync:   c.Recover,
-		State:    c.Gossip,
-		Parallel: c.Parallel,
-		Tracer:   c.Tracer,
-		Obs:      c.Obs,
+		Stop:   c.Stop,
+		Faults: c.Faults,
+		Resync: c.Recover,
+		State:  c.Gossip,
+		Tracer: c.Tracer,
+		Obs:    c.Obs,
 	}
 }
 
@@ -125,19 +121,14 @@ func runGeographic(g *graph.Graph, _ *hier.Hierarchy, x []float64, c Config, r *
 	return Result{Result: res}, err
 }
 
+// runPushSum passes Recover through as Resync, which push-sum ignores:
+// its mass bookkeeping already survives churn.
 func runPushSum(g *graph.Graph, _ *hier.Hierarchy, x []float64, c Config, r *rng.RNG) (Result, error) {
-	opt := baseline(c)
-	// Push-sum's mass bookkeeping already survives churn, so it has no
-	// recovery protocol; its parallel gate rejects Resync.
-	opt.Resync = false
-	res, err := gossip.RunPushSum(g, x, opt, r)
+	res, err := gossip.RunPushSum(g, x, baseline(c), r)
 	return Result{Result: res}, err
 }
 
 func runAffine(g *graph.Graph, h *hier.Hierarchy, x []float64, c Config, r *rng.RNG) (Result, error) {
-	if c.Parallel.Enabled() {
-		return Result{}, fmt.Errorf("engine: %s does not support Parallel (round-structured exchanges are global)", Affine)
-	}
 	res, err := core.RunRecursive(g, h, x, core.RecursiveOptions{
 		Eps:     c.Stop.TargetErr,
 		Beta:    c.Beta,
@@ -165,7 +156,6 @@ func runAsync(g *graph.Graph, h *hier.Hierarchy, x []float64, c Config, r *rng.R
 		Stop:         c.Stop,
 		Faults:       c.Faults,
 		Recover:      c.Recover,
-		Parallel:     c.Parallel,
 		Routes:       c.Routes,
 		State:        c.Core,
 		Tracer:       c.Tracer,

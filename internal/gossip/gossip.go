@@ -69,12 +69,6 @@ type Options struct {
 	// fresh private state. Reuse cannot change results: a pooled run is
 	// draw- and result-identical to a fresh one (see RunState).
 	State *RunState
-	// Parallel, when enabled, executes ticks on the deterministic sharded
-	// schedule of DESIGN.md §9: bit-identical to itself at any worker
-	// count, but a different interleaving than the serial schedule, so it
-	// defaults off to keep every existing fingerprint byte-identical.
-	// Requires the perfect medium; boyd and push-sum only.
-	Parallel Parallel
 	// Tracer, when non-nil, receives structured protocol events (near
 	// and far exchanges, losses, resyncs, churn transitions).
 	Tracer trace.Tracer
@@ -194,9 +188,6 @@ func RunBoyd(g *graph.Graph, x []float64, opt Options, r *rng.RNG) (*metrics.Res
 	}
 	if g.N() == 0 {
 		return sim.EmptyResult("boyd"), nil
-	}
-	if opt.Parallel.Enabled() {
-		return runBoydParallel(g, x, opt, r)
 	}
 	e, err := newBoydRun(g, x, opt, r)
 	if err != nil {
@@ -549,9 +540,6 @@ func RunGeographic(g *graph.Graph, x []float64, opt GeoOptions, r *rng.RNG) (*me
 	name := "geographic-" + opt.Sampling.String()
 	if g.N() == 0 {
 		return sim.EmptyResult(name), nil
-	}
-	if opt.Parallel.Enabled() {
-		return nil, fmt.Errorf("gossip: Parallel is not supported by geographic gossip (routed exchanges are global)")
 	}
 	opt = opt.withDefaults()
 	name = "geographic-" + opt.Sampling.String()

@@ -166,9 +166,6 @@ func runPushSum(g *graph.Graph, x []float64, opt Options, r *rng.RNG) (*metrics.
 	if g.N() == 0 {
 		return sim.EmptyResult("push-sum"), nil, nil
 	}
-	if opt.Parallel.Enabled() {
-		return runPushSumParallel(g, x, opt, r)
-	}
 	e, err := newPushSumRun(g, x, opt, r)
 	if err != nil {
 		return nil, nil, err

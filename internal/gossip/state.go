@@ -52,10 +52,6 @@ type RunState struct {
 
 	// Push-sum mass vectors and the estimate slice the tracker runs on.
 	s, w, est []float64
-
-	// shards is the parallel tick scheduler's pooled shard array (clock
-	// and pick streams, deferred-exchange queues); see parallel.go.
-	shards []tickShard
 }
 
 // NewRunState returns an empty reusable run state.

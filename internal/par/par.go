@@ -1,9 +1,9 @@
-// Package par provides the tiny deterministic fork-join primitive shared
-// by the parallel construction and tick paths. It deliberately has no
-// dependencies so every layer (geo, graph, hier, gossip, core, sweep) can
+// Package par provides the tiny deterministic fork-join primitive that
+// parallel network construction (cell index, graph, hierarchy) shares.
+// It deliberately has no dependencies so every construction layer can
 // use it.
 //
-// Determinism contract: Do and Ranges only decide WHICH goroutine executes
+// Determinism contract: Do and Blocks only decide WHICH goroutine executes
 // a unit of work, never WHAT the unit computes or the order results are
 // merged in. Callers must keep per-unit work pure with respect to shared
 // state (disjoint writes, snapshot reads) and merge results in unit order;
@@ -82,23 +82,6 @@ func Blocks(workers, n int, fn func(lo, hi int)) {
 		}
 		fn(lo, hi)
 	})
-}
-
-// Ranges splits [0, n) into k contiguous near-equal ranges and returns the
-// k+1 boundary offsets. The split depends only on n and k — never on the
-// worker count — so shard-owned schedules derived from it are stable.
-func Ranges(n, k int) []int {
-	if k < 1 {
-		k = 1
-	}
-	if k > n && n > 0 {
-		k = n
-	}
-	bounds := make([]int, k+1)
-	for i := 0; i <= k; i++ {
-		bounds[i] = i * n / k
-	}
-	return bounds
 }
 
 // NumCPU reports the scheduler's current parallelism target. Exposed so

@@ -209,17 +209,6 @@ func (h *Harness) Sample() {
 	}
 }
 
-// BlockSample records one curve point covering a block of ticks ending
-// now, if the block crossed at least one sampling-period boundary.
-// prevTicks is the tick count at the start of the block. The parallel
-// tick scheduler calls it once per block where serial engines call Sample
-// once per tick.
-func (h *Harness) BlockSample(prevTicks uint64) {
-	if h.Clock.Ticks()/h.every > prevTicks/h.every {
-		h.Curve.Record(h.Clock.Ticks(), h.Counter.Total(), h.Tracker.Err())
-	}
-}
-
 // Trace records ev when a tracer is attached.
 func (h *Harness) Trace(ev trace.Event) {
 	if h.Tracer != nil {

@@ -54,10 +54,7 @@ func (c *Clock) Draw() int32 { return int32(c.r.IntN(c.n)) }
 func (c *Clock) Ticks() uint64 { return c.ticks }
 
 // Bump advances the tick counter by k without drawing. Harness.Advance
-// counts a tick drawn ahead through it, and the parallel tick scheduler
-// (DESIGN.md §9) draws from per-shard streams and accounts a whole block
-// of ticks here, so curve samples, stop checks and results stay
-// denominated in global ticks.
+// counts a tick drawn ahead through it.
 func (c *Clock) Bump(k uint64) { c.ticks += k }
 
 // Category classifies transmissions for the cost breakdown of E13.
@@ -229,21 +226,6 @@ func (t *ErrTracker) Err() float64 {
 func (t *ErrTracker) Resync() {
 	t.dev2 = t.exactDev2()
 	t.updates = 0
-}
-
-// ApplyExternal folds in incremental updates that were accumulated
-// outside the tracker: a deviation-squared delta covering updates value
-// changes already written to x. The parallel tick scheduler's shards
-// accumulate their in-shard deltas locally and merge them here in fixed
-// shard order, keeping the periodic exact-recompute cadence (and so the
-// reported error) deterministic.
-func (t *ErrTracker) ApplyExternal(dev2Delta float64, updates int) {
-	t.dev2 += dev2Delta
-	t.updates += updates
-	if t.updates >= t.resyncEvery {
-		t.updates = 0
-		t.dev2 = t.exactDev2()
-	}
 }
 
 // CheckFinite returns an error naming the first NaN or ±Inf entry of x.

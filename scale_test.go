@@ -58,67 +58,11 @@ func TestNetworkFootprint(t *testing.T) {
 	}
 }
 
-func TestWithParallelRuns(t *testing.T) {
-	nw, err := NewNetwork(400, WithSeed(23))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		algo Algorithm
-		// Boyd's pairwise averages preserve the mean exactly; push-sum
-		// writes back per-node estimates, which only approximate it at
-		// the target accuracy.
-		meanTol float64
-	}{
-		{Boyd(WithTargetError(1e-2), WithParallel(4, 2)), 1e-6},
-		{PushSum(WithTargetError(1e-2), WithParallel(4, 2)), 5e-2},
-	} {
-		algo := tc.algo
-		values := make([]float64, nw.N())
-		for i, p := range nw.Positions() {
-			values[i] = 10*p[0] + p[1]
-		}
-		want := Mean(values)
-		res, err := algo.Run(nw, values)
-		if err != nil {
-			t.Fatalf("%s: %v", algo.Name(), err)
-		}
-		if !res.Converged {
-			t.Fatalf("%s did not converge under WithParallel: %+v", algo.Name(), res)
-		}
-		if math.Abs(Mean(values)-want) > tc.meanTol {
-			t.Fatalf("%s: mean drifted %v -> %v", algo.Name(), want, Mean(values))
-		}
-	}
-}
-
-func TestWithParallelRejections(t *testing.T) {
-	nw, err := NewNetwork(128, WithSeed(24))
-	if err != nil {
-		t.Fatal(err)
-	}
-	values := make([]float64, nw.N())
-	cases := []struct {
-		name string
-		algo Algorithm
-	}{
-		{"geographic", Geographic(WithParallel(0, 0))},
-		{"affine-hierarchical", AffineHierarchical(WithParallel(0, 0))},
-		{"async without recovery", AffineAsync(WithParallel(0, 0))},
-		{"boyd with loss", Boyd(WithParallel(0, 0), WithLossRate(0.1))},
-	}
-	for _, tc := range cases {
-		if _, err := tc.algo.Run(nw, values); err == nil {
-			t.Fatalf("%s accepted WithParallel", tc.name)
-		}
-	}
-}
-
 // TestScaleSmokeBoyd100k is the CI-sized slice of the million-node
 // recipe (README "Scale"): parallel construction of a 10^5-node
-// network plus a parallel boyd run on a gaussian-style field,
-// asserting convergence and the memory envelope. Skipped under -short;
-// the full n=10^6 figures live in BENCH_engines.json.
+// network plus a boyd run on a gaussian-style field, asserting
+// convergence and the memory envelope. Skipped under -short; the full
+// n=10^6 figures live in BENCH_engines.json.
 func TestScaleSmokeBoyd100k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10^5-node construct+run smoke")
@@ -141,7 +85,7 @@ func TestScaleSmokeBoyd100k(t *testing.T) {
 		values[i] = r.NormFloat64()
 	}
 	want := Mean(values)
-	res, err := Boyd(WithTargetError(1e-2), WithParallel(0, 0)).Run(nw, values)
+	res, err := Boyd(WithTargetError(1e-2)).Run(nw, values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,26 +94,5 @@ func TestScaleSmokeBoyd100k(t *testing.T) {
 	}
 	if math.Abs(Mean(values)-want) > 1e-6 {
 		t.Fatalf("mean drifted %v -> %v", want, Mean(values))
-	}
-}
-
-func TestWithParallelAsyncHeal(t *testing.T) {
-	nw, err := NewNetwork(200, WithSeed(25))
-	if err != nil {
-		t.Fatal(err)
-	}
-	values := make([]float64, nw.N())
-	for i, p := range nw.Positions() {
-		values[i] = 10*p[0] + p[1]
-	}
-	algo := AffineAsync(WithTargetError(1e-2), WithRecovery(),
-		WithChurn(60000, 60000), WithParallel(4, 2),
-		WithMaxTicks(2_000_000))
-	res, err := algo.Run(nw, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Resyncs == 0 {
-		t.Fatalf("parallel heal performed no resyncs under reviving churn: %+v", res)
 	}
 }
