@@ -224,8 +224,8 @@ type Result struct {
 	// Transmissions is the total radio cost.
 	Transmissions uint64
 	// SimSeconds is the run's simulated wall-clock at termination: the
-	// event clock's high-water mark (delayed deliveries, ARQ backoff
-	// waits included) normalized per node, in the units of WithDelay /
+	// later of the final tick and the last delivery's completion (delayed
+	// deliveries, ARQ backoff waits included) normalized per node, in the units of WithDelay /
 	// WithARQ durations. Zero unless the run had a transport layer
 	// (WithDelay, WithARQ, or a delay/reorder/dup/arq WithFaults
 	// component).

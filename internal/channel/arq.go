@@ -72,24 +72,25 @@ type ARQ struct {
 	params ARQParams
 	r      *rng.RNG
 	tl     *Timeline
-	obs    *obs.Scope
+	tally  *obs.Tally
 	tracer trace.Tracer
 }
 
-// NewARQ wraps inner with retransmission, drawing jitter from r and
-// scheduling waits on tl (which may be nil to discard them).
-func NewARQ(inner Channel, params ARQParams, r *rng.RNG, tl *Timeline, scope *obs.Scope, tracer trace.Tracer) *ARQ {
+// NewARQ wraps inner with retransmission, drawing jitter from r, adding
+// waits to tl and counting timeouts, retries and waits in tally (either
+// may be nil to discard them).
+func NewARQ(inner Channel, params ARQParams, r *rng.RNG, tl *Timeline, tally *obs.Tally, tracer trace.Tracer) *ARQ {
 	a := &ARQ{}
-	a.reset(inner, params, r, tl, scope, tracer)
+	a.reset(inner, params, r, tl, tally, tracer)
 	return a
 }
 
 // reset re-initializes a pooled ARQ in place.
-func (a *ARQ) reset(inner Channel, params ARQParams, r *rng.RNG, tl *Timeline, scope *obs.Scope, tracer trace.Tracer) {
+func (a *ARQ) reset(inner Channel, params ARQParams, r *rng.RNG, tl *Timeline, tally *obs.Tally, tracer trace.Tracer) {
 	if inner == nil {
 		inner = Perfect{}
 	}
-	a.inner, a.params, a.r, a.tl, a.obs, a.tracer = inner, params, r, tl, scope, tracer
+	a.inner, a.params, a.r, a.tl, a.tally, a.tracer = inner, params, r, tl, tally, tracer
 }
 
 const (
@@ -118,13 +119,13 @@ func (a *ARQ) deliver(p Packet, shape int) (bool, int) {
 	wait := a.params.Timeout
 	for retry := 0; ; retry++ {
 		// The outstanding attempt was lost: the ack timer runs out.
-		a.obs.ARQTimeout()
+		a.tally.ARQTimeout()
 		w := wait
 		if wait > 0 {
 			w += a.r.Float64() * wait / 2
 		}
 		a.tl.Add(w)
-		a.obs.BackoffWait(w)
+		a.tally.BackoffWait(w)
 		if a.tracer != nil {
 			a.tracer.Record(trace.Event{Kind: trace.KindTimeout, Square: -1, NodeA: p.Src, NodeB: p.Dst})
 		}
@@ -133,7 +134,7 @@ func (a *ARQ) deliver(p Packet, shape int) (bool, int) {
 			// every attempt's airtime.
 			return false, total
 		}
-		a.obs.Retransmit()
+		a.tally.Retransmit()
 		if a.tracer != nil {
 			a.tracer.Record(trace.Event{Kind: trace.KindRetransmit, Square: -1, NodeA: p.Src, NodeB: p.Dst})
 		}

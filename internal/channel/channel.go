@@ -69,8 +69,12 @@ func (p Packet) Mid() geo.Point {
 type Channel interface {
 	// Advance moves the channel's clock to the global time now (engine
 	// ticks for the clock-driven engines, transmissions for the
-	// round-structured recursive engine). Time-dependent state — churn
-	// up/down flips — is evaluated against the most recent Advance.
+	// round-structured recursive engine). A later Advance replaces the
+	// earlier ones: implementations only record the time, and
+	// time-dependent state — churn up/down flips — is evaluated when the
+	// medium is queried (Alive, Deliver*), against the most recent
+	// Advance. A run of Advance calls with no query between them is
+	// therefore the same as its last call alone.
 	Advance(now uint64)
 	// Alive reports whether node i is currently up. Engines skip clock
 	// ticks owned by dead nodes; deliveries to dead nodes fail inside

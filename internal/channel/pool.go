@@ -103,10 +103,10 @@ func (s Spec) BuildWith(p *Pool, n int, env Env, lossRNG, churnRNG *rng.RNG) (Ch
 		seed := rng.DeriveString(lossRNG.Seed(), "arq")
 		if p != nil {
 			p.arqRNG = reseed(p.arqRNG, seed)
-			p.arq.reset(ch, s.ARQ, p.arqRNG, env.Timeline, env.Obs, env.Tracer)
+			p.arq.reset(ch, s.ARQ, p.arqRNG, env.Timeline, env.Tally, env.Tracer)
 			ch = &p.arq
 		} else {
-			ch = NewARQ(ch, s.ARQ, rng.New(seed), env.Timeline, env.Obs, env.Tracer)
+			ch = NewARQ(ch, s.ARQ, rng.New(seed), env.Timeline, env.Tally, env.Tracer)
 		}
 	}
 	if s.HasChurn() {
@@ -132,12 +132,12 @@ func (s Spec) BuildWith(p *Pool, n int, env Env, lossRNG, churnRNG *rng.RNG) (Ch
 	}
 	if s.HasTransport() && env.Timeline != nil {
 		// Outermost bracket: every top-level delivery's accumulated
-		// latency becomes one timeline completion event.
+		// latency closes on the timeline as one completion.
 		if p != nil {
-			p.timed = Timed{inner: ch, tl: env.Timeline, obs: env.Obs}
+			p.timed = Timed{inner: ch, tl: env.Timeline, tally: env.Tally}
 			ch = &p.timed
 		} else {
-			ch = NewTimed(ch, env.Timeline, env.Obs)
+			ch = NewTimed(ch, env.Timeline, env.Tally)
 		}
 	}
 	return ch, nil

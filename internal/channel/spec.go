@@ -315,12 +315,16 @@ func finite(what string, vs ...float64) error {
 	return nil
 }
 
-// Env supplies the network context a spec binds to at Build time. The
-// zero Env suits every non-spatial, non-targeted spec; spatial and
-// targeted components fail Build with a descriptive error when their
-// context is missing, so an engine that cannot provide (say) hierarchy
+// Env supplies the network context a spec binds to at Build time, and
+// the run-local state the transport wrappers write to: the engine's
+// timeline, its per-run metrics tally and its tracer. The zero Env
+// suits every non-spatial, non-targeted spec; spatial and targeted
+// components fail Build with a descriptive error when their context is
+// missing, so an engine that cannot provide (say) hierarchy
 // representatives rejects rep-targeted specs instead of silently running
-// them as uniform churn.
+// them as uniform churn. Transport components without a Timeline or a
+// Tally still decide, draw and charge as usual; their latency and
+// counts are discarded.
 type Env struct {
 	// Points holds the node positions (required by jamming fields and
 	// cuts — every Packet the engine submits must carry positions from
@@ -338,12 +342,13 @@ type Env struct {
 	// entries).
 	HubOrder []int32
 	// Timeline receives the transport layer's latency and completion
-	// events (specs with delay/arq components). Nil discards latency —
+	// times (specs with delay/arq components). Nil discards latency —
 	// delivery verdicts, draws and charges are unaffected.
 	Timeline *Timeline
-	// Obs optionally receives transport metrics (retransmissions,
-	// timeouts, backoff waits, delivery latency); nil-safe.
-	Obs *obs.Scope
+	// Tally optionally counts transport metrics (retransmissions,
+	// timeouts, backoff waits, delivery latency) in the run's per-run
+	// tally, which the engine flushes once at run end; nil discards them.
+	Tally *obs.Tally
 	// Tracer optionally receives transport events (retransmit, timeout).
 	Tracer trace.Tracer
 }

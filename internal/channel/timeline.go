@@ -2,42 +2,34 @@ package channel
 
 import "geogossip/internal/obs"
 
-// Timeline is the deterministic event clock of the time-realism layer
-// (DESIGN.md §12). Transport wrappers (Delay, ARQ) accumulate the latency
-// of the delivery decision in flight through Add; the outermost Timed
-// wrapper brackets every top-level Deliver* call, turning the accumulated
-// latency into a completion event at (decision time + latency) on a
-// min-heap keyed by (time, seq) — seq breaks ties in schedule order, so
-// draining is tie-stable and bit-reproducible. The engine's clock driver
-// drains due events each tick, advancing the medium to each completion's
-// (floored) time so time-windowed fault state — jam schedules, cut heals,
-// churn flips — is evaluated at delayed-delivery instants exactly as it
-// would be at a tick crossing the same boundary.
+// Timeline is the clock of the time-realism layer (DESIGN.md §12).
+// Transport wrappers (Delay, ARQ) accumulate the latency of the delivery
+// decision in flight through Add; the outermost Timed wrapper brackets
+// every top-level Deliver* call and turns the accumulated latency into
+// that delivery's completion time, decision time + latency. High tracks
+// the latest completion so far; a run's sim time is the maximum of its
+// final tick count and that high-water mark.
+//
+// Completions are not queued. A medium's time-dependent state is
+// evaluated when the medium is queried, against the latest Advance (see
+// Channel.Advance), and engines advance the medium to the current tick
+// before every query, so advancing it first through the completion
+// instants that fell due since the last tick could change nothing.
 //
 // An inactive timeline (transport layer off) is never consulted beyond a
 // nil/flag check, so the zero-delay tick path stays allocation- and
-// draw-identical to a run without the layer. High() tracks the latest
-// completion scheduled so far; a run's sim time is the maximum of its
-// final tick count and that high-water mark.
+// draw-identical to a run without the layer.
 type Timeline struct {
 	pend   float64
-	heap   []timelineEvent
-	seq    uint64
 	high   float64
 	active bool
 }
 
-type timelineEvent struct {
-	at  float64
-	seq uint64
-}
-
-// Reset re-initializes the timeline in place for a new run, keeping the
-// heap storage (pooled run states own one Timeline across runs). active
-// selects whether the transport layer is live this run.
+// Reset re-initializes the timeline in place for a new run (pooled run
+// states own one Timeline across runs). active selects whether the
+// transport layer is live this run.
 func (t *Timeline) Reset(active bool) {
-	t.pend, t.seq, t.high, t.active = 0, 0, 0, active
-	t.heap = t.heap[:0]
+	t.pend, t.high, t.active = 0, 0, active
 }
 
 // Active reports whether the time-realism layer is live. Safe on nil.
@@ -55,8 +47,8 @@ func (t *Timeline) Add(d float64) {
 // path that bypassed finish.
 func (t *Timeline) begin() { t.pend = 0 }
 
-// finish closes a top-level delivery bracket at decision time now: the
-// accumulated latency becomes a completion event at now + latency. It
+// finish closes a top-level delivery bracket at decision time now,
+// raising the high-water mark to the delivery's completion time. It
 // returns the delivery's latency (0 when none accumulated).
 func (t *Timeline) finish(now float64) float64 {
 	lat := t.pend
@@ -64,40 +56,18 @@ func (t *Timeline) finish(now float64) float64 {
 	if lat <= 0 {
 		return 0
 	}
-	at := now + lat
-	if at > t.high {
+	if at := now + lat; at > t.high {
 		t.high = at
 	}
-	t.push(timelineEvent{at: at, seq: t.seq})
-	t.seq++
 	return lat
 }
 
-// DrainTo pops every completion event due at or before now in (time, seq)
-// order, reporting each event's floored completion time to advance (the
-// medium's Advance, typically) so time-windowed fault state is evaluated
-// at delayed-delivery instants. Safe on nil.
-func (t *Timeline) DrainTo(now float64, advance func(uint64)) {
-	if t == nil {
-		return
-	}
-	for len(t.heap) > 0 && t.heap[0].at <= now {
-		ev := t.pop()
-		if advance != nil {
-			advance(uint64(ev.at))
-		}
-	}
-}
+// DrainTo does nothing: completions are not queued (see Timeline), so
+// none is ever due. It is kept, safe on nil, for callers that still
+// drain before advancing the medium.
+func (t *Timeline) DrainTo(now float64, advance func(uint64)) {}
 
-// Pending returns the number of scheduled completions not yet drained.
-func (t *Timeline) Pending() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.heap)
-}
-
-// High returns the latest completion time scheduled so far.
+// High returns the latest completion time so far.
 func (t *Timeline) High() float64 {
 	if t == nil {
 		return 0
@@ -105,68 +75,26 @@ func (t *Timeline) High() float64 {
 	return t.high
 }
 
-func (e timelineEvent) before(o timelineEvent) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	return e.seq < o.seq
-}
-
-func (t *Timeline) push(ev timelineEvent) {
-	t.heap = append(t.heap, ev)
-	i := len(t.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !t.heap[i].before(t.heap[parent]) {
-			break
-		}
-		t.heap[i], t.heap[parent] = t.heap[parent], t.heap[i]
-		i = parent
-	}
-}
-
-func (t *Timeline) pop() timelineEvent {
-	top := t.heap[0]
-	last := len(t.heap) - 1
-	t.heap[0] = t.heap[last]
-	t.heap = t.heap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(t.heap) && t.heap[l].before(t.heap[smallest]) {
-			smallest = l
-		}
-		if r < len(t.heap) && t.heap[r].before(t.heap[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			return top
-		}
-		t.heap[i], t.heap[smallest] = t.heap[smallest], t.heap[i]
-		i = smallest
-	}
-}
-
 // Timed is the outermost transport bracket: it wraps the fully composed
-// medium (including churn, so dead-endpoint short-circuits schedule no
-// events) and turns the latency the inner wrappers accumulated during
-// each top-level Deliver* call into a timeline completion event, feeding
-// the delivery-latency histogram. Built only when the spec has transport
-// components and the engine supplied a Timeline, so its per-delivery cost
-// never touches transport-free runs.
+// medium (including churn, so dead-endpoint short-circuits record no
+// latency) and closes the latency the inner wrappers accumulated during
+// each top-level Deliver* call on the timeline, counting it in the run's
+// delivery-latency tally. Built only when the spec has transport
+// components and the engine supplied a Timeline, so its per-delivery
+// cost never touches transport-free runs.
 type Timed struct {
 	inner Channel
 	tl    *Timeline
-	obs   *obs.Scope
+	tally *obs.Tally
 }
 
-// NewTimed wraps inner with the timeline bracket.
-func NewTimed(inner Channel, tl *Timeline, scope *obs.Scope) *Timed {
+// NewTimed wraps inner with the timeline bracket, counting delivery
+// latencies in tally (nil discards them).
+func NewTimed(inner Channel, tl *Timeline, tally *obs.Tally) *Timed {
 	if inner == nil {
 		inner = Perfect{}
 	}
-	return &Timed{inner: inner, tl: tl, obs: scope}
+	return &Timed{inner: inner, tl: tl, tally: tally}
 }
 
 // Advance implements Channel.
@@ -201,7 +129,7 @@ func (w *Timed) DeliverRoundTrip(p Packet) (bool, int) {
 
 func (w *Timed) close(p Packet) {
 	if lat := w.tl.finish(float64(p.Now)); lat > 0 {
-		w.obs.DeliveryLatency(lat)
+		w.tally.DeliveryLatency(lat)
 	}
 }
 

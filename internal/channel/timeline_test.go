@@ -3,30 +3,9 @@ package channel
 import (
 	"testing"
 
+	"geogossip/internal/obs"
 	"geogossip/internal/rng"
 )
-
-func TestTimelineHeapOrdering(t *testing.T) {
-	var tl Timeline
-	tl.Reset(true)
-	// Push out of order, with a time tie: pops must come back in
-	// (time, seq) order — seq breaks the 5.5 tie in push order.
-	for _, ev := range []timelineEvent{
-		{at: 5.5, seq: 0},
-		{at: 2.25, seq: 1},
-		{at: 5.5, seq: 2},
-		{at: 3.5, seq: 3},
-		{at: 0.75, seq: 4},
-	} {
-		tl.push(ev)
-	}
-	want := []timelineEvent{{0.75, 4}, {2.25, 1}, {3.5, 3}, {5.5, 0}, {5.5, 2}}
-	for i, w := range want {
-		if got := tl.pop(); got != w {
-			t.Fatalf("pop %d = %+v, want %+v", i, got, w)
-		}
-	}
-}
 
 func TestTimelineFinishSchedulesAndTracksHigh(t *testing.T) {
 	var tl Timeline
@@ -42,16 +21,17 @@ func TestTimelineFinishSchedulesAndTracksHigh(t *testing.T) {
 	if got := tl.finish(10); got != 3.5 {
 		t.Fatalf("finish latency %v, want 3.5", got)
 	}
-	if tl.Pending() != 1 || tl.High() != 13.5 {
-		t.Fatalf("after finish: pending %d high %v, want 1 and 13.5", tl.Pending(), tl.High())
+	if tl.High() != 13.5 {
+		t.Fatalf("after finish: high %v, want 13.5", tl.High())
 	}
-	// A bracket with no accumulated latency schedules nothing.
+	// A bracket with no accumulated latency completes nothing, however
+	// late its decision time.
 	tl.begin()
 	if got := tl.finish(20); got != 0 {
 		t.Fatalf("empty bracket latency %v, want 0", got)
 	}
-	if tl.Pending() != 1 {
-		t.Fatalf("empty bracket scheduled an event: pending %d", tl.Pending())
+	if tl.High() != 13.5 {
+		t.Fatalf("empty bracket moved high to %v", tl.High())
 	}
 	// An earlier completion never lowers the high-water mark.
 	tl.begin()
@@ -62,40 +42,6 @@ func TestTimelineFinishSchedulesAndTracksHigh(t *testing.T) {
 	}
 }
 
-func TestTimelineDrainToFloorsEventTimes(t *testing.T) {
-	var tl Timeline
-	tl.Reset(true)
-	for _, c := range []struct{ now, lat float64 }{
-		{99, 0.9},  // completes 99.9  -> advance(99)
-		{99, 1.2},  // completes 100.2 -> advance(100)
-		{100, 0.6}, // completes 100.6 -> advance(100)
-		{199, 0.9}, // completes 199.9 -> advance(199)
-		{199, 1.4}, // completes 200.4 -> advance(200), past the drain horizon below
-	} {
-		tl.begin()
-		tl.Add(c.lat)
-		tl.finish(c.now)
-	}
-	var got []uint64
-	tl.DrainTo(200, func(now uint64) { got = append(got, now) })
-	want := []uint64{99, 100, 100, 199}
-	if len(got) != len(want) {
-		t.Fatalf("drained %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("drained %v, want %v", got, want)
-		}
-	}
-	if tl.Pending() != 1 {
-		t.Fatalf("events past the horizon must stay pending, got %d", tl.Pending())
-	}
-	tl.DrainTo(1000, nil) // nil advance is allowed: events are discarded
-	if tl.Pending() != 0 {
-		t.Fatalf("final drain left %d events", tl.Pending())
-	}
-}
-
 func TestTimelineNilAndInactiveAreSafe(t *testing.T) {
 	var nilTL *Timeline
 	if nilTL.Active() {
@@ -103,7 +49,7 @@ func TestTimelineNilAndInactiveAreSafe(t *testing.T) {
 	}
 	nilTL.Add(5)
 	nilTL.DrainTo(100, func(uint64) { t.Fatal("nil timeline drained an event") })
-	if nilTL.Pending() != 0 || nilTL.High() != 0 {
+	if nilTL.High() != 0 {
 		t.Fatal("nil timeline reported state")
 	}
 	var tl Timeline
@@ -113,7 +59,7 @@ func TestTimelineNilAndInactiveAreSafe(t *testing.T) {
 	}
 }
 
-func TestTimelineResetClearsStateKeepsStorage(t *testing.T) {
+func TestTimelineResetClearsState(t *testing.T) {
 	var tl Timeline
 	tl.Reset(true)
 	for i := 0; i < 64; i++ {
@@ -121,13 +67,10 @@ func TestTimelineResetClearsStateKeepsStorage(t *testing.T) {
 		tl.Add(float64(i) + 0.5)
 		tl.finish(float64(i))
 	}
-	grown := cap(tl.heap)
-	tl.Reset(true)
-	if tl.Pending() != 0 || tl.High() != 0 || tl.seq != 0 || tl.pend != 0 {
-		t.Fatalf("reset left state: pending %d high %v seq %d pend %v", tl.Pending(), tl.High(), tl.seq, tl.pend)
-	}
-	if cap(tl.heap) != grown {
-		t.Fatalf("reset dropped heap storage: cap %d, want %d", cap(tl.heap), grown)
+	tl.Add(2) // latency of a bracket left open
+	tl.Reset(false)
+	if tl.High() != 0 || tl.pend != 0 || tl.Active() {
+		t.Fatalf("reset left state: high %v pend %v active %v", tl.High(), tl.pend, tl.Active())
 	}
 }
 
@@ -135,7 +78,8 @@ func TestTimedBracketSchedulesPerDelivery(t *testing.T) {
 	var tl Timeline
 	tl.Reset(true)
 	inner := NewDelay(Perfect{}, DelayParams{Kind: DelayFixed, A: 2}, 0, 0, rng.New(1), &tl)
-	ch := NewTimed(inner, &tl, nil)
+	var tally obs.Tally
+	ch := NewTimed(inner, &tl, &tally)
 	if got := ch.Name(); got != "delay" {
 		t.Fatalf("timed bracket leaked into the name: %q", got)
 	}
@@ -145,19 +89,32 @@ func TestTimedBracketSchedulesPerDelivery(t *testing.T) {
 		t.Fatalf("DeliverRoute = %v, %d", ok, paid)
 	}
 	// One completion at decision time + hops x fixed delay = 7 + 6.
-	if tl.Pending() != 1 || tl.High() != 13 {
-		t.Fatalf("pending %d high %v, want 1 and 13", tl.Pending(), tl.High())
+	if tl.High() != 13 {
+		t.Fatalf("high %v, want 13", tl.High())
 	}
-	var at []uint64
-	tl.DrainTo(100, func(now uint64) { at = append(at, now) })
-	if len(at) != 1 || at[0] != 13 {
-		t.Fatalf("drained %v, want [13]", at)
+	// The bracket counted one delivery of latency 6 in the run's tally
+	// (bucket le=16), which reaches the registry only at run end.
+	reg := obs.NewRegistry()
+	scope := reg.Scope("test")
+	if got := reg.Flatten()[`geogossip_delivery_latency_count{engine="test"}`]; got != 0 {
+		t.Fatalf("latency reached the registry before the flush: %v", got)
+	}
+	scope.EndRun(&tally, 0, 0, 0, 0, 0, false, 0)
+	flat := reg.Flatten()
+	if got := flat[`geogossip_delivery_latency_count{engine="test"}`]; got != 1 {
+		t.Fatalf("latency count %v, want 1", got)
+	}
+	if got := flat[`geogossip_delivery_latency_bucket{engine="test",le="4"}`]; got != 0 {
+		t.Fatalf("latency 6 counted at le=4: %v", got)
+	}
+	if got := flat[`geogossip_delivery_latency_bucket{engine="test",le="16"}`]; got != 1 {
+		t.Fatalf("latency 6 missing at le=16: %v", got)
 	}
 }
 
 // TestTransportOffTickPathAllocFree pins the zero-delay/ARQ-off contract:
 // a pooled channel without transport components must deliver and advance
-// without touching the heap, exactly like the pre-transport layer did.
+// without allocating, exactly like the pre-transport layer did.
 func TestTransportOffTickPathAllocFree(t *testing.T) {
 	spec, err := Parse("bernoulli:0.2")
 	if err != nil {
@@ -179,16 +136,15 @@ func TestTransportOffTickPathAllocFree(t *testing.T) {
 		ch.DeliverHop(p)
 		ch.DeliverRoute(p)
 		ch.DeliverRoundTrip(p)
-		tl.DrainTo(float64(now), nil)
 	})
 	if allocs != 0 {
 		t.Fatalf("transport-off tick path allocates %v per tick, want 0", allocs)
 	}
 }
 
-// TestTransportTickPathAllocFree guards the live transport path too: with
-// the timeline warmed up (heap capacity established) a pooled
-// delay+ARQ channel delivers, schedules, and drains without allocating.
+// TestTransportTickPathAllocFree guards the live transport path too: a
+// pooled delay+ARQ channel counting into a tally delivers and records
+// latency without allocating, from its first delivery on.
 func TestTransportTickPathAllocFree(t *testing.T) {
 	spec, err := Parse("bernoulli:0.2+delay:exp/0.5+arq:2/1/2")
 	if err != nil {
@@ -196,8 +152,9 @@ func TestTransportTickPathAllocFree(t *testing.T) {
 	}
 	var pool Pool
 	var tl Timeline
+	var tally obs.Tally
 	tl.Reset(true)
-	ch, err := spec.BuildWith(&pool, 16, Env{Timeline: &tl}, rng.New(3), rng.New(4))
+	ch, err := spec.BuildWith(&pool, 16, Env{Timeline: &tl, Tally: &tally}, rng.New(3), rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,10 +166,6 @@ func TestTransportTickPathAllocFree(t *testing.T) {
 		p.Now = now
 		ch.DeliverHop(p)
 		ch.DeliverRoute(p)
-		tl.DrainTo(float64(now), func(uint64) {})
-	}
-	for i := 0; i < 64; i++ {
-		tick() // warm the heap past its steady-state capacity
 	}
 	if allocs := testing.AllocsPerRun(1000, tick); allocs != 0 {
 		t.Fatalf("transport tick path allocates %v per tick after warmup, want 0", allocs)

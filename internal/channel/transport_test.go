@@ -48,11 +48,19 @@ func (c *collect) count(k trace.Kind) int {
 	return n
 }
 
-func TestARQRetriesUntilSuccess(t *testing.T) {
+// flushed adds tally to a fresh registry's "test" scope through the
+// run-end flush and returns that registry.
+func flushed(tally *obs.Tally) *obs.Registry {
 	reg := obs.NewRegistry()
+	reg.Scope("test").EndRun(tally, 0, 0, 0, 0, 0, false, 0)
+	return reg
+}
+
+func TestARQRetriesUntilSuccess(t *testing.T) {
+	var tally obs.Tally
 	inner := &script{verdicts: []bool{false, false, true}}
 	var tr collect
-	a := NewARQ(inner, ARQParams{Retries: 5, Timeout: 1, Backoff: 2}, rng.New(7), nil, reg.Scope("test"), &tr)
+	a := NewARQ(inner, ARQParams{Retries: 5, Timeout: 1, Backoff: 2}, rng.New(7), nil, &tally, &tr)
 	ok, paid := a.DeliverHop(pkt(3, 9, 1))
 	if !ok || paid != 2 {
 		t.Fatalf("DeliverHop = %v, %d; want success paying the 2 failed attempts", ok, paid)
@@ -60,11 +68,21 @@ func TestARQRetriesUntilSuccess(t *testing.T) {
 	if inner.calls != 3 {
 		t.Fatalf("inner saw %d attempts, want 3", inner.calls)
 	}
+	reg := flushed(&tally)
 	if got := reg.Counter(obs.MetricARQTimeouts, "", "engine", "test").Value(); got != 2 {
 		t.Fatalf("timeout counter %d, want 2", got)
 	}
 	if got := reg.Counter(obs.MetricRetransmissions, "", "engine", "test").Value(); got != 2 {
 		t.Fatalf("retransmit counter %d, want 2", got)
+	}
+	// Both waits (1 and 2, plus jitter under half of each) land in the
+	// backoff histogram's le=4 bucket.
+	flat := reg.Flatten()
+	if got := flat[`geogossip_arq_backoff_wait_count{engine="test"}`]; got != 2 {
+		t.Fatalf("backoff wait count %v, want 2", got)
+	}
+	if got := flat[`geogossip_arq_backoff_wait_bucket{engine="test",le="4"}`]; got != 2 {
+		t.Fatalf("backoff waits at le=4: %v, want 2", got)
 	}
 	if tr.count(trace.KindTimeout) != 2 || tr.count(trace.KindRetransmit) != 2 {
 		t.Fatalf("traced %d timeouts, %d retransmits; want 2 and 2",
@@ -83,9 +101,9 @@ func TestARQRetriesUntilSuccess(t *testing.T) {
 }
 
 func TestARQExhaustsBudget(t *testing.T) {
-	reg := obs.NewRegistry()
+	var tally obs.Tally
 	inner := &script{verdicts: []bool{false}}
-	a := NewARQ(inner, ARQParams{Retries: 3, Timeout: 1, Backoff: 2}, rng.New(7), nil, reg.Scope("test"), nil)
+	a := NewARQ(inner, ARQParams{Retries: 3, Timeout: 1, Backoff: 2}, rng.New(7), nil, &tally, nil)
 	ok, paid := a.DeliverRoute(pkt(0, 1, 5))
 	if ok || paid != 4 {
 		t.Fatalf("DeliverRoute = %v, %d; want give-up billing all 4 attempts", ok, paid)
@@ -95,6 +113,7 @@ func TestARQExhaustsBudget(t *testing.T) {
 	}
 	// Every lost attempt times out; only the retried ones count as
 	// retransmissions — the last timeout is the give-up.
+	reg := flushed(&tally)
 	if got := reg.Counter(obs.MetricARQTimeouts, "", "engine", "test").Value(); got != 4 {
 		t.Fatalf("timeout counter %d, want 4", got)
 	}
@@ -197,10 +216,9 @@ func TestDelayLeavesLossStreamUntouched(t *testing.T) {
 		if okA != okB {
 			t.Fatalf("delivery %d: transport layer changed the loss verdict (%v vs %v)", i, okA, okB)
 		}
-		tl.DrainTo(float64(i), nil)
 	}
 	if tl.High() == 0 {
-		t.Fatal("delayed channel scheduled nothing — transport layer inert")
+		t.Fatal("delayed channel added no latency — transport layer inert")
 	}
 }
 
@@ -221,8 +239,8 @@ func TestARQOnPerfectMediumIsInert(t *testing.T) {
 			t.Fatalf("delivery %d = %v, %d; ARQ on a perfect medium must be free", i, ok, paid)
 		}
 	}
-	if tl.Pending() != 0 || tl.High() != 0 {
-		t.Fatalf("ARQ on a perfect medium scheduled events: pending %d high %v", tl.Pending(), tl.High())
+	if tl.High() != 0 {
+		t.Fatalf("ARQ on a perfect medium added latency: high %v", tl.High())
 	}
 	if got, want := lossRNG.Uint64(), rng.New(17).Uint64(); got != want {
 		t.Fatal("ARQ on a perfect medium consumed loss randomness")
@@ -258,16 +276,19 @@ func TestPoolTransportBuildMatchesFresh(t *testing.T) {
 	}
 	var pool Pool
 	var tlFresh, tlPooled Timeline
+	var tallyFresh, tallyPooled obs.Tally
 	// Two pooled builds in a row: the second must reseed the kept
 	// transport streams back to the fresh-build sequence.
 	for round := 0; round < 2; round++ {
 		tlFresh.Reset(true)
 		tlPooled.Reset(true)
-		fresh, err := spec.Build(8, Env{Timeline: &tlFresh}, rng.New(42), rng.New(43))
+		tallyFresh.Reset()
+		tallyPooled.Reset()
+		fresh, err := spec.Build(8, Env{Timeline: &tlFresh, Tally: &tallyFresh}, rng.New(42), rng.New(43))
 		if err != nil {
 			t.Fatal(err)
 		}
-		pooled, err := spec.BuildWith(&pool, 8, Env{Timeline: &tlPooled}, rng.New(42), rng.New(43))
+		pooled, err := spec.BuildWith(&pool, 8, Env{Timeline: &tlPooled, Tally: &tallyPooled}, rng.New(42), rng.New(43))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,18 +317,22 @@ func TestPoolTransportBuildMatchesFresh(t *testing.T) {
 				t.Fatalf("round %d delivery %d: fresh (%v, %d) vs pooled (%v, %d)", round, i, okA, paidA, okB, paidB)
 			}
 		}
-		if tlFresh.High() != tlPooled.High() || tlFresh.Pending() != tlPooled.Pending() {
-			t.Fatalf("round %d: timelines diverged: high %v/%v pending %d/%d",
-				round, tlFresh.High(), tlPooled.High(), tlFresh.Pending(), tlPooled.Pending())
+		if tlFresh.High() != tlPooled.High() {
+			t.Fatalf("round %d: timelines diverged: high %v/%v", round, tlFresh.High(), tlPooled.High())
+		}
+		if tallyFresh != tallyPooled {
+			t.Fatalf("round %d: tallies diverged:\nfresh:  %+v\npooled: %+v", round, tallyFresh, tallyPooled)
 		}
 	}
 }
 
-// TestScheduledFaultsFireAtEventInstants is the time-realism equivalence
-// contract: a fault window boundary crossed by a delayed-delivery
-// completion (a fractional instant reported through Timeline.DrainTo)
-// flips jam schedules, cut heals, and churn state exactly as the same
-// floored instant reached by a plain tick does.
+// TestScheduledFaultsFireAtEventInstants pins the replace-on-Advance
+// contract the transport layer relies on (Channel.Advance): a medium
+// advanced through the floored completion instants of delayed deliveries
+// before each check time answers every Alive and DeliverHop query exactly
+// as one advanced straight to the check time. The instants straddle a
+// jam window, a cut window and many churn flips, so no time-windowed
+// fault state may depend on the intermediate steps.
 func TestScheduledFaultsFireAtEventInstants(t *testing.T) {
 	spec, err := Parse("jam:0.5/0.5/0.3/1/100/200+cut:1/0/0.5/150/400+churn:50/10")
 	if err != nil {
@@ -321,47 +346,40 @@ func TestScheduledFaultsFireAtEventInstants(t *testing.T) {
 		}
 		return ch
 	}
-	tickCh, evCh := build(), build()
+	stepped, direct := build(), build()
 
 	// Fractional completion instants straddling every boundary: the jam
 	// window open (100) and close (200), the cut window (150, 400), and
 	// plenty of churn flips in between (mean up 50, down 10).
 	instants := []float64{12.7, 98.4, 99.9, 100.0, 100.6, 149.2, 150.7, 199.9, 200.1, 350.4, 400.2, 455.5}
-	var tl Timeline
-	tl.Reset(true)
-	for _, at := range instants {
-		tl.begin()
-		tl.Add(at)
-		tl.finish(0)
-	}
-
-	check := func(now uint64) {
-		tickCh.Advance(now) // the plain tick crossing the same boundary
+	checks := []uint64{13, 99, 100, 101, 150, 151, 200, 201, 351, 401, 456, 1000}
+	next := 0
+	for _, now := range checks {
+		for next < len(instants) && instants[next] <= float64(now) {
+			stepped.Advance(uint64(instants[next]))
+			next++
+		}
+		stepped.Advance(now)
+		direct.Advance(now)
 		for src := int32(0); src < int32(len(pts)); src++ {
+			if a, b := direct.Alive(src), stepped.Alive(src); a != b {
+				t.Fatalf("t=%d: alive(%d) %v advanced directly, %v through the instants", now, src, a, b)
+			}
 			for dst := int32(0); dst < int32(len(pts)); dst++ {
 				if src == dst {
 					continue
 				}
-				if a, b := tickCh.Alive(src), evCh.Alive(src); a != b {
-					t.Fatalf("t=%d: alive(%d) %v via tick, %v via event", now, src, a, b)
-				}
 				p := Packet{Src: src, Dst: dst, Hops: 1, Now: now, SrcPos: pts[src], DstPos: pts[dst]}
-				okA, paidA := tickCh.DeliverHop(p)
-				okB, paidB := evCh.DeliverHop(p)
+				okA, paidA := direct.DeliverHop(p)
+				okB, paidB := stepped.DeliverHop(p)
 				if okA != okB || paidA != paidB {
-					t.Fatalf("t=%d: hop %d->%d (%v, %d) via tick, (%v, %d) via event", now, src, dst, okA, paidA, okB, paidB)
+					t.Fatalf("t=%d: hop %d->%d (%v, %d) advanced directly, (%v, %d) through the instants", now, src, dst, okA, paidA, okB, paidB)
 				}
 			}
 		}
 	}
-	drained := 0
-	tl.DrainTo(1000, func(now uint64) {
-		evCh.Advance(now) // delayed-delivery completion advances the medium
-		check(now)
-		drained++
-	})
-	if drained != len(instants) {
-		t.Fatalf("drained %d events, want %d", drained, len(instants))
+	if next != len(instants) {
+		t.Fatalf("stepped through %d instants, want %d", next, len(instants))
 	}
 }
 
@@ -386,32 +404,33 @@ func TestTransportSpecRejections(t *testing.T) {
 }
 
 // Benchmark the transport wrappers' per-delivery cost — the hot path
-// every data packet of a time-realism run goes through (drained each
-// iteration so the timeline heap stays at steady-state size).
+// every data packet of a time-realism run goes through: the random
+// draws, the latency added to the timeline, and the plain-field counts
+// in the run's tally (no atomics; the tally flushes at run end).
 func BenchmarkDelayHop(b *testing.B) {
 	var tl Timeline
+	var tally obs.Tally
 	tl.Reset(true)
 	inner := &Bernoulli{P: 0.2, R: rng.New(1)}
-	ch := NewTimed(NewDelay(inner, DelayParams{Kind: DelayExp, A: 0.5}, 0.1, 0.05, rng.New(2), &tl), &tl, nil)
+	ch := NewTimed(NewDelay(inner, DelayParams{Kind: DelayExp, A: 0.5}, 0.1, 0.05, rng.New(2), &tl), &tl, &tally)
 	p := pkt(0, 1, 1)
 	for i := 0; i < b.N; i++ {
 		p.Now = uint64(i)
 		_, paid := ch.DeliverHop(p)
 		benchSink += paid
-		tl.DrainTo(float64(p.Now), nil)
 	}
 }
 
 func BenchmarkARQHop(b *testing.B) {
 	var tl Timeline
+	var tally obs.Tally
 	tl.Reset(true)
 	inner := &Bernoulli{P: 0.2, R: rng.New(1)}
-	ch := NewTimed(NewARQ(inner, ARQParams{Retries: 3, Timeout: 1, Backoff: 2}, rng.New(2), &tl, nil, nil), &tl, nil)
+	ch := NewTimed(NewARQ(inner, ARQParams{Retries: 3, Timeout: 1, Backoff: 2}, rng.New(2), &tl, &tally, nil), &tl, &tally)
 	p := pkt(0, 1, 1)
 	for i := 0; i < b.N; i++ {
 		p.Now = uint64(i)
 		_, paid := ch.DeliverHop(p)
 		benchSink += paid
-		tl.DrainTo(float64(p.Now), nil)
 	}
 }

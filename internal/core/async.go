@@ -79,8 +79,8 @@ type AsyncOptions struct {
 	// (activations, deactivations, far exchanges, losses, resyncs,
 	// churn transitions).
 	Tracer trace.Tracer
-	// Obs, when non-nil, receives metrics through the label-free fast
-	// path (see obs.Scope). Nil costs nothing.
+	// Obs, when non-nil, receives the run's metrics in one flush at run
+	// end (see obs.Scope). Nil costs nothing.
 	Obs *obs.Scope
 }
 
@@ -238,7 +238,7 @@ func RunAsync(g *graph.Graph, h *hier.Hierarchy, x []float64, opt AsyncOptions, 
 	// same stream the inline checks used, keeping pre-channel runs
 	// bit-identical) and churn schedules from their own stream.
 	st.tline.Reset(spec.HasTransport())
-	medium, err := spec.BuildWith(&st.ch, g.N(), st.faultEnv(g, h, spec, opt.Obs, opt.Tracer), e.protoRNG, st.stream(&st.churnRNG, r, "churn"))
+	medium, err := spec.BuildWith(&st.ch, g.N(), st.faultEnv(g, h, spec, &st.harness.Tally, opt.Tracer), e.protoRNG, st.stream(&st.churnRNG, r, "churn"))
 	if err != nil {
 		return nil, err
 	}
@@ -313,7 +313,7 @@ func (e *asyncEngine) heal() {
 	for _, id := range changed {
 		sq := e.h.Squares[id]
 		e.reelections++
-		e.st.chargeReelection(sq, alive, e.opt.Recovery, &e.run.Counter, e.opt.Tracer, e.run.Scope)
+		e.st.chargeReelection(sq, alive, e.opt.Recovery, &e.run.Counter, e.opt.Tracer, &e.run.Tally)
 		// The successor restarts the square's round from scratch.
 		e.count[id] = 0
 	}
@@ -346,12 +346,12 @@ func (e *asyncEngine) heal() {
 			e.run.Counter.Add(sim.CatControl, 2)
 			e.resyncs++
 			leaf := int(e.h.NodeLeaf[i])
-			e.run.Scope.Churn(true)
-			e.run.Scope.Resync()
+			e.run.Tally.Churn(true)
+			e.run.Tally.Resync()
 			e.run.Trace(trace.Event{Kind: trace.KindChurn, Square: leaf, NodeA: int32(i), NodeB: 1})
 			e.run.Trace(trace.Event{Kind: trace.KindResync, Square: leaf, NodeA: int32(i), NodeB: donor, Hops: 2})
 		} else if !up && e.prevAlive[i] {
-			e.run.Scope.Churn(false)
+			e.run.Tally.Churn(false)
 			e.run.Trace(trace.Event{Kind: trace.KindChurn, Square: int(e.h.NodeLeaf[i]), NodeA: int32(i), NodeB: 0})
 		}
 		e.prevAlive[i] = up
@@ -566,7 +566,7 @@ func (e *asyncEngine) far(sq *hier.Square) {
 	if !ok {
 		e.run.Counter.Add(sim.CatFar, paid)
 		e.res.RouteFailures++
-		e.run.Scope.Loss(paid)
+		e.run.Tally.Loss(paid)
 		e.run.Trace(trace.Event{Kind: trace.KindLoss, Square: sq.ID, NodeA: myRep, NodeB: partnerRep, Hops: paid})
 		return
 	}
@@ -587,7 +587,7 @@ func (e *asyncEngine) far(sq *hier.Square) {
 	e.run.Tracker.Set(myRep, xi+coeff*(xj-xi))
 	e.run.Tracker.Set(partnerRep, xj+coeff*(xi-xj))
 	e.res.FarExchanges++
-	e.run.Scope.FarExchange(hops)
+	e.run.Tally.FarExchange(hops)
 	e.run.Trace(trace.Event{Kind: trace.KindFar, Square: sq.ID, NodeA: myRep, NodeB: partnerRep, Hops: hops})
 	// §4.2 Far step 5: the partner's counter resets too, re-activating its
 	// subtree for re-averaging.

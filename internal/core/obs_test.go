@@ -94,51 +94,58 @@ func TestInstrumentedPooledBitIdenticalCore(t *testing.T) {
 
 // TestInstrumentedTicksAllocFreeCore repeats the steady-state zero-alloc
 // assertions with a live registry scope attached to both hierarchy
-// engines: per-event reporting is pure atomics.
+// engines, on the perfect medium and on a delay+ARQ medium whose
+// transport wrappers count into the run's tally: per-event counts are
+// plain fields, flushed to the registry only at run end.
 func TestInstrumentedTicksAllocFreeCore(t *testing.T) {
-	reg := obs.NewRegistry()
+	for _, faults := range []string{"", "bernoulli:0.1+delay:exp/0.5+arq:3/1/2"} {
+		reg := obs.NewRegistry()
+		spec := coreSpec(t, faults)
 
-	f := newFixture(t, 512, 1.8, 990, hier.Config{})
-	st := NewRunState()
-	if _, err := RunAsync(f.g, f.h, randomValues(f.g.N(), 991), AsyncOptions{
-		Eps:         1e-2,
-		RecordEvery: math.MaxUint64 >> 1,
-		Stop:        sim.StopRule{MaxTicks: 200_000},
-		State:       st,
-		Obs:         reg.Scope("async"),
-	}, rng.New(992)); err != nil {
-		t.Fatal(err)
-	}
-	e := &st.async
-	for i := 0; i < 2000; i++ {
-		e.step()
-	}
-	if avg := testing.AllocsPerRun(500, e.step); avg != 0 {
-		t.Errorf("async: %v allocs per instrumented steady-state tick, want 0", avg)
-	}
+		f := newFixture(t, 512, 1.8, 990, hier.Config{})
+		st := NewRunState()
+		if _, err := RunAsync(f.g, f.h, randomValues(f.g.N(), 991), AsyncOptions{
+			Eps:         1e-2,
+			RecordEvery: math.MaxUint64 >> 1,
+			Stop:        sim.StopRule{MaxTicks: 200_000},
+			Faults:      spec,
+			State:       st,
+			Obs:         reg.Scope("async"),
+		}, rng.New(992)); err != nil {
+			t.Fatal(err)
+		}
+		e := &st.async
+		for i := 0; i < 2000; i++ {
+			e.step()
+		}
+		if avg := testing.AllocsPerRun(500, e.step); avg != 0 {
+			t.Errorf("async on %q: %v allocs per instrumented steady-state tick, want 0", faults, avg)
+		}
 
-	f2 := newFixture(t, 512, 1.8, 995, hier.Config{})
-	st2 := NewRunState()
-	if _, err := RunRecursive(f2.g, f2.h, randomValues(f2.g.N(), 996), RecursiveOptions{
-		Eps:         1e-2,
-		RecordEvery: 1 << 40,
-		State:       st2,
-		Obs:         reg.Scope("affine"),
-	}, rng.New(997)); err != nil {
-		t.Fatal(err)
-	}
-	re := &st2.rec
-	root := f2.h.Root()
-	m, _ := re.kidCount(root)
-	if m < 2 {
-		t.Skip("root has fewer than two populated children")
-	}
-	a, b := re.kid(root, 0), re.kid(root, 1)
-	warm := func() { re.farExchange(a, b) }
-	for i := 0; i < 100; i++ {
-		warm()
-	}
-	if avg := testing.AllocsPerRun(500, warm); avg != 0 {
-		t.Errorf("recursive far exchange: %v allocs instrumented, want 0", avg)
+		f2 := newFixture(t, 512, 1.8, 995, hier.Config{})
+		st2 := NewRunState()
+		if _, err := RunRecursive(f2.g, f2.h, randomValues(f2.g.N(), 996), RecursiveOptions{
+			Eps:         1e-2,
+			RecordEvery: 1 << 40,
+			Faults:      spec,
+			State:       st2,
+			Obs:         reg.Scope("affine"),
+		}, rng.New(997)); err != nil {
+			t.Fatal(err)
+		}
+		re := &st2.rec
+		root := f2.h.Root()
+		m, _ := re.kidCount(root)
+		if m < 2 {
+			t.Skip("root has fewer than two populated children")
+		}
+		a, b := re.kid(root, 0), re.kid(root, 1)
+		warm := func() { re.farExchange(a, b) }
+		for i := 0; i < 100; i++ {
+			warm()
+		}
+		if avg := testing.AllocsPerRun(500, warm); avg != 0 {
+			t.Errorf("recursive far exchange on %q: %v allocs instrumented, want 0", faults, avg)
+		}
 	}
 }

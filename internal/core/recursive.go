@@ -137,10 +137,9 @@ type RecursiveOptions struct {
 	// Tracer, when non-nil, receives structured protocol events (far
 	// exchanges, leaf completions, losses).
 	Tracer trace.Tracer
-	// Obs, when non-nil, receives metrics through the label-free fast
-	// path (see obs.Scope). Per-run totals flush at run end; only loss
-	// and recovery events report per event, so the ~100ns far-exchange
-	// hot path stays atomic-free.
+	// Obs, when non-nil, receives the run's metrics in one flush at run
+	// end (see obs.Scope), so the ~100ns far-exchange hot path stays
+	// atomic-free. Nil costs nothing.
 	Obs *obs.Scope
 }
 
@@ -210,6 +209,9 @@ type engine struct {
 	curve   metrics.Curve
 	scale0  float64
 	obs     *obs.Scope
+	// tally counts the run's per-event metrics; the struct reset at run
+	// start zeroes it, and the run-end flush hands it to obs.
+	tally   obs.Tally
 	pick    *rng.RNG
 	leafRNG *rng.RNG
 	// ch is the radio medium every data packet goes through; its clock
@@ -258,7 +260,7 @@ func RunRecursive(g *graph.Graph, h *hier.Hierarchy, x []float64, opt RecursiveO
 	// view and the copy-on-write repair table for this run.
 	st.bind(g, h, opt.Recovery, opt.Routes)
 	st.tline.Reset(spec.HasTransport())
-	ch, err := spec.BuildWith(&st.ch, g.N(), st.faultEnv(g, h, spec, opt.Obs, opt.Tracer),
+	ch, err := spec.BuildWith(&st.ch, g.N(), st.faultEnv(g, h, spec, &st.rec.tally, opt.Tracer),
 		st.stream(&st.lossRNG, r, "loss"), st.stream(&st.churnRNG, r, "churn"))
 	if err != nil {
 		return nil, err
@@ -295,13 +297,13 @@ func RunRecursive(g *graph.Graph, h *hier.Hierarchy, x []float64, opt RecursiveO
 	e.curve.Record(e.res.FarExchanges, e.counter.Total(), finalErr)
 	converged := finalErr <= opt.Eps || atConsensus
 	// This engine has no harness, so it flushes its run totals itself:
-	// category counts, the far-exchange count (bulk, keeping the exchange
-	// hot path atomic-free), and convergence. Ticks = far exchanges, the
-	// engine's clock.
-	e.obs.EndRun(e.counter.Get(sim.CatNear), e.counter.Get(sim.CatFar),
+	// the tally with the far-exchange count added (the exchange hot path
+	// counts only in the result), category counts and convergence.
+	// Ticks = far exchanges, the engine's clock.
+	e.tally.AddFarExchanges(e.res.FarExchanges)
+	e.obs.EndRun(&e.tally, e.counter.Get(sim.CatNear), e.counter.Get(sim.CatFar),
 		e.counter.Get(sim.CatControl), e.counter.Get(sim.CatFlood),
 		e.res.FarExchanges, converged, finalErr)
-	e.obs.AddFarExchanges(e.res.FarExchanges)
 	e.res.Result = &metrics.Result{
 		Algorithm:               name,
 		N:                       g.N(),
@@ -326,10 +328,10 @@ func RunRecursive(g *graph.Graph, h *hier.Hierarchy, x []float64, opt RecursiveO
 
 // faultEnv assembles the network context spatial, targeted and transport
 // fault models bind to: positions always, the state's timeline plus the
-// run's observability hooks for delay/arq wrappers, and hierarchy
+// run's tally and tracer for delay/arq wrappers, and hierarchy
 // representatives and the degree order only when the spec asks for them.
-func (st *RunState) faultEnv(g *graph.Graph, h *hier.Hierarchy, spec channel.Spec, scope *obs.Scope, tracer trace.Tracer) channel.Env {
-	env := channel.Env{Points: g.Points(), Timeline: &st.tline, Obs: scope, Tracer: tracer}
+func (st *RunState) faultEnv(g *graph.Graph, h *hier.Hierarchy, spec channel.Spec, tally *obs.Tally, tracer trace.Tracer) channel.Env {
+	env := channel.Env{Points: g.Points(), Timeline: &st.tline, Tally: tally, Tracer: tracer}
 	if spec.TargetsReps() {
 		env.Reps = h.Reps()
 	}
@@ -481,7 +483,7 @@ func (e *engine) farExchange(a, b *hier.Square) {
 		// apply no update (the oracle loop simply runs another round).
 		e.counter.Add(sim.CatFar, paid)
 		e.res.RouteFailures++
-		e.obs.Loss(paid)
+		e.tally.Loss(paid)
 		if e.opt.Tracer != nil {
 			e.opt.Tracer.Record(trace.Event{Kind: trace.KindLoss, Square: a.ID, NodeA: ra, NodeB: rb, Hops: paid})
 		}
@@ -521,16 +523,11 @@ func (e *engine) farExchange(a, b *hier.Square) {
 }
 
 // advance moves the medium to the engine's current clock reading (the
-// transmission counter), first draining any due transport completions in
-// deterministic (time, seq) order so time-windowed fault state flips at
-// delayed-delivery instants exactly as at counter crossings. One branch
-// when the timeline is inactive.
+// transmission counter). Transport completions that fell due since the
+// last reading need no step of their own: the medium evaluates its
+// time-dependent state when queried, against the latest Advance.
 func (e *engine) advance() {
-	now := e.counter.Total()
-	if e.st.tline.Active() {
-		e.st.tline.DrainTo(float64(now), e.ch.Advance)
-	}
-	e.ch.Advance(now)
+	e.ch.Advance(e.counter.Total())
 }
 
 // packet assembles the delivery context for a transmission: endpoint
@@ -554,7 +551,7 @@ func (e *engine) ensureRep(sq *hier.Square) bool {
 	next, changed := e.view.ReelectSquare(sq.ID, e.ch.Alive)
 	if changed {
 		e.res.Reelections++
-		e.st.chargeReelection(sq, e.ch.Alive, e.opt.Recovery, &e.counter, e.opt.Tracer, e.obs)
+		e.st.chargeReelection(sq, e.ch.Alive, e.opt.Recovery, &e.counter, e.opt.Tracer, &e.tally)
 	}
 	return next >= 0
 }
@@ -568,7 +565,7 @@ func (e *engine) ensureRep(sq *hier.Square) bool {
 // the bridges, not just their route lengths). The view already holds the
 // successor; all scratch is state-owned and reused across elections.
 func (st *RunState) chargeReelection(sq *hier.Square, alive func(int32) bool,
-	rec routing.Recovery, counter *sim.Counter, tracer trace.Tracer, scope *obs.Scope) {
+	rec routing.Recovery, counter *sim.Counter, tracer trace.Tracer, tally *obs.Tally) {
 	cost := 0
 	for _, m := range sq.Members {
 		if alive(m) {
@@ -579,7 +576,7 @@ func (st *RunState) chargeReelection(sq *hier.Square, alive func(int32) bool,
 	if sq.IsLeaf() {
 		st.repairLeafSquareInto(st.mutableRepair(), sq, st.view.Rep(sq.ID), rec)
 	}
-	scope.Reelection()
+	tally.Reelection()
 	if tracer != nil {
 		tracer.Record(trace.Event{Kind: trace.KindReelect, Square: sq.ID, NodeA: st.view.Rep(sq.ID), NodeB: -1, Hops: cost})
 	}
@@ -663,7 +660,7 @@ func (e *engine) leafAverage(sq *hier.Square, eps float64) {
 		if !ok {
 			e.counter.Add(sim.CatNear, paid) // lost outbound value
 			charged += paid
-			e.obs.Loss(paid)
+			e.tally.Loss(paid)
 			continue
 		}
 		xu, xv := e.x[u], e.x[v]

@@ -65,10 +65,10 @@ type RunState struct {
 	// supplies no shared one, kept per bound graph.
 	privRoutes *routing.Cache
 	ch         channel.Pool
-	// tline is the transport event clock (DESIGN.md §12), reset per run
-	// before the medium is built so delay/arq wrappers can schedule
-	// completions on it. Inactive (and cost-free) without transport
-	// components in the fault spec.
+	// tline is the transport clock (DESIGN.md §12), reset per run
+	// before the medium is built so delay/arq wrappers can add latency
+	// to it. Inactive (and cost-free) without transport components in
+	// the fault spec.
 	tline channel.Timeline
 
 	// Named streams, reseeded per run via StreamInto.

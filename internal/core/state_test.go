@@ -25,6 +25,8 @@ var coreStateConfigs = []struct {
 	{name: "churn-recover", faults: "churn:60000/20000", recover: true},
 	{name: "repchurn-recover", faults: "repchurn:60000/60000", recover: true},
 	{name: "jam", faults: "jam:0.5/0.5/0.25/0.9"},
+	{name: "delay-arq", faults: "bernoulli:0.1+delay:exp/0.5+arq:3/1/2"},
+	{name: "jam-transport", faults: "jam:0.5/0.5/0.25/0.9/2000/60000+delay:uniform/0.5/2+reorder:0.1+dup:0.05+arq:2/1/2"},
 }
 
 func coreSpec(t *testing.T, text string) channel.Spec {

@@ -5,6 +5,9 @@
 package engine
 
 import (
+	"fmt"
+	"math"
+
 	"geogossip/internal/channel"
 	"geogossip/internal/core"
 	"geogossip/internal/gossip"
@@ -64,15 +67,30 @@ type Result struct {
 type Engine struct {
 	Name         string
 	Hierarchical bool
-	Run          func(g *graph.Graph, h *hier.Hierarchy, x []float64, c Config, r *rng.RNG) (Result, error)
+	run          func(g *graph.Graph, h *hier.Hierarchy, x []float64, c Config, r *rng.RNG) (Result, error)
 }
 
 var table = []Engine{
-	{Name: Boyd, Run: runBoyd},
-	{Name: Geographic, Run: runGeographic},
-	{Name: PushSum, Run: runPushSum},
-	{Name: Affine, Hierarchical: true, Run: runAffine},
-	{Name: Async, Hierarchical: true, Run: runAsync},
+	{Name: Boyd, run: runBoyd},
+	{Name: Geographic, run: runGeographic},
+	{Name: PushSum, run: runPushSum},
+	{Name: Affine, Hierarchical: true, run: runAffine},
+	{Name: Async, Hierarchical: true, run: runAsync},
+}
+
+// Run runs the engine over g (and h, for hierarchical engines) from
+// the values x. A run that ends at a NaN or infinite relative error
+// fails with an error naming the engine and the value: it neither
+// converged nor left a result anyone can aggregate or encode.
+func (e Engine) Run(g *graph.Graph, h *hier.Hierarchy, x []float64, c Config, r *rng.RNG) (Result, error) {
+	res, err := e.run(g, h, x, c, r)
+	if err != nil {
+		return Result{}, err
+	}
+	if fe := res.FinalErr; math.IsNaN(fe) || math.IsInf(fe, 0) {
+		return Result{}, fmt.Errorf("engine: %s run ended at non-finite relative error %v", e.Name, fe)
+	}
+	return res, nil
 }
 
 // Lookup returns the engine with the given name.

@@ -72,8 +72,8 @@ type Options struct {
 	// Tracer, when non-nil, receives structured protocol events (near
 	// and far exchanges, losses, resyncs, churn transitions).
 	Tracer trace.Tracer
-	// Obs, when non-nil, receives metrics through the label-free fast
-	// path (see obs.Scope). Nil costs nothing.
+	// Obs, when non-nil, receives the run's metrics in one flush at run
+	// end (see obs.Scope). Nil costs nothing.
 	Obs *obs.Scope
 }
 
@@ -222,7 +222,7 @@ func (rs *resyncState) reset(opt Options, st *RunState, n int) {
 func (rs *resyncState) markDead(s int32, h *sim.Harness) {
 	if rs.wasDead != nil && !rs.wasDead[s] {
 		rs.wasDead[s] = true
-		h.Scope.Churn(false)
+		h.Tally.Churn(false)
 		h.Trace(trace.Event{Kind: trace.KindChurn, Square: -1, NodeA: s, NodeB: 0})
 	}
 }
@@ -238,7 +238,7 @@ func (rs *resyncState) onTick(s int32, g *graph.Graph, h *sim.Harness, x []float
 	deg := g.Degree(s)
 	if deg == 0 {
 		rs.wasDead[s] = false
-		h.Scope.Churn(true)
+		h.Tally.Churn(true)
 		h.Trace(trace.Event{Kind: trace.KindChurn, Square: -1, NodeA: s, NodeB: 1})
 		return
 	}
@@ -250,8 +250,8 @@ func (rs *resyncState) onTick(s int32, g *graph.Graph, h *sim.Harness, x []float
 	h.Tracker.Set(s, x[v])
 	h.Counter.Add(sim.CatControl, 2)
 	rs.count++
-	h.Scope.Churn(true)
-	h.Scope.Resync()
+	h.Tally.Churn(true)
+	h.Tally.Resync()
 	h.Trace(trace.Event{Kind: trace.KindChurn, Square: -1, NodeA: s, NodeB: 1})
 	h.Trace(trace.Event{Kind: trace.KindResync, Square: -1, NodeA: s, NodeB: v, Hops: 2})
 }
@@ -521,7 +521,7 @@ func (e *geoRun) step() {
 				}
 			}
 		}
-		h.Scope.FarExchange(total)
+		h.Tally.FarExchange(total)
 		h.Trace(trace.Event{Kind: trace.KindFar, Square: -1, NodeA: s, NodeB: target, Hops: total})
 	}
 	h.Sample()

@@ -121,57 +121,61 @@ func TestInstrumentedRunMatchesBare(t *testing.T) {
 }
 
 // TestSteadyStateTicksAllocFreeInstrumented repeats the steady-state
-// zero-alloc assertion with a live registry scope attached: metric
-// reporting is pure atomics, so instrumentation must not buy back the
+// zero-alloc assertion with a live registry scope attached, on a lossy
+// medium and on a delay+ARQ medium whose transport wrappers count into
+// the run's tally: per-event counts are plain fields and the registry is
+// touched only at run end, so instrumentation must not buy back the
 // allocations the pooled states eliminated.
 func TestSteadyStateTicksAllocFreeInstrumented(t *testing.T) {
 	g := generate(t, 512, 1.8, 920)
-	reg := obs.NewRegistry()
-	opt := Options{
-		Stop:        sim.StopRule{MaxTicks: math.MaxUint64 >> 1},
-		RecordEvery: math.MaxUint64 >> 1,
-		Faults:      parseSpec(t, "bernoulli:0.2"),
-		State:       NewRunState(),
-		Obs:         reg.Scope("boyd"),
-	}
+	for _, faults := range []string{"bernoulli:0.2", "bernoulli:0.1+delay:exp/0.5+arq:3/1/2"} {
+		reg := obs.NewRegistry()
+		opt := Options{
+			Stop:        sim.StopRule{MaxTicks: math.MaxUint64 >> 1},
+			RecordEvery: math.MaxUint64 >> 1,
+			Faults:      parseSpec(t, faults),
+			State:       NewRunState(),
+			Obs:         reg.Scope("boyd"),
+		}
 
-	x := randomValues(g.N(), 921)
-	boyd, err := newBoydRun(g, x, opt, rng.New(922))
-	if err != nil {
-		t.Fatal(err)
-	}
-	boydBatch := oneBatch(boyd.h, boyd.run)
-	runFor(boyd.h, boyd.run, 2000)
-	if avg := testing.AllocsPerRun(500, boydBatch); avg != 0 {
-		t.Errorf("boyd: %v allocs per instrumented steady-state pipeline batch, want 0", avg)
-	}
+		x := randomValues(g.N(), 921)
+		boyd, err := newBoydRun(g, x, opt, rng.New(922))
+		if err != nil {
+			t.Fatal(err)
+		}
+		boydBatch := oneBatch(boyd.h, boyd.run)
+		runFor(boyd.h, boyd.run, 2000)
+		if avg := testing.AllocsPerRun(500, boydBatch); avg != 0 {
+			t.Errorf("boyd on %s: %v allocs per instrumented steady-state pipeline batch, want 0", faults, avg)
+		}
 
-	x = randomValues(g.N(), 923)
-	geoOpt := GeoOptions{Options: opt, Sampling: SamplingRejection}
-	geoOpt.State = NewRunState()
-	geoOpt.Obs = reg.Scope("geographic")
-	geo, err := newGeoRun(g, x, geoOpt.withDefaults(), rng.New(924))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2000; i++ {
-		geo.step()
-	}
-	if avg := testing.AllocsPerRun(500, geo.step); avg != 0 {
-		t.Errorf("geographic: %v allocs per instrumented steady-state tick, want 0", avg)
-	}
+		x = randomValues(g.N(), 923)
+		geoOpt := GeoOptions{Options: opt, Sampling: SamplingRejection}
+		geoOpt.State = NewRunState()
+		geoOpt.Obs = reg.Scope("geographic")
+		geo, err := newGeoRun(g, x, geoOpt.withDefaults(), rng.New(924))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2000; i++ {
+			geo.step()
+		}
+		if avg := testing.AllocsPerRun(500, geo.step); avg != 0 {
+			t.Errorf("geographic on %s: %v allocs per instrumented steady-state tick, want 0", faults, avg)
+		}
 
-	x = randomValues(g.N(), 925)
-	pushOpt := opt
-	pushOpt.State = NewRunState()
-	pushOpt.Obs = reg.Scope("push-sum")
-	push, err := newPushSumRun(g, x, pushOpt, rng.New(926))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pushBatch := oneBatch(push.h, push.run)
-	runFor(push.h, push.run, 2000)
-	if avg := testing.AllocsPerRun(500, pushBatch); avg != 0 {
-		t.Errorf("push-sum: %v allocs per instrumented steady-state pipeline batch, want 0", avg)
+		x = randomValues(g.N(), 925)
+		pushOpt := opt
+		pushOpt.State = NewRunState()
+		pushOpt.Obs = reg.Scope("push-sum")
+		push, err := newPushSumRun(g, x, pushOpt, rng.New(926))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pushBatch := oneBatch(push.h, push.run)
+		runFor(push.h, push.run, 2000)
+		if avg := testing.AllocsPerRun(500, pushBatch); avg != 0 {
+			t.Errorf("push-sum on %s: %v allocs per instrumented steady-state pipeline batch, want 0", faults, avg)
+		}
 	}
 }

@@ -24,10 +24,10 @@ import (
 type RunState struct {
 	h  sim.Harness
 	ch channel.Pool
-	// tline is the transport event clock (DESIGN.md §12), reset per run
-	// before the medium is built so delay/arq wrappers can schedule
-	// completions on it. Inactive (and cost-free) without transport
-	// components in the fault spec.
+	// tline is the transport clock (DESIGN.md §12), reset per run
+	// before the medium is built so delay/arq wrappers can add latency
+	// to it. Inactive (and cost-free) without transport components in
+	// the fault spec.
 	tline channel.Timeline
 
 	// Named streams, reseeded per run via StreamInto.
@@ -90,7 +90,7 @@ func (st *RunState) medium(o Options, g *graph.Graph, r *rng.RNG) (channel.Chann
 		return nil, spec, err
 	}
 	st.tline.Reset(spec.HasTransport())
-	env := channel.Env{Points: g.Points(), Timeline: &st.tline, Obs: o.Obs, Tracer: o.Tracer}
+	env := channel.Env{Points: g.Points(), Timeline: &st.tline, Tally: &st.h.Tally, Tracer: o.Tracer}
 	if spec.TargetsHubs() {
 		env.HubOrder = g.ByDegreeDesc()
 	}

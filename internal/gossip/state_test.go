@@ -26,6 +26,8 @@ var stateConfigs = []struct {
 	{name: "churn-resync", faults: "churn:40000/10000", resync: true},
 	{name: "jam", faults: "jam:0.5/0.5/0.25/0.9"},
 	{name: "jam-churn", faults: "jam:0.5/0.5/0.25/0.9+churn:40000/10000"},
+	{name: "delay-arq", faults: "bernoulli:0.1+delay:exp/0.5+arq:3/1/2"},
+	{name: "jam-transport", faults: "jam:0.5/0.5/0.25/0.9/2000/60000+delay:uniform/0.5/2+reorder:0.1+dup:0.05+arq:2/1/2"},
 }
 
 // sameResult compares every deterministic field of two runs.

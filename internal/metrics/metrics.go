@@ -134,7 +134,7 @@ type Result struct {
 	// delivery completion, divided by n (each node's unit-rate Poisson
 	// clock ticks once per simulated second on average). Zero unless the
 	// fault spec has transport components (delay/arq), which activate the
-	// event-driven timeline; see DESIGN.md §12.
+	// timeline; see DESIGN.md §12.
 	SimSeconds float64
 }
 

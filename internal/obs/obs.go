@@ -1,18 +1,17 @@
 // Package obs is the repository's observability layer: a small,
 // dependency-free metrics registry (counters, gauges, histograms) with
 // hand-rolled Prometheus text exposition, a deterministic flattened view
-// for result aggregation, and a label-free fast path (Scope) that engine
-// hot loops report through.
+// for result aggregation, and the per-engine instruments (Scope) that
+// engine runs report into.
 //
-// The zero-overhead contract (DESIGN.md §8): a nil *Scope costs exactly
-// one predictable branch and zero allocations per event, so engines call
-// scope methods unconditionally; a nil *Registry is simply never
-// consulted. With a live registry attached, hot-loop quantities
-// (transmissions by category, tick counts, convergence) are flushed once
-// at run end rather than per tick, so steady-state ticks stay within the
-// BENCH_engines.json overhead budget; only rare events (losses, resyncs,
-// re-elections, churn transitions, long-range exchanges) pay per-event
-// atomic adds.
+// The zero-overhead contract (DESIGN.md §8): engines count per-event
+// quantities — losses, resyncs, re-elections, churn transitions,
+// long-range exchanges, ARQ retries, delivery latencies — in a plain
+// per-run Tally, and keep their transmission, tick and convergence
+// totals in their own counters. One Scope.EndRun call per run adds both
+// to the shared instruments with atomics, so no tick and no event pays
+// an atomic add. A nil *Scope makes EndRun one branch; a nil *Registry
+// is simply never consulted.
 package obs
 
 import (
@@ -74,13 +73,37 @@ type Histogram struct {
 
 // Observe records one observation.
 func (h *Histogram) Observe(v float64) {
-	i := 0
-	for i < len(h.upper) && v > h.upper[i] {
-		i++
-	}
-	h.buckets[i].Add(1)
+	h.buckets[bucketIndex(h.upper, v)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
+}
+
+// add records a run's tally share of observations: one atomic add per
+// non-empty bucket, then the count and the sum.
+func (h *Histogram) add(t *tallyHist) {
+	var count uint64
+	for i, c := range t.n[:len(h.buckets)] {
+		if c > 0 {
+			h.buckets[i].Add(c)
+			count += c
+		}
+	}
+	if count > 0 {
+		h.count.Add(count)
+		h.sum.Add(t.sum)
+	}
+}
+
+// bucketIndex returns the bucket v falls in: the first bound at or above
+// v, or len(upper), the +Inf bucket, past the last one. NaN is at or
+// below no bound, so it lands in the +Inf bucket only and no cumulative
+// bucket below it counts it. Histogram and Tally share it.
+func bucketIndex(upper []float64, v float64) int {
+	i := 0
+	for i < len(upper) && !(v <= upper[i]) {
+		i++
+	}
+	return i
 }
 
 // Count returns the number of observations.

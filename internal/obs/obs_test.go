@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -195,8 +196,11 @@ func TestScopeMemoized(t *testing.T) {
 	if r.Scope("geographic") == a {
 		t.Error("distinct engines share a scope")
 	}
-	a.Loss(3)
-	b.Loss(2)
+	var ta, tb Tally
+	ta.Loss(3)
+	tb.Loss(2)
+	a.EndRun(&ta, 0, 0, 0, 0, 0, false, 0)
+	b.EndRun(&tb, 0, 0, 0, 0, 0, false, 0)
 	flat := r.Flatten()
 	if flat[`geogossip_losses_total{engine="boyd"}`] != 2 {
 		t.Errorf("shared loss counter: %v", flat)
@@ -206,18 +210,25 @@ func TestScopeMemoized(t *testing.T) {
 	}
 }
 
-// TestScopeEndRun checks the run-end flush lands on every instrument.
+// TestScopeEndRun checks the run-end flush lands on every instrument,
+// the run's tally included.
 func TestScopeEndRun(t *testing.T) {
 	r := NewRegistry()
 	s := r.Scope("async")
-	s.EndRun(10, 20, 30, 40, 99, true, 1e-4)
-	s.EndRun(1, 2, 3, 4, 1, false, 0.5)
-	s.FarExchange(24)
-	s.AddFarExchanges(5)
-	s.Reelection()
-	s.Resync()
-	s.Churn(true)
-	s.Churn(false)
+	var first, second Tally
+	first.FarExchange(24)
+	first.AddFarExchanges(5)
+	first.Reelection()
+	second.Resync()
+	second.Churn(true)
+	second.Churn(false)
+	second.Retransmit()
+	second.ARQTimeout()
+	second.ARQTimeout()
+	second.BackoffWait(3)
+	second.DeliveryLatency(0.5)
+	s.EndRun(&first, 10, 20, 30, 40, 99, true, 1e-4)
+	s.EndRun(&second, 1, 2, 3, 4, 1, false, 0.5)
 	flat := r.Flatten()
 	checks := map[string]float64{
 		`geogossip_transmissions_total{category="near",engine="async"}`:    11,
@@ -229,44 +240,128 @@ func TestScopeEndRun(t *testing.T) {
 		`geogossip_runs_converged_total{engine="async"}`:                   1,
 		`geogossip_far_exchanges_total{engine="async"}`:                    6,
 		`geogossip_far_exchange_hops_count{engine="async"}`:                1,
+		`geogossip_far_exchange_hops_bucket{engine="async",le="16"}`:       0,
+		`geogossip_far_exchange_hops_bucket{engine="async",le="32"}`:       1,
 		`geogossip_reelections_total{engine="async"}`:                      1,
 		`geogossip_resyncs_total{engine="async"}`:                          1,
 		`geogossip_churn_revivals_total{engine="async"}`:                   1,
 		`geogossip_churn_crashes_total{engine="async"}`:                    1,
+		`geogossip_arq_retransmissions_total{engine="async"}`:              1,
+		`geogossip_arq_timeouts_total{engine="async"}`:                     2,
+		`geogossip_arq_backoff_wait_bucket{engine="async",le="1"}`:         0,
+		`geogossip_arq_backoff_wait_bucket{engine="async",le="4"}`:         1,
+		`geogossip_delivery_latency_bucket{engine="async",le="0.25"}`:      0,
+		`geogossip_delivery_latency_bucket{engine="async",le="1"}`:         1,
+		`geogossip_delivery_latency_count{engine="async"}`:                 1,
 	}
 	for k, want := range checks {
 		if flat[k] != want {
 			t.Errorf("%s = %v, want %v", k, flat[k], want)
 		}
 	}
+	if got := s.farHops.Sum(); got != 24 {
+		t.Errorf("far-hop sum %v, want 24", got)
+	}
+}
+
+// TestTallyFlushMatchesPerEventObserve: flushing a tally once leaves the
+// same Flatten view as observing each event on the instruments directly,
+// on every bucket boundary and past the last one.
+func TestTallyFlushMatchesPerEventObserve(t *testing.T) {
+	flushed, direct := NewRegistry(), NewRegistry()
+	s, d := flushed.Scope("boyd"), direct.Scope("boyd")
+	var tally Tally
+	for _, v := range []float64{0, 0.25, 0.3, 1, 3.9, 4, 4.1, 4096, 5000} {
+		tally.DeliveryLatency(v)
+		d.deliveryLat.Observe(v)
+		tally.BackoffWait(2 * v)
+		d.backoffWait.Observe(2 * v)
+	}
+	for _, hops := range []int{0, 1, 2, 3, 256, 257, 1000} {
+		tally.FarExchange(hops)
+		d.farExchanges.Inc()
+		d.farHops.Observe(float64(hops))
+	}
+	s.EndRun(&tally, 1, 2, 3, 4, 5, true, 1e-3)
+	d.EndRun(nil, 1, 2, 3, 4, 5, true, 1e-3)
+	if f, g := flushed.Flatten(), direct.Flatten(); !reflect.DeepEqual(f, g) {
+		t.Fatalf("flushed tally differs from per-event observation:\nflushed: %v\ndirect:  %v", f, g)
+	}
+}
+
+// TestNaNLandsInInfBucketOnly: a NaN observation is at or below no bound,
+// so no finite cumulative bucket may count it — in particular a NaN
+// final error must not read as converged below 1e-8 — on the histogram
+// and on the tally alike.
+func TestNaNLandsInInfBucketOnly(t *testing.T) {
+	r := NewRegistry()
+	s := r.Scope("affine-async")
+	var tally Tally
+	tally.DeliveryLatency(math.NaN())
+	tally.FarExchange(0)
+	s.EndRun(&tally, 0, 0, 0, 0, 0, false, math.NaN())
+	flat := r.Flatten()
+	for _, le := range ErrBuckets {
+		k := `geogossip_run_final_error_bucket{engine="affine-async",le="` + formatFloat(le) + `"}`
+		if flat[k] != 0 {
+			t.Errorf("%s = %v, want 0 for a NaN final error", k, flat[k])
+		}
+	}
+	if got := flat[`geogossip_run_final_error_bucket{engine="affine-async",le="+Inf"}`]; got != 1 {
+		t.Errorf("NaN final error missing from the +Inf bucket: %v", got)
+	}
+	for _, le := range LatencyBuckets {
+		k := `geogossip_delivery_latency_bucket{engine="affine-async",le="` + formatFloat(le) + `"}`
+		if flat[k] != 0 {
+			t.Errorf("%s = %v, want 0 for a NaN latency", k, flat[k])
+		}
+	}
+	if got := flat[`geogossip_delivery_latency_count{engine="affine-async"}`]; got != 1 {
+		t.Errorf("NaN latency count %v, want 1", got)
+	}
+	if got := bucketIndex(ErrBuckets, math.Inf(1)); got != len(ErrBuckets) {
+		t.Errorf("+Inf in bucket %d, want %d", got, len(ErrBuckets))
+	}
+	if got := bucketIndex(ErrBuckets, math.Inf(-1)); got != 0 {
+		t.Errorf("-Inf in bucket %d, want 0", got)
+	}
 }
 
 // TestNilScopeIsFree pins the zero-overhead contract (DESIGN.md §8): a
-// nil scope must cost zero allocations on every reporting method.
+// nil scope's flush and a nil tally's counts cost zero allocations.
 func TestNilScopeIsFree(t *testing.T) {
 	var s *Scope
+	var tally Tally
+	var none *Tally
 	if avg := testing.AllocsPerRun(1000, func() {
-		s.Loss(3)
-		s.Reelection()
-		s.Resync()
-		s.Churn(true)
-		s.FarExchange(12)
-		s.AddFarExchanges(4)
-		s.EndRun(1, 2, 3, 4, 5, true, 1e-3)
+		tally.Loss(3)
+		none.Loss(3)
+		none.FarExchange(12)
+		none.DeliveryLatency(1)
+		s.EndRun(&tally, 1, 2, 3, 4, 5, true, 1e-3)
 	}); avg != 0 {
 		t.Errorf("nil scope allocated %v per event batch, want 0", avg)
 	}
 }
 
-// TestLiveScopeAllocFree: even with a registry attached, reporting is
-// pure atomics — no allocations per event.
+// TestLiveScopeAllocFree: counting into a tally and flushing it into a
+// live registry allocates nothing.
 func TestLiveScopeAllocFree(t *testing.T) {
 	r := NewRegistry()
 	s := r.Scope("boyd")
+	var tally Tally
 	if avg := testing.AllocsPerRun(1000, func() {
-		s.Loss(3)
-		s.FarExchange(12)
-		s.EndRun(1, 2, 3, 4, 5, true, 1e-3)
+		tally.Reset()
+		tally.Loss(3)
+		tally.FarExchange(12)
+		tally.Reelection()
+		tally.Resync()
+		tally.Churn(true)
+		tally.Retransmit()
+		tally.ARQTimeout()
+		tally.BackoffWait(2)
+		tally.DeliveryLatency(0.5)
+		s.EndRun(&tally, 1, 2, 3, 4, 5, true, 1e-3)
 	}); avg != 0 {
 		t.Errorf("live scope allocated %v per event batch, want 0", avg)
 	}

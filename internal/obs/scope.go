@@ -58,7 +58,7 @@ const (
 
 // HopBuckets are the far-exchange hop-count histogram bounds: greedy
 // routes on G(n, r) run a few to a few hundred hops at simulable sizes.
-var HopBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
+var HopBuckets = [...]float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // ErrBuckets are the final relative-error histogram bounds, one decade
 // per bucket across the accuracy range experiments target.
@@ -67,18 +67,14 @@ var ErrBuckets = []float64{1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1}
 // LatencyBuckets are the delivery-latency and ARQ-backoff histogram
 // bounds, in engine time units (ticks): per-hop delays are O(1) ticks,
 // multi-hop routes with retries reach the hundreds.
-var LatencyBuckets = []float64{0.25, 1, 4, 16, 64, 256, 1024, 4096}
+var LatencyBuckets = [...]float64{0.25, 1, 4, 16, 64, 256, 1024, 4096}
 
-// Scope is the label-free fast path one engine reports through: every
-// instrument is resolved (with its constant engine label) at
-// construction, so reporting is a nil check plus atomic adds. All
-// methods are safe on a nil receiver and cost exactly one branch there —
-// the zero-overhead contract engines rely on to keep nil-scope ticks
-// identical to un-instrumented ones.
-//
-// High-frequency run quantities (per-category transmissions, ticks,
-// convergence) are flushed once per run through EndRun; only rare events
-// have per-event methods.
+// Scope is the label-free set of shared instruments one engine reports
+// into: every instrument is resolved (with its constant engine label) at
+// construction. A run reports through one call, EndRun, which adds the
+// run's totals and its Tally of per-event counts with atomics; nothing
+// touches a Scope per event or per tick. EndRun is safe on a nil
+// receiver and costs one branch there.
 type Scope struct {
 	txNear, txFar, txControl, txFlood *Counter
 	runs, convergedRuns, ticks        *Counter
@@ -119,12 +115,12 @@ func (r *Registry) Scope(engine string) *Scope {
 		crashes:       r.Counter(MetricChurnCrashes, "Observed churn crash transitions.", "engine", engine),
 		revivals:      r.Counter(MetricChurnRevivals, "Observed churn revival transitions.", "engine", engine),
 		farExchanges:  r.Counter(MetricFarExchanges, "Long-range exchanges.", "engine", engine),
-		farHops:       r.Histogram(MetricFarHops, "Hop cost of individual long-range exchanges.", HopBuckets, "engine", engine),
+		farHops:       r.Histogram(MetricFarHops, "Hop cost of individual long-range exchanges.", HopBuckets[:], "engine", engine),
 		finalErr:      r.Histogram(MetricFinalError, "Final relative error of completed runs.", ErrBuckets, "engine", engine),
 		retransmits:   r.Counter(MetricRetransmissions, "ARQ retries sent after an ack timeout.", "engine", engine),
 		arqTimeouts:   r.Counter(MetricARQTimeouts, "ARQ ack timeouts (lost attempts noticed by the sender).", "engine", engine),
-		backoffWait:   r.Histogram(MetricARQBackoffWait, "ARQ backoff waits in engine time units (timeout x backoff^k + jitter).", LatencyBuckets, "engine", engine),
-		deliveryLat:   r.Histogram(MetricDeliveryLatency, "Transport latency of timed deliveries in engine time units.", LatencyBuckets, "engine", engine),
+		backoffWait:   r.Histogram(MetricARQBackoffWait, "ARQ backoff waits in engine time units (timeout x backoff^k + jitter).", LatencyBuckets[:], "engine", engine),
+		deliveryLat:   r.Histogram(MetricDeliveryLatency, "Transport latency of timed deliveries in engine time units.", LatencyBuckets[:], "engine", engine),
 	}
 	r.mu.Lock()
 	if prior := r.scopes[engine]; prior != nil {
@@ -136,103 +132,17 @@ func (r *Registry) Scope(engine string) *Scope {
 	return s
 }
 
-// Loss records one lost data packet that paid `paid` transmissions
-// before dying.
-func (s *Scope) Loss(paid int) {
+// EndRun flushes one finished run: its tally of per-event counts, then
+// per-category transmissions, tick count, run/convergence counters, and
+// the final-error histogram. Engines call it exactly once per run, from
+// result assembly, so the shared instruments see a few dozen atomic adds
+// per run and none per event. A nil tally flushes the run totals alone.
+func (s *Scope) EndRun(t *Tally, near, far, control, flood, ticks uint64, converged bool, finalErr float64) {
 	if s == nil {
 		return
 	}
-	s.losses.Inc()
-	s.lossCost.Add(uint64(paid))
-}
-
-// Reelection records one representative takeover.
-func (s *Scope) Reelection() {
-	if s == nil {
-		return
-	}
-	s.reelections.Inc()
-}
-
-// Resync records one revived-node state resync.
-func (s *Scope) Resync() {
-	if s == nil {
-		return
-	}
-	s.resyncs.Inc()
-}
-
-// Churn records one observed liveness transition.
-func (s *Scope) Churn(revived bool) {
-	if s == nil {
-		return
-	}
-	if revived {
-		s.revivals.Inc()
-	} else {
-		s.crashes.Inc()
-	}
-}
-
-// FarExchange records one completed long-range exchange of the given
-// hop cost (count + hop histogram).
-func (s *Scope) FarExchange(hops int) {
-	if s == nil {
-		return
-	}
-	s.farExchanges.Inc()
-	s.farHops.Observe(float64(hops))
-}
-
-// AddFarExchanges bulk-adds completed long-range exchanges without hop
-// detail — the round-structured engine flushes its count at run end so
-// its ~100ns exchange hot path stays atomic-free.
-func (s *Scope) AddFarExchanges(n uint64) {
-	if s == nil {
-		return
-	}
-	s.farExchanges.Add(n)
-}
-
-// Retransmit records one ARQ retry sent after an ack timeout.
-func (s *Scope) Retransmit() {
-	if s == nil {
-		return
-	}
-	s.retransmits.Inc()
-}
-
-// ARQTimeout records one ARQ ack timeout (an outstanding attempt was
-// lost and the sender's retry timer expired).
-func (s *Scope) ARQTimeout() {
-	if s == nil {
-		return
-	}
-	s.arqTimeouts.Inc()
-}
-
-// BackoffWait records the duration of one ARQ backoff wait.
-func (s *Scope) BackoffWait(d float64) {
-	if s == nil {
-		return
-	}
-	s.backoffWait.Observe(d)
-}
-
-// DeliveryLatency records the transport latency of one timed delivery.
-func (s *Scope) DeliveryLatency(d float64) {
-	if s == nil {
-		return
-	}
-	s.deliveryLat.Observe(d)
-}
-
-// EndRun flushes one finished run: per-category transmissions, tick
-// count, run/convergence counters, and the final-error histogram.
-// Engines call it exactly once per run, from result assembly.
-func (s *Scope) EndRun(near, far, control, flood, ticks uint64, converged bool, finalErr float64) {
-	if s == nil {
-		return
+	if t != nil {
+		s.flush(t)
 	}
 	s.txNear.Add(near)
 	s.txFar.Add(far)
@@ -244,4 +154,27 @@ func (s *Scope) EndRun(near, far, control, flood, ticks uint64, converged bool, 
 		s.convergedRuns.Inc()
 	}
 	s.finalErr.Observe(finalErr)
+}
+
+// flush adds a run's tally to the shared instruments.
+func (s *Scope) flush(t *Tally) {
+	addCount(s.losses, t.losses)
+	addCount(s.lossCost, t.lossCost)
+	addCount(s.reelections, t.reelections)
+	addCount(s.resyncs, t.resyncs)
+	addCount(s.crashes, t.crashes)
+	addCount(s.revivals, t.revivals)
+	addCount(s.farExchanges, t.farExchanges)
+	addCount(s.retransmits, t.retransmits)
+	addCount(s.arqTimeouts, t.arqTimeouts)
+	s.farHops.add(&t.farHops)
+	s.backoffWait.add(&t.backoffWait)
+	s.deliveryLat.add(&t.deliveryLat)
+}
+
+// addCount adds n to c, skipping the atomic when there is nothing to add.
+func addCount(c *Counter, n uint64) {
+	if n > 0 {
+		c.Add(n)
+	}
 }

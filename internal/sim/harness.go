@@ -58,15 +58,17 @@ type Harness struct {
 	Router *routing.Router
 	// Tracer receives protocol events; nil costs nothing.
 	Tracer trace.Tracer
-	// Scope receives metrics; nil costs nothing (scope methods are
-	// nil-receiver safe). Per-tick quantities flush once in Finish; only
-	// rare events (losses, recovery actions) report per event.
+	// Scope receives metrics; nil costs nothing. Finish flushes the run's
+	// totals and its Tally into it in one EndRun call.
 	Scope *obs.Scope
-	// Timeline is the transport layer's event clock (DESIGN.md §12): due
-	// delivery completions drain each tick in deterministic (time, seq)
-	// order, and Finish folds its high-water completion time into
-	// SimSeconds. Nil or inactive (no delay/arq components) costs one
-	// branch per tick and changes nothing.
+	// Tally counts the run's per-event metrics (losses, recovery actions,
+	// churn transitions, far exchanges, and through channel.Env the
+	// transport layer's retries and latencies) in plain fields. Reset
+	// zeroes it; Finish flushes it.
+	Tally obs.Tally
+	// Timeline is the transport layer's clock (DESIGN.md §12): Finish
+	// folds its high-water completion time into SimSeconds. Nil or
+	// inactive (no delay/arq components) changes nothing.
 	Timeline *channel.Timeline
 
 	n     int
@@ -95,7 +97,7 @@ type HarnessConfig struct {
 	Tracer trace.Tracer
 	// Obs optionally receives metrics (see Harness.Scope).
 	Obs *obs.Scope
-	// Timeline optionally supplies the transport event clock (see
+	// Timeline optionally supplies the transport clock (see
 	// Harness.Timeline). The engine resets it before building the medium.
 	Timeline *channel.Timeline
 }
@@ -142,6 +144,7 @@ func (h *Harness) Reset(x []float64, cfg HarnessConfig, clockRNG *rng.RNG) {
 	h.Router = cfg.Router
 	h.Tracer = cfg.Tracer
 	h.Scope = cfg.Obs
+	h.Tally.Reset()
 	h.Timeline = cfg.Timeline
 	h.n = len(x)
 	h.every = every
@@ -163,15 +166,12 @@ func (h *Harness) Tick() int32 {
 }
 
 // Advance counts one tick whose owner was already drawn (Clock.Draw) and
-// moves the medium to it. With an active timeline, due transport
-// completions drain first in (time, seq) order, advancing the medium to
-// each completion's floored time so time-windowed fault state flips at
-// delayed-delivery instants exactly as at tick crossings.
+// moves the medium to it. Transport completions that fell due since the
+// last tick need no step of their own: the medium evaluates its
+// time-dependent state when queried, against the latest Advance
+// (channel.Channel.Advance).
 func (h *Harness) Advance() {
 	h.Clock.Bump(1)
-	if h.Timeline.Active() {
-		h.Timeline.DrainTo(float64(h.Clock.Ticks()), h.Medium.Advance)
-	}
 	h.Medium.Advance(h.Clock.Ticks())
 }
 
@@ -217,9 +217,9 @@ func (h *Harness) Trace(ev trace.Event) {
 }
 
 // TraceLoss records a lost data packet between a and b costing paid,
-// through both the tracer and the metrics scope.
+// through both the tracer and the run's tally.
 func (h *Harness) TraceLoss(a, b int32, paid int) {
-	h.Scope.Loss(paid)
+	h.Tally.Loss(paid)
 	if h.Tracer != nil {
 		h.Tracer.Record(trace.Event{Kind: trace.KindLoss, Square: -1, NodeA: a, NodeB: b, Hops: paid})
 	}
@@ -235,7 +235,7 @@ func (h *Harness) Finish(name string) *metrics.Result {
 	finalErr := h.Tracker.Err()
 	h.Curve.Record(h.Clock.Ticks(), h.Counter.Total(), finalErr)
 	converged := h.Stop.TargetErr > 0 && finalErr <= h.Stop.TargetErr
-	h.Scope.EndRun(h.Counter.Get(CatNear), h.Counter.Get(CatFar),
+	h.Scope.EndRun(&h.Tally, h.Counter.Get(CatNear), h.Counter.Get(CatFar),
 		h.Counter.Get(CatControl), h.Counter.Get(CatFlood),
 		h.Clock.Ticks(), converged, finalErr)
 	res := &metrics.Result{

@@ -54,6 +54,18 @@ var pinnedGrids = []struct {
 		AsyncLeafTicks: 96,
 		MaxTicks:       200_000,
 	}, "4c450a4f1a97e3ff33cc510ac14f02a7f2f19f1fac15d3ff05ed099330971033"},
+	// Scheduled faults under the transport layer: a jam window, a cut
+	// and churn, each crossed by delayed and retried deliveries, so the
+	// transport's effect on time-windowed fault state is pinned.
+	{"scheduled-transport", Spec{
+		Algorithms:  []string{AlgoBoyd, AlgoGeographic, AlgoPushSum, AlgoAffine, AlgoAsync},
+		Ns:          []int{96},
+		Seeds:       2,
+		FaultModels: []string{"jam:0.5/0.5/0.3/0.8/2000/6000/8000+cut:1/0/0.5/3000/9000+churn:400/100"},
+		Transports:  []string{"delay:exp/3+arq:3/1/2", "delay:uniform/0.5/4+reorder:0.2+dup:0.1"},
+		Recovery:    []bool{false, true},
+		MaxTicks:    50_000,
+	}, "7184e4f5244a243dcf321afa1b3940dd578447b50d21dbdab637c727ab81b95a"},
 }
 
 func TestPinnedSinkDigests(t *testing.T) {

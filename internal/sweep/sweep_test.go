@@ -433,6 +433,50 @@ func TestExecuteReportsUnusableCell(t *testing.T) {
 	}
 }
 
+// TestNonFiniteRunFailsAlone: an affine-async run at an absurd beta
+// overflows its values, ending at +Inf (beta 1e6) or NaN (beta 1e100).
+// Each such run is one failed task whose error names the engine and the
+// value. The sweep still finishes, the JSONL sink encodes every line,
+// and the boyd tasks of the same grid keep their results.
+func TestNonFiniteRunFailsAlone(t *testing.T) {
+	spec := Spec{
+		Algorithms: []string{AlgoBoyd, AlgoAsync},
+		Ns:         []int{96},
+		Seeds:      1,
+		Betas:      []float64{1e6, 1e100},
+		MaxTicks:   2_000_000,
+	}
+	var buf bytes.Buffer
+	res, err := Run(context.Background(), spec, Options{Workers: 2, Sink: NewJSONL(&buf)})
+	if err != nil {
+		t.Fatalf("sweep aborted: %v", err)
+	}
+	if lines := strings.Count(buf.String(), "\n"); lines != len(res) || len(res) != 4 {
+		t.Fatalf("sink holds %d lines for %d results, want 4", lines, len(res))
+	}
+	want := map[float64]string{1e6: "+Inf", 1e100: "NaN"}
+	for _, r := range res {
+		if r.Algorithm == AlgoBoyd {
+			if r.Error != "" || !r.Converged {
+				t.Fatalf("boyd task %d: error %q, converged %v", r.TaskID, r.Error, r.Converged)
+			}
+			continue
+		}
+		if !strings.Contains(r.Error, AlgoAsync) || !strings.Contains(r.Error, want[r.Beta]) {
+			t.Fatalf("beta %g: error %q, want one naming %s and %s", r.Beta, r.Error, AlgoAsync, want[r.Beta])
+		}
+		if r.Converged || r.FinalErr != 0 || r.Transmissions != 0 {
+			t.Fatalf("beta %g: failed task carries results: %+v", r.Beta, r)
+		}
+	}
+	sum := Aggregate(res)
+	for _, c := range sum.Cells {
+		if c.Algorithm == AlgoAsync && (c.Errors != 1 || c.ConvergedCount != 0) {
+			t.Fatalf("async cell beta %g: %d failed, %d converged; want 1 and 0", c.Beta, c.Errors, c.ConvergedCount)
+		}
+	}
+}
+
 // Sharded network construction is invisible to results: the same grid
 // run with any BuildWorkers value yields a bit-identical result set and
 // identical network footprints (only construction wall-clock may vary).

@@ -101,7 +101,7 @@ func TestTransportFacadeAllAlgorithms(t *testing.T) {
 }
 
 // TestTransportFacadeDeterministic: a transport run is a pure function
-// of the seed, event clock included.
+// of the seed, simulated time included.
 func TestTransportFacadeDeterministic(t *testing.T) {
 	run := func() *Result {
 		nw, err := NewNetwork(192, WithSeed(31), WithRadiusMultiplier(2.2))
