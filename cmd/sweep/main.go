@@ -26,6 +26,7 @@ import (
 	"compress/gzip"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -40,6 +41,7 @@ import (
 
 	"geogossip"
 	"geogossip/internal/engine"
+	"geogossip/internal/sweep"
 )
 
 func main() {
@@ -192,7 +194,7 @@ func run(args []string) error {
 					// boundary in place; rewrite the file as one fresh member
 					// holding exactly the recovered results (re-encoding is
 					// byte-identical), then append new ones as a second member.
-					if err := rewriteGzip(*out, prior); err != nil {
+					if err := rewriteGzip(*out); err != nil {
 						return err
 					}
 				} else if err := truncateToLastLine(*out); err != nil {
@@ -344,28 +346,35 @@ func runJoin(ctx context.Context, addr string, rejoin, workers, buildWorkers int
 }
 
 // rewriteGzip rewrites path as a single fresh gzip stream holding
-// exactly the given results — the gzip analogue of truncateToLastLine:
-// a killed -gzip run leaves a stream cut mid-block, which cannot be
-// trimmed in place, so the recovered lines are re-encoded (the encoding
-// is canonical, hence byte-identical) behind a temp-file rename.
-func rewriteGzip(path string, results []geogossip.SweepResult) error {
+// exactly the results it can read back — the gzip analogue of
+// truncateToLastLine: a killed -gzip run leaves a stream cut mid-block,
+// which cannot be trimmed in place, so the recovered lines are
+// re-encoded behind a temp-file rename. They go through the sweep's own
+// result type and sink, which keep every field the sink wrote, so the
+// encoding is canonical and the lines come back byte-identical.
+func rewriteGzip(path string) error {
+	in, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	results, err := sweep.ReadResults(in)
+	in.Close()
+	if err != nil {
+		return err
+	}
 	tmp := path + ".resume-tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
 	zw := gzip.NewWriter(f)
-	if err := geogossip.WriteSweepResults(zw, results); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	sink := sweep.NewJSONL(zw)
+	for _, r := range results {
+		if err == nil {
+			err = sink.Write(r)
+		}
 	}
-	if err := zw.Close(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err = errors.Join(err, zw.Close(), f.Close()); err != nil {
 		os.Remove(tmp)
 		return err
 	}

@@ -2,6 +2,7 @@ package geogossip
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -38,6 +39,7 @@ func TestRunOptionValidation(t *testing.T) {
 		{"loss rate and fault loss model", []RunOption{WithLossRate(0.1), WithFaults("bernoulli:0.2")}},
 		{"churn option and churn fault model", []RunOption{WithChurn(100, 0), WithFaults("churn:100/0")}},
 		{"non-positive churn up-time", []RunOption{WithChurn(0, 10)}},
+		{"zero churn", []RunOption{WithChurn(0, 0)}},
 		{"negative churn down-time", []RunOption{WithChurn(100, -1)}},
 		{"NaN churn up-time", []RunOption{WithChurn(nan, 10)}},
 		{"infinite churn up-time", []RunOption{WithChurn(inf, 10)}},
@@ -71,6 +73,52 @@ func TestRunOptionValidation(t *testing.T) {
 					t.Errorf("%s with %s changed value %d to %v", name, tc.name, i, v)
 					break
 				}
+			}
+		}
+	}
+}
+
+// TestShorthandsLowerToSpecText: each medium shorthand option is its
+// WithFaults component, so the two spellings run identically on every
+// engine. A later call of a shorthand replaces an earlier one, and a
+// zero loss rate or an empty delay model adds no component.
+func TestShorthandsLowerToSpecText(t *testing.T) {
+	nw, err := NewNetwork(96, WithSeed(70), WithRadiusMultiplier(2.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		shorthand []RunOption
+		spec      string
+	}{
+		{[]RunOption{WithLossRate(0.1)}, "bernoulli:0.1"},
+		{[]RunOption{WithDelay("exp/0.5")}, "delay:exp/0.5"},
+		{[]RunOption{WithARQ(3, 1, 2)}, "arq:3/1/2"},
+		{[]RunOption{WithChurn(4000, 1000)}, "churn:4000/1000"},
+		{[]RunOption{WithLossRate(0.3), WithLossRate(0.1)}, "bernoulli:0.1"},
+		{[]RunOption{WithLossRate(0.1), WithLossRate(0)}, "perfect"},
+		{[]RunOption{WithDelay("exp/0.5"), WithDelay("")}, "perfect"},
+	}
+	for _, tc := range cases {
+		for _, name := range []string{"boyd", "geographic", "push-sum", "affine-hierarchical", "affine-async"} {
+			run := func(opts ...RunOption) *Result {
+				t.Helper()
+				algo, err := NewAlgorithm(name, append([]RunOption{WithTargetError(1e-2), WithMaxTicks(200_000)}, opts...)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				values := make([]float64, nw.N())
+				for i, p := range nw.Positions() {
+					values[i] = p[0] + 2*p[1]
+				}
+				res, err := algo.Run(nw, values)
+				if err != nil {
+					t.Fatalf("%s with %s: %v", name, tc.spec, err)
+				}
+				return res
+			}
+			if a, b := run(tc.shorthand...), run(WithFaults(tc.spec)); !reflect.DeepEqual(a, b) {
+				t.Errorf("%s: shorthand differs from WithFaults(%q):\n%+v\n%+v", name, tc.spec, a, b)
 			}
 		}
 	}

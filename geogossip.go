@@ -53,6 +53,7 @@ import (
 	"io"
 	"maps"
 	"math"
+	"strconv"
 	"strings"
 
 	"geogossip/internal/channel"
@@ -297,16 +298,12 @@ type runConfig struct {
 	sampling    gossip.Sampling
 	throttle    float64
 	throttleSet bool
-	lossRate    float64
 	faults      string
-	delay       string
-	arq         channel.ARQParams
-	arqSet      bool
-	churnUp     float64
-	churnDown   float64
-	churnSet    bool
-	recover     bool
-	tracer      trace.Tracer
+	// shorthand holds the fault-spec text each medium shorthand option
+	// lowers to, indexed like shorthandNames; "" adds no component.
+	shorthand [len(shorthandNames)]string
+	recover   bool
+	tracer    trace.Tracer
 	// optErr carries the first invalid option input; surfaced by validate
 	// so constructors stay error-free.
 	optErr error
@@ -349,15 +346,48 @@ func WithThrottle(t float64) RunOption {
 	return func(c *runConfig) { c.throttle = t; c.throttleSet = true }
 }
 
+// The medium shorthand options. Each lowers to one component of the
+// WithFaults grammar, which Run composes onto the WithFaults spec under
+// the one composition rule (channel.Spec.Compose): a shorthand whose
+// component the spec already has is an error naming the option. A later
+// call of the same shorthand replaces an earlier one.
+const (
+	shorthandLossRate = iota
+	shorthandDelay
+	shorthandARQ
+	shorthandChurn
+)
+
+var shorthandNames = [...]string{
+	shorthandLossRate: "WithLossRate",
+	shorthandDelay:    "WithDelay",
+	shorthandARQ:      "WithARQ",
+	shorthandChurn:    "WithChurn",
+}
+
+// lower sets the fault-spec text a medium shorthand option stands for.
+func lower(option int, text string) RunOption {
+	return func(c *runConfig) { c.shorthand[option] = text }
+}
+
+// specNumber formats v as spec text: exactly, and without the "+" that
+// separates components ("+Inf" reads back as "Inf").
+func specNumber(v float64) string {
+	return strings.TrimPrefix(strconv.FormatFloat(v, 'f', -1, 64), "+")
+}
+
 // WithLossRate makes every data packet (single-hop exchange or route
 // leg) independently lost with probability p — shorthand for the
 // "bernoulli:p" fault model of WithFaults. Lost exchanges pay the
 // transmissions made before the loss and apply no update; pair updates
 // commit atomically, so the consensus value is preserved under arbitrary
-// loss. Default 0. Run validates p ∈ [0, 1] and rejects combining it
-// with a WithFaults loss model.
+// loss. Default 0, which adds no component. Run validates p ∈ [0, 1] and
+// rejects combining it with a WithFaults loss model.
 func WithLossRate(p float64) RunOption {
-	return func(c *runConfig) { c.lossRate = p }
+	if p == 0 {
+		return lower(shorthandLossRate, "")
+	}
+	return lower(shorthandLossRate, "bernoulli:"+specNumber(p))
 }
 
 // WithFaults selects the radio fault model from a compact spec:
@@ -430,13 +460,16 @@ func WithFaults(spec string) RunOption {
 //	"uniform/LO/HI"  per-hop latency uniform on [LO, HI)
 //	"exp/MEAN"       per-hop latency exponential with the given mean
 //
-// The model is the spec grammar's "delay:" component (WithFaults), so
+// WithDelay(model) is the WithFaults component "delay:"+model, so
 // "exp/0.5" here and a "delay:exp/0.5" fault component are the same
-// layer; combining both is an error. Delay draws come from a dedicated
-// RNG stream — adding a delay never perturbs the loss process or the
-// protocol's draws. Run validates the model.
+// layer; combining both is an error, and "" adds no component. Delay
+// draws come from a dedicated RNG stream — adding a delay never perturbs
+// the loss process or the protocol's draws. Run validates the model.
 func WithDelay(model string) RunOption {
-	return func(c *runConfig) { c.delay = model }
+	if model == "" {
+		return lower(shorthandDelay, "")
+	}
+	return lower(shorthandDelay, "delay:"+model)
 }
 
 // WithARQ wraps every delivery in an automatic-repeat-request loop: a
@@ -450,10 +483,7 @@ func WithDelay(model string) RunOption {
 // error. Run validates the parameters (retries ≥ 1, timeout > 0,
 // backoff ≥ 1).
 func WithARQ(retries int, timeout, backoff float64) RunOption {
-	return func(c *runConfig) {
-		c.arq = channel.ARQParams{Retries: retries, Timeout: timeout, Backoff: backoff}
-		c.arqSet = true
-	}
+	return lower(shorthandARQ, fmt.Sprintf("arq:%d/%s/%s", retries, specNumber(timeout), specNumber(backoff)))
 }
 
 // WithRecovery enables the engines' fault-recovery protocols. For the
@@ -477,11 +507,12 @@ func WithRecovery() RunOption {
 // (when meanDown > 0) revives after an exponential downtime with mean
 // meanDown, resuming from its pre-crash state. meanDown = 0 means
 // crashed nodes never return. Durations are engine time units (see
-// WithFaults). Composes with WithLossRate and loss-only WithFaults
-// specs; combining it with a WithFaults spec that already has churn is
-// an error.
+// WithFaults). Equivalent to the "churn:UP/DOWN" fault component:
+// composes with WithLossRate and loss-only WithFaults specs, and
+// combining it with a WithFaults spec that already has churn is an
+// error. Run rejects meanUp ≤ 0 and meanDown < 0.
 func WithChurn(meanUp, meanDown float64) RunOption {
-	return func(c *runConfig) { c.churnUp, c.churnDown, c.churnSet = meanUp, meanDown, true }
+	return lower(shorthandChurn, "churn:"+specNumber(meanUp)+"/"+specNumber(meanDown))
 }
 
 // WithTraceWriter streams structured protocol events to w as they
@@ -556,53 +587,22 @@ func (c runConfig) validate() (channel.Spec, error) {
 // through.
 func positiveFinite(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
-// engineFaults assembles the channel spec the engines run on from the
-// WithFaults / WithLossRate / WithChurn options.
+// engineFaults assembles the channel spec the engines run on: the
+// WithFaults spec with each medium shorthand's component composed onto
+// it.
 func (c runConfig) engineFaults() (channel.Spec, error) {
 	spec, err := channel.Parse(c.faults)
 	if err != nil {
 		return spec, fmt.Errorf("geogossip: WithFaults: %w", err)
 	}
-	if c.lossRate != 0 {
-		if !(c.lossRate >= 0 && c.lossRate <= 1) { // NaN-safe
-			return spec, fmt.Errorf("geogossip: WithLossRate(%v): loss rate outside [0, 1]", c.lossRate)
+	for option, text := range c.shorthand {
+		part, err := channel.Parse(text)
+		if err == nil {
+			spec, err = spec.Compose(part)
 		}
-		if spec.Loss != channel.LossNone {
-			return spec, fmt.Errorf("geogossip: WithLossRate combined with a WithFaults loss model")
-		}
-		spec.Loss = channel.LossBernoulli
-		spec.LossRate = c.lossRate
-	}
-	if c.delay != "" {
-		d, err := channel.Parse("delay:" + c.delay)
 		if err != nil {
-			return spec, fmt.Errorf("geogossip: WithDelay: %w", err)
+			return spec, fmt.Errorf("geogossip: %s: %w", shorthandNames[option], err)
 		}
-		if !spec.Delay.IsZero() {
-			return spec, fmt.Errorf("geogossip: WithDelay combined with a WithFaults delay component")
-		}
-		spec.Delay = d.Delay
-	}
-	if c.arqSet {
-		if !spec.ARQ.IsZero() {
-			return spec, fmt.Errorf("geogossip: WithARQ combined with a WithFaults arq component")
-		}
-		spec.ARQ = c.arq
-	}
-	if c.churnSet {
-		if spec.HasChurn() {
-			return spec, fmt.Errorf("geogossip: WithChurn combined with a WithFaults churn component")
-		}
-		if c.churnUp <= 0 {
-			return spec, fmt.Errorf("geogossip: churn mean up-time %v must be positive", c.churnUp)
-		}
-		if c.churnDown < 0 {
-			return spec, fmt.Errorf("geogossip: churn mean down-time %v must not be negative", c.churnDown)
-		}
-		spec.Churn = channel.ChurnParams{MeanUp: c.churnUp, MeanDown: c.churnDown}
-	}
-	if err := spec.Validate(); err != nil {
-		return spec, fmt.Errorf("geogossip: %w", err)
 	}
 	return spec, nil
 }

@@ -333,17 +333,42 @@ func NewChurn(inner Channel, n int, p ChurnParams, r *rng.RNG) *Churn {
 // nodes outside targets never fail. nil targets means uniform churn over
 // all n nodes.
 func NewTargetedChurn(inner Channel, n int, p ChurnParams, targets []int32, r *rng.RNG) *Churn {
+	c := &Churn{}
+	c.reset(inner, n, p, targets, r)
+	return c
+}
+
+// reset re-initializes a pooled Churn in place, keeping the per-node
+// schedule state so no node RNG is re-allocated: a node's schedule
+// generator is reseeded lazily (see Alive) to the identical per-node seed
+// a fresh Churn would derive.
+func (c *Churn) reset(inner Channel, n int, p ChurnParams, targets []int32, r *rng.RNG) {
 	if inner == nil {
 		inner = Perfect{}
 	}
-	c := &Churn{inner: inner, params: p, nodes: make([]churnNode, n), seed: r.Seed()}
-	if targets != nil {
-		c.target = make([]bool, n)
-		for _, t := range targets {
-			c.target[t] = true
-		}
+	c.inner, c.params, c.now, c.seed = inner, p, 0, r.Seed()
+	if cap(c.nodes) >= n {
+		c.nodes = c.nodes[:n]
+	} else {
+		c.nodes = make([]churnNode, n)
 	}
-	return c
+	for i := range c.nodes {
+		nd := &c.nodes[i]
+		nd.alive, nd.nextFlip, nd.started = false, 0, false // nd.r is kept for reseeding
+	}
+	c.target = nil
+	if targets != nil {
+		if cap(c.targetBuf) >= n {
+			c.targetBuf = c.targetBuf[:n]
+			clear(c.targetBuf)
+		} else {
+			c.targetBuf = make([]bool, n)
+		}
+		for _, t := range targets {
+			c.targetBuf[t] = true
+		}
+		c.target = c.targetBuf
+	}
 }
 
 // Advance implements Channel.

@@ -242,18 +242,31 @@ type fieldEval struct {
 // NewSpatialLoss wraps inner (nil selects Perfect) with the given loss
 // fields, drawing from r.
 func NewSpatialLoss(inner Channel, fields []FieldParams, r *rng.RNG) *SpatialLoss {
-	if inner == nil {
-		inner = Perfect{}
-	}
-	s := &SpatialLoss{inner: inner, evals: make([]fieldEval, len(fields)), r: r}
-	for i, f := range fields {
-		s.initEval(&s.evals[i], f)
-	}
+	s := &SpatialLoss{}
+	s.reset(inner, fields, r)
 	return s
 }
 
+// reset re-initializes a pooled SpatialLoss in place, keeping the
+// evaluator storage.
+func (s *SpatialLoss) reset(inner Channel, fields []FieldParams, r *rng.RNG) {
+	if inner == nil {
+		inner = Perfect{}
+	}
+	if cap(s.evals) >= len(fields) {
+		s.evals = s.evals[:len(fields)]
+	} else {
+		s.evals = make([]fieldEval, len(fields))
+	}
+	s.inner, s.r = inner, r
+	for i, f := range fields {
+		s.evals[i] = fieldEval{}
+		s.initEval(&s.evals[i], f)
+	}
+}
+
 // initEval fills one evaluator with its field and precompiled
-// fast-rejection state (shared by NewSpatialLoss and the pooled reset).
+// fast-rejection state.
 func (s *SpatialLoss) initEval(ev *fieldEval, f FieldParams) {
 	ev.f = f
 	ev.moving = f.Moving()

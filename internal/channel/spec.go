@@ -1,8 +1,10 @@
 package channel
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -471,10 +473,59 @@ func formatFloat(v float64) string {
 	return strings.ReplaceAll(s, "e+", "e")
 }
 
+// Compose returns the medium s and o describe together: the one rule
+// for combining media, which Parse applies to each "+" component and the
+// facade's shorthand options and the sweep's medium axes apply to whole
+// specs. The result has at most one loss model, cut, delay, reorder,
+// dup, ARQ and churn component, its jamming fields are s's followed by
+// o's, and it must validate.
+func (s Spec) Compose(o Spec) (Spec, error) {
+	out, err := s.compose(o)
+	if err != nil {
+		return s, err
+	}
+	return out, out.Validate()
+}
+
+// compose is Compose without the validation: Parse adds one component
+// at a time, and a reorder component is only valid once the delay it
+// draws from has been added.
+func (s Spec) compose(o Spec) (Spec, error) {
+	for _, c := range [...]struct {
+		what string
+		both bool
+	}{
+		{"loss models", s.Loss != LossNone && o.Loss != LossNone},
+		{"cut components", s.HasCut() && o.HasCut()},
+		{"delay components", !s.Delay.IsZero() && !o.Delay.IsZero()},
+		{"reorder components", s.Reorder > 0 && o.Reorder > 0},
+		{"dup components", s.Dup > 0 && o.Dup > 0},
+		{"arq components", !s.ARQ.IsZero() && !o.ARQ.IsZero()},
+		{"churn components", s.HasChurn() && o.HasChurn()},
+	} {
+		if c.both {
+			return s, fmt.Errorf("channel: spec %q has two %s", s.String()+"+"+o.String(), c.what)
+		}
+	}
+	// Each component is now set on one side at most: take it from there.
+	if s.Loss == LossNone {
+		s.Loss, s.LossRate, s.GE = o.Loss, o.LossRate, o.GE
+	}
+	if !s.HasChurn() {
+		s.Churn, s.ChurnTarget, s.HubCount = o.Churn, o.ChurnTarget, o.HubCount
+	}
+	if len(o.Fields) > 0 {
+		s.Fields = append(slices.Clip(s.Fields), o.Fields...)
+	}
+	s.Cut, s.Delay, s.ARQ = cmp.Or(s.Cut, o.Cut), cmp.Or(s.Delay, o.Delay), cmp.Or(s.ARQ, o.ARQ)
+	s.Reorder, s.Dup = cmp.Or(s.Reorder, o.Reorder), cmp.Or(s.Dup, o.Dup)
+	return s, nil
+}
+
 // Parse reads the compact spec form produced by String. The empty string
 // and "perfect" both mean the perfect medium. Components separated by
-// "+" compose; parameters within a component separate with "/". See
-// Spec.String for the grammar.
+// "+" compose (see Compose); parameters within a component separate
+// with "/". See Spec.String for the grammar.
 func Parse(text string) (Spec, error) {
 	var s Spec
 	text = strings.TrimSpace(text)
@@ -482,153 +533,137 @@ func Parse(text string) (Spec, error) {
 		return s, nil
 	}
 	for _, part := range strings.Split(text, "+") {
-		part = strings.TrimSpace(part)
-		kind, args, _ := strings.Cut(part, ":")
-		switch kind {
-		case "perfect":
-			// no-op component, composes with anything
-		case "bernoulli", "loss":
-			if s.Loss != LossNone {
-				return s, fmt.Errorf("channel: spec %q has two loss models", text)
-			}
-			s.Loss = LossBernoulli
-			vals, err := parseFloatList(part, args, 1)
-			if err != nil {
-				return s, err
-			}
-			s.LossRate = vals[0]
-		case "ge", "gilbert-elliott":
-			if s.Loss != LossNone {
-				return s, fmt.Errorf("channel: spec %q has two loss models", text)
-			}
-			s.Loss = LossGilbertElliott
-			vals, err := parseFloatList(part, args, 4)
-			if err != nil {
-				return s, err
-			}
-			s.GE = GEParams{PGoodToBad: vals[0], PBadToGood: vals[1], LossGood: vals[2], LossBad: vals[3]}
-		case "jam":
-			f, err := parseJam(part, args)
-			if err != nil {
-				return s, err
-			}
-			s.Fields = append(s.Fields, f)
-		case "mjam":
-			vals, err := parseFloatList(part, args, 6)
-			if err != nil {
-				return s, err
-			}
-			s.Fields = append(s.Fields, FieldParams{
-				Kind:   FieldDisk,
-				Center: geo.Pt(vals[0], vals[1]),
-				Radius: vals[2],
-				Loss:   vals[3],
-				Vel:    geo.Pt(vals[4], vals[5]),
-			})
-		case "jampoly":
-			f, err := parseJamPoly(part, args)
-			if err != nil {
-				return s, err
-			}
-			s.Fields = append(s.Fields, f)
-		case "cut":
-			if s.HasCut() {
-				return s, fmt.Errorf("channel: spec %q has two cut components", text)
-			}
-			vals, err := parseFloatList(part, args, 5)
-			if err != nil {
-				return s, err
-			}
-			from, until, err := parseWindow(part, vals[3], vals[4])
-			if err != nil {
-				return s, err
-			}
-			cut := CutParams{A: vals[0], B: vals[1], C: vals[2], From: from, Until: until}
-			if cut.IsZero() {
-				// The zero CutParams encodes "no cut", so an all-zero
-				// component would silently validate as a no-op.
-				return s, fmt.Errorf("channel: cut component %q is all zero (no line, no window)", part)
-			}
-			s.Cut = cut
-		case "delay":
-			if !s.Delay.IsZero() {
-				return s, fmt.Errorf("channel: spec %q has two delay components", text)
-			}
-			d, err := parseDelay(part, args)
-			if err != nil {
-				return s, err
-			}
-			s.Delay = d
-		case "reorder":
-			if s.Reorder > 0 {
-				return s, fmt.Errorf("channel: spec %q has two reorder components", text)
-			}
-			vals, err := parseFloatList(part, args, 1)
-			if err != nil {
-				return s, err
-			}
-			if vals[0] <= 0 {
-				return s, fmt.Errorf("channel: reorder component %q: probability must be positive", part)
-			}
-			s.Reorder = vals[0]
-		case "dup":
-			if s.Dup > 0 {
-				return s, fmt.Errorf("channel: spec %q has two dup components", text)
-			}
-			vals, err := parseFloatList(part, args, 1)
-			if err != nil {
-				return s, err
-			}
-			if vals[0] <= 0 {
-				return s, fmt.Errorf("channel: dup component %q: probability must be positive", part)
-			}
-			s.Dup = vals[0]
-		case "arq":
-			if !s.ARQ.IsZero() {
-				return s, fmt.Errorf("channel: spec %q has two arq components", text)
-			}
-			vals, err := parseFloatList(part, args, 3)
-			if err != nil {
-				return s, err
-			}
-			retries := int(vals[0])
-			if float64(retries) != vals[0] || retries <= 0 {
-				return s, fmt.Errorf("channel: arq component %q: retries must be a positive integer", part)
-			}
-			s.ARQ = ARQParams{Retries: retries, Timeout: vals[1], Backoff: vals[2]}
-		case "churn", "repchurn", "hubchurn":
-			if s.HasChurn() {
-				return s, fmt.Errorf("channel: spec %q has two churn components", text)
-			}
-			want := 2
-			if kind == "hubchurn" {
-				want = 3
-			}
-			vals, err := parseFloatList(part, args, want)
-			if err != nil {
-				return s, err
-			}
-			if vals[0] <= 0 {
-				return s, fmt.Errorf("channel: churn component %q: mean up-time must be positive", part)
-			}
-			s.Churn = ChurnParams{MeanUp: vals[0], MeanDown: vals[1]}
-			switch kind {
-			case "repchurn":
-				s.ChurnTarget = TargetReps
-			case "hubchurn":
-				s.ChurnTarget = TargetHubs
-				k := int(vals[2])
-				if float64(k) != vals[2] || k <= 0 {
-					return s, fmt.Errorf("channel: hub churn component %q: hub count must be a positive integer", part)
-				}
-				s.HubCount = k
-			}
-		default:
-			return s, fmt.Errorf("channel: unknown fault component %q (want perfect, bernoulli:P, ge:PGB/PBG/EG/EB, jam:CX/CY/R/LOSS[/FROM/UNTIL[/PERIOD]], mjam:CX/CY/R/LOSS/VX/VY, jampoly:LOSS/X1/Y1/..., cut:A/B/C/FROM/UNTIL, delay:fixed/D, delay:uniform/LO/HI, delay:exp/MEAN, reorder:P, dup:P, arq:RETRIES/TIMEOUT/BACKOFF, churn:UP/DOWN, repchurn:UP/DOWN, or hubchurn:UP/DOWN/K)", part)
+		c, err := parseComponent(strings.TrimSpace(part))
+		if err == nil {
+			s, err = s.compose(c)
+		}
+		if err != nil {
+			return s, err
 		}
 	}
-	if err := s.Validate(); err != nil {
-		return s, err
+	return s, s.Validate()
+}
+
+// parseComponent reads one component of the grammar into a spec that
+// holds it alone.
+func parseComponent(part string) (Spec, error) {
+	var s Spec
+	kind, args, _ := strings.Cut(part, ":")
+	switch kind {
+	case "perfect":
+		// no-op component, composes with anything
+	case "bernoulli", "loss":
+		vals, err := parseFloatList(part, args, 1)
+		if err != nil {
+			return s, err
+		}
+		s.Loss, s.LossRate = LossBernoulli, vals[0]
+	case "ge", "gilbert-elliott":
+		vals, err := parseFloatList(part, args, 4)
+		if err != nil {
+			return s, err
+		}
+		s.Loss = LossGilbertElliott
+		s.GE = GEParams{PGoodToBad: vals[0], PBadToGood: vals[1], LossGood: vals[2], LossBad: vals[3]}
+	case "jam":
+		f, err := parseJam(part, args)
+		if err != nil {
+			return s, err
+		}
+		s.Fields = []FieldParams{f}
+	case "mjam":
+		vals, err := parseFloatList(part, args, 6)
+		if err != nil {
+			return s, err
+		}
+		s.Fields = []FieldParams{{
+			Kind:   FieldDisk,
+			Center: geo.Pt(vals[0], vals[1]),
+			Radius: vals[2],
+			Loss:   vals[3],
+			Vel:    geo.Pt(vals[4], vals[5]),
+		}}
+	case "jampoly":
+		f, err := parseJamPoly(part, args)
+		if err != nil {
+			return s, err
+		}
+		s.Fields = []FieldParams{f}
+	case "cut":
+		vals, err := parseFloatList(part, args, 5)
+		if err != nil {
+			return s, err
+		}
+		from, until, err := parseWindow(part, vals[3], vals[4])
+		if err != nil {
+			return s, err
+		}
+		s.Cut = CutParams{A: vals[0], B: vals[1], C: vals[2], From: from, Until: until}
+		if s.Cut.IsZero() {
+			// The zero CutParams encodes "no cut", so an all-zero
+			// component would silently validate as a no-op.
+			return s, fmt.Errorf("channel: cut component %q is all zero (no line, no window)", part)
+		}
+	case "delay":
+		d, err := parseDelay(part, args)
+		if err != nil {
+			return s, err
+		}
+		s.Delay = d
+	case "reorder":
+		vals, err := parseFloatList(part, args, 1)
+		if err != nil {
+			return s, err
+		}
+		if vals[0] <= 0 {
+			return s, fmt.Errorf("channel: reorder component %q: probability must be positive", part)
+		}
+		s.Reorder = vals[0]
+	case "dup":
+		vals, err := parseFloatList(part, args, 1)
+		if err != nil {
+			return s, err
+		}
+		if vals[0] <= 0 {
+			return s, fmt.Errorf("channel: dup component %q: probability must be positive", part)
+		}
+		s.Dup = vals[0]
+	case "arq":
+		vals, err := parseFloatList(part, args, 3)
+		if err != nil {
+			return s, err
+		}
+		retries := int(vals[0])
+		if float64(retries) != vals[0] || retries <= 0 {
+			return s, fmt.Errorf("channel: arq component %q: retries must be a positive integer", part)
+		}
+		s.ARQ = ARQParams{Retries: retries, Timeout: vals[1], Backoff: vals[2]}
+	case "churn", "repchurn", "hubchurn":
+		want := 2
+		if kind == "hubchurn" {
+			want = 3
+		}
+		vals, err := parseFloatList(part, args, want)
+		if err != nil {
+			return s, err
+		}
+		if vals[0] <= 0 {
+			return s, fmt.Errorf("channel: churn component %q: mean up-time must be positive", part)
+		}
+		s.Churn = ChurnParams{MeanUp: vals[0], MeanDown: vals[1]}
+		switch kind {
+		case "repchurn":
+			s.ChurnTarget = TargetReps
+		case "hubchurn":
+			s.ChurnTarget = TargetHubs
+			k := int(vals[2])
+			if float64(k) != vals[2] || k <= 0 {
+				return s, fmt.Errorf("channel: hub churn component %q: hub count must be a positive integer", part)
+			}
+			s.HubCount = k
+		}
+	default:
+		return s, fmt.Errorf("channel: unknown fault component %q (want perfect, bernoulli:P, ge:PGB/PBG/EG/EB, jam:CX/CY/R/LOSS[/FROM/UNTIL[/PERIOD]], mjam:CX/CY/R/LOSS/VX/VY, jampoly:LOSS/X1/Y1/..., cut:A/B/C/FROM/UNTIL, delay:fixed/D, delay:uniform/LO/HI, delay:exp/MEAN, reorder:P, dup:P, arq:RETRIES/TIMEOUT/BACKOFF, churn:UP/DOWN, repchurn:UP/DOWN, or hubchurn:UP/DOWN/K)", part)
 	}
 	return s, nil
 }

@@ -110,6 +110,32 @@ func TestSpecRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestComposeMatchesParse: composing two specs is what Parse does with
+// their texts joined by "+" — both fail, or both return the same spec.
+func TestComposeMatchesParse(t *testing.T) {
+	r := rng.New(20261018)
+	composed := 0
+	for i := 0; i < 2000; i++ {
+		a, b := randomSpec(r), randomSpec(r)
+		got, err := a.Compose(b)
+		text := a.String() + "+" + b.String()
+		want, perr := Parse(text)
+		if (err == nil) != (perr == nil) {
+			t.Fatalf("case %d: Compose error %v, Parse(%q) error %v", i, err, text, perr)
+		}
+		if err != nil {
+			continue
+		}
+		composed++
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("case %d: %q composed to\n have %+v\n want %+v", i, text, got, want)
+		}
+	}
+	if composed == 0 {
+		t.Fatal("no generated pair composed")
+	}
+}
+
 // FuzzSpecRoundTrip feeds arbitrary text to Parse; whatever it accepts
 // must re-serialize to a fixed point (one canonicalizing round allowed
 // for alternative spellings like "loss:" or ".2").

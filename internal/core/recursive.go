@@ -299,11 +299,14 @@ func RunRecursive(g *graph.Graph, h *hier.Hierarchy, x []float64, opt RecursiveO
 	// This engine has no harness, so it flushes its run totals itself:
 	// the tally with the far-exchange count added (the exchange hot path
 	// counts only in the result), category counts and convergence.
-	// Ticks = far exchanges, the engine's clock.
-	e.tally.AddFarExchanges(e.res.FarExchanges)
-	e.obs.EndRun(&e.tally, e.counter.Get(sim.CatNear), e.counter.Get(sim.CatFar),
-		e.counter.Get(sim.CatControl), e.counter.Get(sim.CatFlood),
-		e.res.FarExchanges, converged, finalErr)
+	// Ticks = far exchanges, the engine's clock. A run whose final error
+	// is not finite fails, so it is not flushed (see sim.Finite).
+	if sim.Finite(finalErr) {
+		e.tally.AddFarExchanges(e.res.FarExchanges)
+		e.obs.EndRun(&e.tally, e.counter.Get(sim.CatNear), e.counter.Get(sim.CatFar),
+			e.counter.Get(sim.CatControl), e.counter.Get(sim.CatFlood),
+			e.res.FarExchanges, converged, finalErr)
+	}
 	e.res.Result = &metrics.Result{
 		Algorithm:               name,
 		N:                       g.N(),

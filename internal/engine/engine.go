@@ -6,7 +6,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 
 	"geogossip/internal/channel"
 	"geogossip/internal/core"
@@ -87,8 +86,8 @@ func (e Engine) Run(g *graph.Graph, h *hier.Hierarchy, x []float64, c Config, r 
 	if err != nil {
 		return Result{}, err
 	}
-	if fe := res.FinalErr; math.IsNaN(fe) || math.IsInf(fe, 0) {
-		return Result{}, fmt.Errorf("engine: %s run ended at non-finite relative error %v", e.Name, fe)
+	if !sim.Finite(res.FinalErr) {
+		return Result{}, fmt.Errorf("engine: %s run ended at non-finite relative error %v", e.Name, res.FinalErr)
 	}
 	return res, nil
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+
 	"geogossip/internal/channel"
 	"geogossip/internal/geo"
 	"geogossip/internal/metrics"
@@ -225,9 +227,17 @@ func (h *Harness) TraceLoss(a, b int32, paid int) {
 	}
 }
 
+// Finite reports whether a run's final error is finite. The engine
+// table fails a run that ends otherwise, so the engines flush such a
+// run's metrics nowhere: a failed run stays out of the shared metrics.
+func Finite(finalErr float64) bool {
+	return !math.IsNaN(finalErr) && !math.IsInf(finalErr, 0)
+}
+
 // Finish resyncs the tracker, appends the final curve sample, and
 // assembles the standard result (Converged = target error set and
-// reached). The liveness mask is included when the medium killed nodes.
+// reached), flushing the run's metrics unless its final error is not
+// Finite. The liveness mask is included when the medium killed nodes.
 // The result's curve is a snapshot: a later Reset of a pooled harness
 // cannot corrupt a result already handed out.
 func (h *Harness) Finish(name string) *metrics.Result {
@@ -235,9 +245,11 @@ func (h *Harness) Finish(name string) *metrics.Result {
 	finalErr := h.Tracker.Err()
 	h.Curve.Record(h.Clock.Ticks(), h.Counter.Total(), finalErr)
 	converged := h.Stop.TargetErr > 0 && finalErr <= h.Stop.TargetErr
-	h.Scope.EndRun(&h.Tally, h.Counter.Get(CatNear), h.Counter.Get(CatFar),
-		h.Counter.Get(CatControl), h.Counter.Get(CatFlood),
-		h.Clock.Ticks(), converged, finalErr)
+	if Finite(finalErr) {
+		h.Scope.EndRun(&h.Tally, h.Counter.Get(CatNear), h.Counter.Get(CatFar),
+			h.Counter.Get(CatControl), h.Counter.Get(CatFlood),
+			h.Clock.Ticks(), converged, finalErr)
+	}
 	res := &metrics.Result{
 		Algorithm:               name,
 		N:                       h.n,

@@ -3,7 +3,6 @@ package sweep
 import (
 	"sort"
 
-	"geogossip/internal/channel"
 	"geogossip/internal/stats"
 )
 
@@ -235,19 +234,15 @@ type lossLineKey struct {
 	Hierarchy string
 }
 
-// effectiveLoss resolves a cell's per-packet loss rate: the LossRate
-// axis folded into the fault model's expected loss (Bernoulli rate, GE
-// stationary loss, field mean loss composed as independent events).
-// Excluded from fitting: cells whose fault model fails to parse or
-// loses everything, and cells with structural faults (cuts, churn) —
-// their cost inflation is not a function of a loss rate and would only
-// pollute the fit.
+// effectiveLoss resolves a cell's per-packet loss rate: the expected
+// loss of the cell's composed medium (Bernoulli rate, GE stationary loss,
+// field mean loss composed as independent events). Excluded from
+// fitting: cells whose medium does not compose or loses everything, and
+// cells with structural faults (cuts, churn) — their cost inflation is
+// not a function of a loss rate and would only pollute the fit.
 func effectiveLoss(k CellKey) (float64, bool) {
-	spec, err := channel.Parse(k.FaultModel)
-	if err != nil {
-		return 0, false
-	}
-	if spec.HasCut() || spec.HasChurn() {
+	spec, err := medium(k.LossRate, k.FaultModel, k.Transport)
+	if err != nil || spec.HasCut() || spec.HasChurn() {
 		return 0, false
 	}
 	for _, f := range spec.Fields {
@@ -262,12 +257,6 @@ func effectiveLoss(k CellKey) (float64, bool) {
 			// not a usable fit coordinate either.
 			return 0, false
 		}
-	}
-	if k.LossRate != 0 {
-		// The grid validator forbids crossing LossRates with fault models
-		// that carry their own loss process, so folding is unambiguous.
-		spec.Loss = channel.LossBernoulli
-		spec.LossRate = k.LossRate
 	}
 	p := spec.ExpectedLossRate()
 	if p < 0 || p >= 1 {

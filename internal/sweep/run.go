@@ -195,38 +195,10 @@ func (t Task) values(g *graph.Graph, buf []float64) []float64 {
 	return x
 }
 
-// faults resolves the task's effective radio fault model: the parsed
-// FaultModel axis entry, with the LossRate axis folded in as a Bernoulli
-// loss process and the Transport axis composed on top when set.
+// faults resolves the task's effective radio fault model from its
+// LossRate, FaultModel and Transport coordinates (see medium).
 func (t Task) faults() (channel.Spec, error) {
-	spec, err := channel.Parse(t.FaultModel)
-	if err != nil {
-		return spec, err
-	}
-	if t.LossRate != 0 {
-		if spec.Loss != channel.LossNone {
-			return spec, fmt.Errorf("sweep: task crosses loss rate %v with fault model %q", t.LossRate, t.FaultModel)
-		}
-		spec.Loss = channel.LossBernoulli
-		spec.LossRate = t.LossRate
-	}
-	if t.Transport != "" {
-		tr, err := channel.Parse(t.Transport)
-		if err != nil {
-			return spec, fmt.Errorf("sweep: transport %q: %w", t.Transport, err)
-		}
-		if !tr.TransportOnly() {
-			return spec, fmt.Errorf("sweep: transport %q carries non-transport components", t.Transport)
-		}
-		if spec.HasTransport() {
-			return spec, fmt.Errorf("sweep: task crosses transport %q with fault model %q, which already carries transport components", t.Transport, t.FaultModel)
-		}
-		spec.Delay = tr.Delay
-		spec.Reorder = tr.Reorder
-		spec.Dup = tr.Dup
-		spec.ARQ = tr.ARQ
-	}
-	return spec, nil
+	return medium(t.LossRate, t.FaultModel, t.Transport)
 }
 
 // runStates bundles the reusable engine run states one worker threads

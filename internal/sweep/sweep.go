@@ -149,42 +149,8 @@ func (s Spec) Normalized() Spec {
 	if len(s.LossRates) == 0 {
 		s.LossRates = []float64{0}
 	}
-	if len(s.FaultModels) == 0 {
-		s.FaultModels = []string{""}
-	}
-	// Canonicalize fault-model spellings ("perfect" -> "", ".2" -> "0.2")
-	// so physically identical media share run seeds and aggregation
-	// cells regardless of how the spec was written. Unparsable entries
-	// pass through untouched for Validate to reject.
-	models := make([]string, len(s.FaultModels))
-	for i, fm := range s.FaultModels {
-		models[i] = fm
-		if spec, err := channel.Parse(fm); err == nil {
-			if spec.IsZero() {
-				models[i] = ""
-			} else {
-				models[i] = spec.String()
-			}
-		}
-	}
-	s.FaultModels = models
-	if len(s.Transports) == 0 {
-		s.Transports = []string{""}
-	}
-	// Canonicalize transport spellings the same way, so physically
-	// identical transports share run seeds and aggregation cells.
-	transports := make([]string, len(s.Transports))
-	for i, tr := range s.Transports {
-		transports[i] = tr
-		if spec, err := channel.Parse(tr); err == nil {
-			if spec.IsZero() {
-				transports[i] = ""
-			} else {
-				transports[i] = spec.String()
-			}
-		}
-	}
-	s.Transports = transports
+	s.FaultModels = canonical(s.FaultModels)
+	s.Transports = canonical(s.Transports)
 	if len(s.Recovery) == 0 {
 		s.Recovery = []bool{false}
 	}
@@ -210,6 +176,28 @@ func (s Spec) Normalized() Spec {
 		s.Field = FieldSmooth
 	}
 	return s
+}
+
+// canonical returns a spec-text axis in canonical spelling ("perfect" ->
+// "", ".2" -> "0.2"), so physically identical media share run seeds and
+// aggregation cells regardless of how the spec was written. An empty
+// axis selects {""}. Unparsable entries pass through untouched for
+// Validate to reject.
+func canonical(axis []string) []string {
+	if len(axis) == 0 {
+		return []string{""}
+	}
+	out := make([]string, len(axis))
+	for i, text := range axis {
+		out[i] = text
+		if spec, err := channel.Parse(text); err == nil {
+			out[i] = ""
+			if !spec.IsZero() {
+				out[i] = spec.String()
+			}
+		}
+	}
+	return out
 }
 
 // Validate reports the first problem with a normalized spec.
@@ -252,40 +240,11 @@ func (s Spec) Validate() error {
 		if p < 0 || p >= 1 {
 			return fmt.Errorf("sweep: loss rate %v outside [0, 1)", p)
 		}
-	}
-	lossAxis := false
-	for _, p := range s.LossRates {
-		if p > 0 {
-			lossAxis = true
-		}
-	}
-	for _, fm := range s.FaultModels {
-		spec, err := channel.Parse(fm)
-		if err != nil {
-			return fmt.Errorf("sweep: fault model %q: %w", fm, err)
-		}
-		if lossAxis && spec.Loss != channel.LossNone {
-			return fmt.Errorf("sweep: fault model %q carries a loss model; it cannot be crossed with non-zero LossRates (use churn-only fault models or drop the loss axis)", fm)
-		}
-	}
-	transportAxis := false
-	for _, tr := range s.Transports {
-		if tr == "" {
-			continue
-		}
-		transportAxis = true
-		spec, err := channel.Parse(tr)
-		if err != nil {
-			return fmt.Errorf("sweep: transport %q: %w", tr, err)
-		}
-		if !spec.TransportOnly() {
-			return fmt.Errorf("sweep: transport %q carries non-transport components; loss/field/cut/churn belong on the fault-model axis", tr)
-		}
-	}
-	if transportAxis {
 		for _, fm := range s.FaultModels {
-			if spec, err := channel.Parse(fm); err == nil && spec.HasTransport() {
-				return fmt.Errorf("sweep: fault model %q carries transport components; it cannot be crossed with a non-empty transport axis", fm)
+			for _, tr := range s.Transports {
+				if _, err := medium(p, fm, tr); err != nil {
+					return err
+				}
 			}
 		}
 	}
@@ -437,6 +396,38 @@ func (t Task) runSeed() uint64 {
 		seed = rng.DeriveString(seed, "sweep/recover")
 	}
 	return seed
+}
+
+// medium composes one task's radio medium from its three medium axes:
+// the FaultModel entry, the LossRate entry as a Bernoulli loss model (0
+// adds none) and the Transport entry, under the one composition rule of
+// channel.Spec.Compose. The sweep adds one rule of its own: a non-empty
+// Transport entry owns the whole transport layer, so it holds only
+// transport components and the fault model it is crossed with holds
+// none.
+func medium(lossRate float64, faultModel, transport string) (channel.Spec, error) {
+	spec, err := channel.Parse(faultModel)
+	if err != nil {
+		return spec, fmt.Errorf("sweep: fault model %q: %w", faultModel, err)
+	}
+	tr, err := channel.Parse(transport)
+	if err != nil {
+		return spec, fmt.Errorf("sweep: transport %q: %w", transport, err)
+	}
+	if !tr.IsZero() && !tr.TransportOnly() {
+		return spec, fmt.Errorf("sweep: transport %q carries non-transport components; loss/field/cut/churn belong on the fault-model axis", transport)
+	}
+	if !tr.IsZero() && spec.HasTransport() {
+		return spec, fmt.Errorf("sweep: fault model %q carries transport components; it cannot be crossed with a non-empty transport axis", faultModel)
+	}
+	var loss channel.Spec
+	if lossRate != 0 {
+		loss = channel.Spec{Loss: channel.LossBernoulli, LossRate: lossRate}
+	}
+	if spec, err = spec.Compose(loss); err != nil {
+		return spec, fmt.Errorf("sweep: loss rate %v and fault model %q cannot be crossed: %w", lossRate, faultModel, err)
+	}
+	return spec.Compose(tr)
 }
 
 // fieldSeed derives the seed for iid initial measurements; like netSeed

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"geogossip/internal/obs"
 )
 
 // smallSpec is a grid cheap enough for unit tests but wide enough to
@@ -437,7 +439,9 @@ func TestExecuteReportsUnusableCell(t *testing.T) {
 // overflows its values, ending at +Inf (beta 1e6) or NaN (beta 1e100).
 // Each such run is one failed task whose error names the engine and the
 // value. The sweep still finishes, the JSONL sink encodes every line,
-// and the boyd tasks of the same grid keep their results.
+// and the boyd tasks of the same grid keep their results. The failed
+// runs stay out of the metrics registry too: it counts no async run,
+// and its exposition holds no NaN or infinite value.
 func TestNonFiniteRunFailsAlone(t *testing.T) {
 	spec := Spec{
 		Algorithms: []string{AlgoBoyd, AlgoAsync},
@@ -447,9 +451,29 @@ func TestNonFiniteRunFailsAlone(t *testing.T) {
 		MaxTicks:   2_000_000,
 	}
 	var buf bytes.Buffer
-	res, err := Run(context.Background(), spec, Options{Workers: 2, Sink: NewJSONL(&buf)})
+	reg := obs.NewRegistry()
+	res, err := Run(context.Background(), spec, Options{Workers: 2, Sink: NewJSONL(&buf), Obs: reg})
 	if err != nil {
 		t.Fatalf("sweep aborted: %v", err)
+	}
+	flat := reg.Flatten()
+	for algo, want := range map[string]float64{AlgoAsync: 0, AlgoBoyd: 2} {
+		if got := flat[obs.MetricRuns+`{engine="`+algo+`"}`]; got != want {
+			t.Errorf("%s runs counted %v, want %v", algo, got, want)
+		}
+	}
+	var expo bytes.Buffer
+	if err := reg.WritePrometheus(&expo); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(expo.String(), "\n") {
+		fields := strings.Fields(line)
+		if len(fields) < 2 || fields[0] == "#" {
+			continue
+		}
+		if v := fields[len(fields)-1]; v == "NaN" || strings.HasSuffix(v, "Inf") {
+			t.Errorf("exposition holds a non-finite value: %s", line)
+		}
 	}
 	if lines := strings.Count(buf.String(), "\n"); lines != len(res) || len(res) != 4 {
 		t.Fatalf("sink holds %d lines for %d results, want 4", lines, len(res))

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -105,6 +106,34 @@ func TestTransportAxisValidation(t *testing.T) {
 		if err := good.Normalized().Validate(); err != nil {
 			t.Fatalf("good spec rejected: %v", err)
 		}
+	}
+}
+
+// TestMediumAxesCompose: the three medium axes compose into one
+// channel spec, so a loss rate crossed with a transport runs the medium
+// of the fault model that spells both.
+func TestMediumAxesCompose(t *testing.T) {
+	crossed := Spec{
+		Algorithms: []string{AlgoBoyd},
+		Ns:         []int{64},
+		LossRates:  []float64{0.1},
+		Transports: []string{"arq:3/1/2"},
+	}.Expand()
+	spelled := Spec{
+		Algorithms:  []string{AlgoBoyd},
+		Ns:          []int{64},
+		FaultModels: []string{"bernoulli:0.1+arq:3/1/2"},
+	}.Expand()
+	a, err := crossed[0].faults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := spelled[0].faults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("LossRates x Transports resolved to %+v, the fault model to %+v", a, b)
 	}
 }
 

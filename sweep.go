@@ -32,7 +32,9 @@ type SweepSpec struct {
 	// derive their own seeds from it and their coordinates, so results
 	// are bit-identical for any worker count.
 	BaseSeed uint64
-	// LossRates lists packet-loss probabilities (default {0}).
+	// LossRates lists packet-loss probabilities (default {0}). A non-zero
+	// entry composes onto the task's fault model as "bernoulli:p", the
+	// composition WithLossRate makes onto WithFaults.
 	LossRates []float64
 	// FaultModels lists radio fault models in WithFaults spec form
 	// ("perfect", "bernoulli:P", "ge:PGB/PBG/EG/EB", spatial forms
@@ -415,10 +417,12 @@ func ReadSweepResults(r io.Reader) ([]SweepResult, error) {
 	return out, nil
 }
 
-// WriteSweepResults writes results to w in the exact JSONL form
-// WithSweepJSONL streams — one canonical JSON object per line — so
-// files rewritten or merged through it stay byte-compatible with sink
-// output and with ReadSweepResults.
+// WriteSweepResults writes results to w in the JSONL form
+// WithSweepJSONL streams — one canonical JSON object per line — which
+// ReadSweepResults reads back. A SweepResult does not hold every field
+// the sink records (an affine task's hierarchy_ell is not one of its
+// fields), so a sink line rewritten through it is not always
+// byte-identical to the original.
 func WriteSweepResults(w io.Writer, results []SweepResult) error {
 	sink := sweep.NewJSONL(w)
 	for _, r := range results {
