@@ -30,14 +30,12 @@ import (
 // events.
 type AsyncOptions struct {
 	// Eps sizes the per-level budgets via the adaptive schedule
-	// ε_{r+1} = ε_r / (EpsDecayFactor·sqrt(E#[□_r])). Zero selects 1e-2.
+	// ε_{r+1} = ε_r / (κ·sqrt(E#[□_r])), κ = 4 (DESIGN.md §4.1). Zero
+	// selects 1e-2.
 	Eps float64
-	// EpsDecayFactor is the per-level accuracy decay factor; zero
-	// selects 4 (see RecursiveOptions.EpsDecayFactor).
-	EpsDecayFactor float64
 	// Beta scales the affine coefficient; zero selects DefaultBeta.
 	Beta float64
-	// Throttle is the round-serialization factor; zero selects 4.
+	// Throttle is the round-serialization factor; zero selects 8.
 	Throttle float64
 	// RoundsFactor scales exchanges per round; zero selects 1.
 	RoundsFactor float64
@@ -50,8 +48,6 @@ type AsyncOptions struct {
 	// RecordEvery samples the convergence curve every RecordEvery ticks;
 	// zero selects n.
 	RecordEvery uint64
-	// Recovery selects routing stall handling; zero selects RecoveryBFS.
-	Recovery routing.Recovery
 	// Routes optionally supplies a shared deterministic route/flood
 	// cache bound to the run's graph (see RecursiveOptions.Routes).
 	Routes *routing.Cache
@@ -88,9 +84,6 @@ func (o AsyncOptions) withDefaults() AsyncOptions {
 	if o.Eps <= 0 {
 		o.Eps = 1e-2
 	}
-	if o.EpsDecayFactor <= 0 {
-		o.EpsDecayFactor = 4
-	}
 	if o.Beta == 0 {
 		o.Beta = DefaultBeta
 	}
@@ -106,9 +99,6 @@ func (o AsyncOptions) withDefaults() AsyncOptions {
 	}
 	if o.LeafTicks <= 0 {
 		o.LeafTicks = 64
-	}
-	if o.Recovery == 0 {
-		o.Recovery = routing.RecoveryBFS
 	}
 	return o
 }
@@ -208,7 +198,7 @@ func RunAsync(g *graph.Graph, h *hier.Hierarchy, x []float64, opt AsyncOptions, 
 	}
 	// Re-elections (under Recover) write to the state's representative
 	// view, never to the shared hierarchy build.
-	st.bind(g, h, opt.Recovery, opt.Routes)
+	st.bind(g, h, opt.Routes)
 	e := &st.async
 	*e = asyncEngine{
 		st:           st,
@@ -313,7 +303,7 @@ func (e *asyncEngine) heal() {
 	for _, id := range changed {
 		sq := e.h.Squares[id]
 		e.reelections++
-		e.st.chargeReelection(sq, alive, e.opt.Recovery, &e.run.Counter, e.opt.Tracer, &e.run.Tally)
+		e.st.chargeReelection(sq, alive, &e.run.Counter, e.opt.Tracer, &e.run.Tally)
 		// The successor restarts the square's round from scratch.
 		e.count[id] = 0
 	}
@@ -373,7 +363,7 @@ func (e *asyncEngine) buildBudgets() {
 	eps[0] = e.opt.Eps
 	expected := float64(e.g.N())
 	for r := 1; r < depths; r++ {
-		eps[r] = eps[r-1] / (e.opt.EpsDecayFactor * math.Sqrt(expected))
+		eps[r] = eps[r-1] / (epsDecay * math.Sqrt(expected))
 		expected /= float64(e.h.Branching[r-1])
 	}
 	// Under packet loss a Far exchange survives only with probability
@@ -495,7 +485,7 @@ func (e *asyncEngine) activate(sq *hier.Square) {
 			if childRep < 0 {
 				continue
 			}
-			res := e.rt.RouteToNode(e.rep(sq), childRep, e.opt.Recovery)
+			res := e.rt.RouteToNode(e.rep(sq), childRep, routing.RecoveryBFS)
 			e.run.Counter.Add(sim.CatControl, res.Hops)
 			cost += res.Hops
 			if res.Delivered {
@@ -529,7 +519,7 @@ func (e *asyncEngine) deactivate(sq *hier.Square) {
 			if childRep < 0 {
 				continue
 			}
-			res := e.rt.RouteToNode(e.rep(sq), childRep, e.opt.Recovery)
+			res := e.rt.RouteToNode(e.rep(sq), childRep, routing.RecoveryBFS)
 			e.run.Counter.Add(sim.CatControl, res.Hops)
 			cost += res.Hops
 			if res.Delivered {
@@ -559,7 +549,7 @@ func (e *asyncEngine) far(sq *hier.Square) {
 	if partnerRep < 0 || myRep < 0 {
 		return // a recovery sweep retired the square entirely
 	}
-	out := e.rt.RouteToNode(myRep, partnerRep, e.opt.Recovery)
+	out := e.rt.RouteToNode(myRep, partnerRep, routing.RecoveryBFS)
 	// On success paid is the transport layer's extra airtime
 	// (retransmissions, duplicates); zero without delay/arq.
 	ok, paid := e.run.Medium.DeliverRoundTrip(e.run.Packet(myRep, partnerRep, out.Hops))
@@ -573,7 +563,7 @@ func (e *asyncEngine) far(sq *hier.Square) {
 	hops := out.Hops + paid
 	delivered := out.Delivered
 	if delivered {
-		back := e.rt.RouteToNode(partnerRep, myRep, e.opt.Recovery)
+		back := e.rt.RouteToNode(partnerRep, myRep, routing.RecoveryBFS)
 		hops += back.Hops
 		delivered = back.Delivered
 	}

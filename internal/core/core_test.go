@@ -7,7 +7,6 @@ import (
 	"geogossip/internal/graph"
 	"geogossip/internal/hier"
 	"geogossip/internal/rng"
-	"geogossip/internal/routing"
 	"geogossip/internal/sim"
 )
 
@@ -189,43 +188,6 @@ func TestRecursiveConsensusStartIsFree(t *testing.T) {
 	}
 	if res.Transmissions != 0 || !res.Converged {
 		t.Fatalf("consensus start cost %d transmissions", res.Transmissions)
-	}
-}
-
-func TestRecursiveFixedBudgetMode(t *testing.T) {
-	f := newFixture(t, 512, 1.8, 150, hier.Config{})
-	x := randomValues(f.g.N(), 151)
-	res, err := RunRecursive(f.g, f.h, x, RecursiveOptions{
-		Eps:  1e-2,
-		Stop: StopFixedBudget,
-	}, rng.New(152))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fixed budgets are sized to reach the target w.h.p.
-	if res.FinalErr > 1e-2 {
-		t.Fatalf("fixed-budget run error %v > 1e-2", res.FinalErr)
-	}
-}
-
-func TestRecursiveLeafFastMode(t *testing.T) {
-	f := newFixture(t, 1024, 1.8, 153, hier.Config{})
-	x := randomValues(f.g.N(), 154)
-	res, err := RunRecursive(f.g, f.h, x, RecursiveOptions{
-		Eps:  1e-3,
-		Leaf: LeafFast,
-	}, rng.New(155))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("leaf-fast run did not converge: %v", res.Result)
-	}
-	if res.LeafFastCalls == 0 {
-		t.Fatal("LeafFast mode did not record fast calls")
-	}
-	if res.TransmissionsByCategory["near"] == 0 {
-		t.Fatal("LeafFast charged no near transmissions")
 	}
 }
 
@@ -428,7 +390,7 @@ func TestAsyncSingleLeaf(t *testing.T) {
 func TestBuildLeafAdjRestrictsToLeaf(t *testing.T) {
 	f := newFixture(t, 512, 1.8, 181, hier.Config{})
 	st := NewRunState()
-	st.bind(f.g, f.h, routing.RecoveryBFS, nil)
+	st.bind(f.g, f.h, nil)
 	for i := int32(0); int(i) < f.g.N(); i++ {
 		for _, v := range st.leafNbrs(i) {
 			if f.h.NodeLeaf[v] != f.h.NodeLeaf[i] {

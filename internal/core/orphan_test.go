@@ -5,14 +5,13 @@ import (
 
 	"geogossip/internal/hier"
 	"geogossip/internal/rng"
-	"geogossip/internal/routing"
 )
 
 // countOrphans returns how many nodes have no graph neighbour inside
 // their own leaf square.
 func countOrphans(f fixture) int {
 	st := NewRunState()
-	st.bind(f.g, f.h, routing.RecoveryBFS, nil)
+	st.bind(f.g, f.h, nil)
 	orphans := 0
 	for i := 0; i < f.g.N(); i++ {
 		if len(st.leafNbrs(int32(i))) == 0 && len(f.h.Leaf(int32(i)).Members) > 1 {
@@ -28,7 +27,7 @@ func TestOrphanRoutesCoverIsolatedNodes(t *testing.T) {
 	// representative.
 	f := newFixture(t, 4096, 1.0, 460, hier.Config{LeafTarget: 16})
 	st := NewRunState()
-	st.bind(f.g, f.h, 0, nil)
+	st.bind(f.g, f.h, nil)
 	hops := st.repair
 	orphans, covered := 0, 0
 	for i := 0; i < f.g.N(); i++ {

@@ -7,7 +7,6 @@ import (
 	"geogossip/internal/graph"
 	"geogossip/internal/hier"
 	"geogossip/internal/rng"
-	"geogossip/internal/routing"
 	"geogossip/internal/sim"
 )
 
@@ -168,7 +167,7 @@ func TestRepTargetedSpecRejectedWithoutHierarchyContext(t *testing.T) {
 func TestRepairBridgesFollowCrossComponentTakeover(t *testing.T) {
 	f := newFixture(t, 4096, 1.0, 464, hier.Config{LeafTarget: 16})
 	st := NewRunState()
-	st.bind(f.g, f.h, routing.RecoveryBFS, nil)
+	st.bind(f.g, f.h, nil)
 	adj := st.leafNbrs
 	hops := st.repair
 
@@ -238,7 +237,7 @@ func TestRepairBridgesFollowCrossComponentTakeover(t *testing.T) {
 		t.Fatal("successor landed in the dead component; scenario broken")
 	}
 
-	st.repairLeafSquareInto(st.mutableRepair(), sq, st.view.Rep(sq.ID), routing.RecoveryBFS)
+	st.repairLeafSquareInto(st.mutableRepair(), sq, st.view.Rep(sq.ID))
 	hops = st.repair
 
 	// Every component except the successor's owns exactly one bridge —

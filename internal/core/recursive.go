@@ -43,32 +43,9 @@ import (
 // ±10% occupancy fluctuation.
 const DefaultBeta = 2.0 / 5.0
 
-// LeafMode selects how intra-leaf averaging is performed.
-type LeafMode int
-
-const (
-	// LeafSimulated runs honest nearest-neighbour gossip restricted to
-	// the leaf square, charging 2 transmissions per exchange. Default.
-	LeafSimulated LeafMode = iota + 1
-	// LeafFast snaps the leaf to its exact mean and charges a modeled
-	// exchange count (L/gap · ln(dev/target), gap from the leaf's
-	// diffusion geometry). Use only for large-n scaling projections;
-	// results carry a LeafFastCalls count so the substitution is visible.
-	LeafFast
-)
-
-// StopMode selects the round-termination rule at internal squares.
-type StopMode int
-
-const (
-	// StopOracle ends a square's rounds when its members' deviation
-	// reaches the level target — the intrinsic cost of the algorithm,
-	// which the paper's fixed budgets guarantee w.h.p. Default.
-	StopOracle StopMode = iota + 1
-	// StopFixedBudget runs exactly ceil(RoundsFactor·m·ln(m/ε_r)) rounds
-	// per square, the shape of the paper's time(n, r, ε, δ) budgets.
-	StopFixedBudget
-)
+// epsDecay is κ, the default per-level accuracy decay factor of both
+// hierarchy engines: ε_{r+1} = ε_r / (κ·sqrt(E#[□_r])) (DESIGN.md §4.1).
+const epsDecay = 4
 
 // RecursiveOptions configures RunRecursive.
 type RecursiveOptions struct {
@@ -80,25 +57,14 @@ type RecursiveOptions struct {
 	// amplifies residual intra-child error by ≈ Beta·sqrt(E#), so the
 	// next level's target must shrink by at least that factor — the
 	// practical core of the paper's ε_{r+1} = ε_r/(25·n^{7/2+a}) schedule
-	// (Lemma 2's noise floor). Zero selects 4.
+	// (Lemma 2's noise floor). Zero selects 4; experiment E15 sweeps it.
 	EpsDecayFactor float64
 	// Beta scales the affine coefficient Beta·E#[child]. Zero selects
 	// DefaultBeta = 2/5. Experiment E11 sweeps it.
 	Beta float64
-	// RoundsFactor scales the fixed round budget ceil(RoundsFactor·m·
-	// ln(m/ε_r)) used by StopFixedBudget and as the oracle-mode safety
-	// cap (4x). Zero selects 4.
-	RoundsFactor float64
-	// Stop selects the round-termination rule. Zero selects StopOracle.
-	Stop StopMode
-	// Leaf selects intra-leaf averaging. Zero selects LeafSimulated.
-	Leaf LeafMode
 	// Convex replaces the affine update with plain averaging of the two
 	// representative values (ablation E12).
 	Convex bool
-	// Recovery selects greedy-routing stall handling. Zero selects
-	// routing.RecoveryBFS.
-	Recovery routing.Recovery
 	// Routes optionally supplies a shared deterministic route/flood
 	// cache bound to the run's graph (see routing.Cache). Nil gives the
 	// run a fresh private cache; the sweep engine shares one cache per
@@ -108,9 +74,6 @@ type RecursiveOptions struct {
 	// RecordEvery samples the convergence curve every RecordEvery far
 	// exchanges. Zero selects 16.
 	RecordEvery int
-	// MaxLeafExchanges caps one leaf-averaging call. Zero selects
-	// 200·L² + 1000 for a leaf of L members.
-	MaxLeafExchanges int
 	// Faults selects the radio fault model (loss process, spatial
 	// jamming, partition cuts and/or node churn — including churn
 	// targeted at hierarchy representatives). The zero Spec is the
@@ -148,22 +111,10 @@ func (o RecursiveOptions) withDefaults() RecursiveOptions {
 		o.Eps = 1e-4
 	}
 	if o.EpsDecayFactor <= 0 {
-		o.EpsDecayFactor = 4
+		o.EpsDecayFactor = epsDecay
 	}
 	if o.Beta == 0 {
 		o.Beta = DefaultBeta
-	}
-	if o.RoundsFactor <= 0 {
-		o.RoundsFactor = 4
-	}
-	if o.Stop == 0 {
-		o.Stop = StopOracle
-	}
-	if o.Leaf == 0 {
-		o.Leaf = LeafSimulated
-	}
-	if o.Recovery == 0 {
-		o.Recovery = routing.RecoveryBFS
 	}
 	if o.RecordEvery <= 0 {
 		o.RecordEvery = 16
@@ -182,12 +133,9 @@ type Result struct {
 	// LeafStalls counts leaf-averaging calls that hit their exchange cap
 	// before reaching the level target.
 	LeafStalls uint64
-	// IncompleteSquares counts internal squares whose oracle-mode rounds
-	// hit the safety cap before reaching the level target.
+	// IncompleteSquares counts internal squares whose rounds hit the
+	// round cap or the divergence guard before reaching the level target.
 	IncompleteSquares uint64
-	// LeafFastCalls counts leaf averagings served by the LeafFast model
-	// (zero in fully honest runs).
-	LeafFastCalls uint64
 	// Reelections counts representative takeovers performed under
 	// RecursiveOptions.Recover (also mirrored into the shared Result).
 	Reelections uint64
@@ -195,7 +143,6 @@ type Result struct {
 
 type engine struct {
 	st *RunState
-	g  *graph.Graph
 	rt *routing.Router
 	h  *hier.Hierarchy
 	// view is the copy-on-write representative overlay: every
@@ -258,7 +205,7 @@ func RunRecursive(g *graph.Graph, h *hier.Hierarchy, x []float64, opt RecursiveO
 	// Re-elections (under Recover) write to the state's representative
 	// view, never to the shared hierarchy build; bind also resets the
 	// view and the copy-on-write repair table for this run.
-	st.bind(g, h, opt.Recovery, opt.Routes)
+	st.bind(g, h, opt.Routes)
 	st.tline.Reset(spec.HasTransport())
 	ch, err := spec.BuildWith(&st.ch, g.N(), st.faultEnv(g, h, spec, &st.rec.tally, opt.Tracer),
 		st.stream(&st.lossRNG, r, "loss"), st.stream(&st.churnRNG, r, "churn"))
@@ -269,7 +216,6 @@ func RunRecursive(g *graph.Graph, h *hier.Hierarchy, x []float64, opt RecursiveO
 	samples := e.curve.Samples[:0] // keep the curve's storage across runs
 	*e = engine{
 		st:      st,
-		g:       g,
 		rt:      &st.router,
 		h:       h,
 		view:    &st.view,
@@ -428,7 +374,11 @@ func (e *engine) avg(sq *hier.Square, eps float64) {
 			e.avg(c, epsNext)
 		}
 	}
-	budget := int(math.Ceil(e.opt.RoundsFactor * float64(m) * math.Log(float64(m)/eps)))
+	// The rounds end when the members' deviation reaches the level
+	// target (the oracle stop: the intrinsic cost the paper's fixed
+	// budgets of O(m·ln(m/ε_r)) rounds guarantee w.h.p.), or at a safety
+	// cap of 4·⌈4·m·ln(m/ε_r)⌉ rounds (DESIGN.md §4.3).
+	maxRounds := 4 * int(math.Ceil(4*float64(m)*math.Log(float64(m)/eps)))
 	target2 := eps * e.scale0 * eps * e.scale0
 	// Divergence guard for the oracle loop. The affine coefficient
 	// Beta·E#[child] contracts only while the induced per-member
@@ -437,26 +387,19 @@ func (e *engine) avg(sq *hier.Square, eps float64) {
 	// them out and rounds amplify deviation geometrically instead of
 	// shrinking it. Detecting the blow-up early keeps values at sane
 	// magnitudes — the sum invariant then survives in floating point —
-	// and avoids burning the full 4x round cap on a lost cause.
+	// and avoids burning the full round cap on a lost cause.
 	var dev0 float64
 	for round := 0; ; round++ {
-		switch e.opt.Stop {
-		case StopOracle:
-			d2 := e.squareDev2(sq)
-			if round == 0 {
-				dev0 = d2
-			}
-			if d2 <= target2 {
-				return
-			}
-			if round >= 4*budget || d2 > 64*dev0 {
-				e.res.IncompleteSquares++
-				return
-			}
-		default: // StopFixedBudget
-			if round >= budget {
-				return
-			}
+		d2 := e.squareDev2(sq)
+		if round == 0 {
+			dev0 = d2
+		}
+		if d2 <= target2 {
+			return
+		}
+		if round >= maxRounds || d2 > 64*dev0 {
+			e.res.IncompleteSquares++
+			return
 		}
 		i := e.pick.IntN(m)
 		j := e.pick.IntNExcept(m, i)
@@ -477,7 +420,7 @@ func (e *engine) farExchange(a, b *hier.Square) {
 		return // a square lost all members; nothing to exchange with
 	}
 	ra, rb := e.rep(a), e.rep(b)
-	out := e.rt.RouteToNode(ra, rb, e.opt.Recovery)
+	out := e.rt.RouteToNode(ra, rb, routing.RecoveryBFS)
 	// On success paid is the transport layer's extra airtime
 	// (retransmissions, duplicates); zero without delay/arq.
 	ok, paid := e.ch.DeliverRoundTrip(e.packet(ra, rb, out.Hops))
@@ -495,7 +438,7 @@ func (e *engine) farExchange(a, b *hier.Square) {
 	hops := out.Hops + paid
 	delivered := out.Delivered
 	if delivered {
-		back := e.rt.RouteToNode(rb, ra, e.opt.Recovery)
+		back := e.rt.RouteToNode(rb, ra, routing.RecoveryBFS)
 		hops += back.Hops
 		delivered = back.Delivered
 	}
@@ -554,7 +497,7 @@ func (e *engine) ensureRep(sq *hier.Square) bool {
 	next, changed := e.view.ReelectSquare(sq.ID, e.ch.Alive)
 	if changed {
 		e.res.Reelections++
-		e.st.chargeReelection(sq, e.ch.Alive, e.opt.Recovery, &e.counter, e.opt.Tracer, &e.tally)
+		e.st.chargeReelection(sq, e.ch.Alive, &e.counter, e.opt.Tracer, &e.tally)
 	}
 	return next >= 0
 }
@@ -568,7 +511,7 @@ func (e *engine) ensureRep(sq *hier.Square) bool {
 // the bridges, not just their route lengths). The view already holds the
 // successor; all scratch is state-owned and reused across elections.
 func (st *RunState) chargeReelection(sq *hier.Square, alive func(int32) bool,
-	rec routing.Recovery, counter *sim.Counter, tracer trace.Tracer, tally *obs.Tally) {
+	counter *sim.Counter, tracer trace.Tracer, tally *obs.Tally) {
 	cost := 0
 	for _, m := range sq.Members {
 		if alive(m) {
@@ -577,7 +520,7 @@ func (st *RunState) chargeReelection(sq *hier.Square, alive func(int32) bool,
 	}
 	counter.Add(sim.CatFlood, cost)
 	if sq.IsLeaf() {
-		st.repairLeafSquareInto(st.mutableRepair(), sq, st.view.Rep(sq.ID), rec)
+		st.repairLeafSquareInto(st.mutableRepair(), sq, st.view.Rep(sq.ID))
 	}
 	tally.Reelection()
 	if tracer != nil {
@@ -602,7 +545,8 @@ func (e *engine) squareDev2(sq *hier.Square) float64 {
 }
 
 // leafAverage equalizes a leaf square by nearest-neighbour gossip
-// restricted to the leaf (procedure Near of §4), or by the LeafFast model.
+// restricted to the leaf (procedure Near of §4), capped at 200·L² + 1000
+// exchanges for a leaf of L members.
 func (e *engine) leafAverage(sq *hier.Square, eps float64) {
 	members := sq.Members
 	l := len(members)
@@ -624,14 +568,7 @@ func (e *engine) leafAverage(sq *hier.Square, eps float64) {
 	if dev2 <= target2 {
 		return
 	}
-	if e.opt.Leaf == LeafFast {
-		e.fastLeaf(sq, mean, dev2, target)
-		return
-	}
-	maxEx := e.opt.MaxLeafExchanges
-	if maxEx <= 0 {
-		maxEx = 200*l*l + 1000
-	}
+	maxEx := 200*l*l + 1000
 	repair := e.st.repair
 	// charged accumulates the call's total near-plane cost (successful
 	// exchanges plus partial loss charges); the leaf-done event carries it
@@ -682,38 +619,5 @@ func (e *engine) leafAverage(sq *hier.Square, eps float64) {
 	}
 	if e.opt.Tracer != nil {
 		e.opt.Tracer.Record(trace.Event{Kind: trace.KindLeafDone, Square: sq.ID, NodeA: e.rep(sq), NodeB: -1, Hops: charged})
-	}
-}
-
-// fastLeaf snaps the leaf to its mean and charges the modeled exchange
-// count: near-gossip on an L-node leaf contracts deviation by roughly
-// (1 − gap/L) per exchange, with gap the diffusive spectral proxy
-// (r/side)², so reaching the target needs ≈ (L/gap)·ln(dev/target)
-// exchanges.
-func (e *engine) fastLeaf(sq *hier.Square, mean, dev2 float64, target float64) {
-	l := len(sq.Members)
-	side := sq.Rect.Width()
-	gap := 0.7 * (e.g.Radius() / side) * (e.g.Radius() / side)
-	if gap > 1 {
-		gap = 1
-	}
-	if gap < 0.05 {
-		gap = 0.05
-	}
-	ratio := math.Sqrt(dev2) / target
-	if ratio < 1 {
-		ratio = 1
-	}
-	exchanges := int(math.Ceil(float64(l) / gap * math.Log(ratio)))
-	if exchanges < 1 {
-		exchanges = 1
-	}
-	e.counter.Add(sim.CatNear, 2*exchanges)
-	for _, m := range sq.Members {
-		e.tracker.Set(m, mean)
-	}
-	e.res.LeafFastCalls++
-	if e.opt.Tracer != nil {
-		e.opt.Tracer.Record(trace.Event{Kind: trace.KindLeafDone, Square: sq.ID, NodeA: e.rep(sq), NodeB: -1, Hops: 2 * exchanges})
 	}
 }

@@ -31,10 +31,9 @@ import (
 // everything that escapes into a Result is snapshotted at run end.
 type RunState struct {
 	// Network binding: the derived structures below are pure functions of
-	// (g, h, repairRec) and are rebuilt only when the binding changes.
-	g         *graph.Graph
-	h         *hier.Hierarchy
-	repairRec routing.Recovery
+	// (g, h) and are rebuilt only when the binding changes.
+	g *graph.Graph
+	h *hier.Hierarchy
 
 	// Flattened leaf adjacency: node i's graph neighbours inside its own
 	// leaf square are leafIDs[leafOff[i]:leafOff[i+1]] (ascending, the
@@ -114,10 +113,10 @@ func (st *RunState) stream(slot **rng.RNG, r *rng.RNG, name string) *rng.RNG {
 	return *slot
 }
 
-// bind points the state at (g, h, rec), rebuilding the network-derived
+// bind points the state at (g, h), rebuilding the network-derived
 // structures only when the binding changed, and resets the per-run
 // overlay state.
-func (st *RunState) bind(g *graph.Graph, h *hier.Hierarchy, rec routing.Recovery, routes *routing.Cache) {
+func (st *RunState) bind(g *graph.Graph, h *hier.Hierarchy, routes *routing.Cache) {
 	if routes == nil {
 		// Callers without a shared cache get a state-owned private one,
 		// kept per bound graph: pooled runs keep their warm route/flood
@@ -130,14 +129,14 @@ func (st *RunState) bind(g *graph.Graph, h *hier.Hierarchy, rec routing.Recovery
 		routes = st.privRoutes
 	}
 	st.router.Reset(g, routes)
-	rebuild := st.g != g || st.h != h || st.repairRec != rec
+	rebuild := st.g != g || st.h != h
 	st.view.Bind(h) // O(1) when h is unchanged; implies Reset
 	if rebuild {
-		st.g, st.h, st.repairRec = g, h, rec
+		st.g, st.h = g, h
 		st.leafOff, st.leafIDs = buildLeafAdjFlat(g, h, st.leafOff, st.leafIDs)
 		st.repairBase = sim.GrowInt32(st.repairBase, g.N())
 		st.compScratch = sim.GrowInt32(st.compScratch, g.N())
-		st.rebuildRepairBase(rec)
+		st.rebuildRepairBase()
 	}
 	st.repair = st.repairBase
 	st.repairDirty = false
@@ -150,9 +149,9 @@ func (st *RunState) leafNbrs(i int32) []int32 {
 
 // rebuildRepairBase computes the leaf-repair table relative to the base
 // representatives (engine start state; see leafRepair for semantics).
-func (st *RunState) rebuildRepairBase(rec routing.Recovery) {
+func (st *RunState) rebuildRepairBase() {
 	for _, sq := range st.h.Leaves() {
-		st.repairLeafSquareInto(st.repairBase, sq, st.view.Rep(sq.ID), rec)
+		st.repairLeafSquareInto(st.repairBase, sq, st.view.Rep(sq.ID))
 	}
 }
 
@@ -180,7 +179,7 @@ func (st *RunState) mutableRepair() []int32 {
 // moves the bridges, not just their route lengths. All scratch is
 // state-owned and reused, so post-election rebuilds are allocation-free
 // in steady state.
-func (st *RunState) repairLeafSquareInto(hops []int32, sq *hier.Square, rep int32, rec routing.Recovery) {
+func (st *RunState) repairLeafSquareInto(hops []int32, sq *hier.Square, rep int32) {
 	for _, m := range sq.Members {
 		hops[m] = 0
 	}
@@ -227,7 +226,7 @@ func (st *RunState) repairLeafSquareInto(hops []int32, sq *hier.Square, rep int3
 			continue
 		}
 		bridged[c] = true
-		res := st.router.RouteToNode(m, rep, rec)
+		res := st.router.RouteToNode(m, rep, routing.RecoveryBFS)
 		if !res.Delivered {
 			hops[m] = -1
 			continue

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"geogossip/internal/core"
+	"geogossip/internal/engine"
 	"geogossip/internal/geo"
 	"geogossip/internal/gossip"
 	"geogossip/internal/hier"
@@ -63,42 +64,30 @@ func e1Field(g interface {
 // across all points.
 func RunE1Scaling(cfg Config) (*Report, error) {
 	rep := &Report{ID: "E1", Title: "Table 1 — transmission scaling of the three algorithms"}
+	// No n beyond 8192: at n=16384 the branching schedule jumps to
+	// (144, 16) and the round product K₀·K₁ grows by another ~50x — the
+	// n^{o(1)} polylog factor made concrete. The deepest depth class
+	// keeps >= 3 points without it.
 	ns := []int{512, 1024, 2048, 4096, 8192}
-	// No affine-only extension beyond 8192: at n=16384 the branching
-	// schedule jumps to (144, 16) and the round product K₀·K₁ grows by
-	// another ~50x — the n^{o(1)} polylog factor made concrete. The
-	// deepest depth class keeps >= 3 points without it.
-	var affineExt []int
 	seeds := 3
 	if cfg.Quick {
 		ns = []int{256, 512, 1024}
 		seeds = 1
 	}
+	// The three engines run from the engine table at its defaults; the
+	// i-th runs on seed + 100·(i+1).
 	algos := []string{"boyd", "geographic", "affine"}
+	var engines []engine.Engine
+	for _, name := range []string{engine.Boyd, engine.Geographic, engine.Affine} {
+		e, _ := engine.Lookup(name)
+		engines = append(engines, e)
+	}
 	cost := map[string][]float64{}
 	var ells []int
 	var farExchanges []float64
 	tb := table.New(fmt.Sprintf("Transmissions to relative error %.0e on the worst-case smooth field (geometric mean over %d seeds)", e1Target, seeds),
 		"n", "hierarchy ell", "boyd", "geographic", "affine", "affine far-exchanges")
-	runAffine := func(n int, seed uint64) (txs float64, far uint64, ell int, err error) {
-		g, err := connectedGraph(n, 1.5, seed)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		h, err := hier.Build(g.Points(), hier.Config{})
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		xa := e1Field(g)
-		ra, err := core.RunRecursive(g, h, xa, core.RecursiveOptions{Eps: e1Target}, rng.New(seed+300))
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		if !ra.Converged {
-			return 0, 0, 0, fmt.Errorf("E1: affine n=%d seed=%d did not converge", n, seed)
-		}
-		return float64(ra.Transmissions), ra.FarExchanges, h.Ell, nil
-	}
+	cfgE := engine.Config{Stop: sim.StopRule{TargetErr: e1Target, MaxTicks: 400_000_000}}
 	for _, n := range ns {
 		perAlgo := map[string][]float64{}
 		var farEx uint64
@@ -109,32 +98,25 @@ func RunE1Scaling(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
+			h, err := hier.Build(g.Points(), hier.Config{})
+			if err != nil {
+				return nil, err
+			}
 			x0 := e1Field(g)
-			stop := sim.StopRule{TargetErr: e1Target, MaxTicks: 400_000_000}
-
-			xb := append([]float64(nil), x0...)
-			rb, err := gossip.RunBoyd(g, xb, gossip.Options{Stop: stop}, rng.New(seed+100))
-			if err != nil {
-				return nil, err
+			for i, e := range engines {
+				res, err := e.Run(g, h, append([]float64(nil), x0...), cfgE, rng.New(seed+100*uint64(i+1)))
+				if err != nil {
+					return nil, err
+				}
+				if !res.Converged {
+					return nil, fmt.Errorf("E1: %s n=%d seed=%d did not converge", e.Name, n, seed)
+				}
+				perAlgo[algos[i]] = append(perAlgo[algos[i]], float64(res.Transmissions))
+				if e.Hierarchical {
+					farEx = res.FarExchanges
+				}
 			}
-			xg := append([]float64(nil), x0...)
-			rg, err := gossip.RunGeographic(g, xg, gossip.GeoOptions{Options: gossip.Options{Stop: stop}}, rng.New(seed+200))
-			if err != nil {
-				return nil, err
-			}
-			if !rb.Converged || !rg.Converged {
-				return nil, fmt.Errorf("E1: n=%d seed=%d baseline did not converge (boyd=%v geo=%v)",
-					n, seed, rb.Converged, rg.Converged)
-			}
-			txA, far, e, err := runAffine(n, seed)
-			if err != nil {
-				return nil, err
-			}
-			perAlgo["boyd"] = append(perAlgo["boyd"], float64(rb.Transmissions))
-			perAlgo["geographic"] = append(perAlgo["geographic"], float64(rg.Transmissions))
-			perAlgo["affine"] = append(perAlgo["affine"], txA)
-			farEx = far
-			ell = e
+			ell = h.Ell
 		}
 		ells = append(ells, ell)
 		farExchanges = append(farExchanges, float64(farEx))
@@ -146,22 +128,6 @@ func RunE1Scaling(cfg Config) (*Report, error) {
 		}
 		row = append(row, fmtU(farEx))
 		tb.AddRow(row...)
-	}
-	// Affine-only extension points (single seed) for the within-depth fit.
-	affNs := append([]int(nil), ns...)
-	affCost := append([]float64(nil), cost["affine"]...)
-	affElls := append([]int(nil), ells...)
-	affFar := append([]float64(nil), farExchanges...)
-	for _, n := range affineExt {
-		txA, far, ell, err := runAffine(n, cfg.seed())
-		if err != nil {
-			return nil, err
-		}
-		affNs = append(affNs, n)
-		affCost = append(affCost, txA)
-		affElls = append(affElls, ell)
-		affFar = append(affFar, float64(far))
-		tb.AddRow(fmtF(float64(n)), fmtF(float64(ell)), "-", "-", fmtF(txA), fmtF(float64(far)))
 	}
 	rep.addTable(tb)
 
@@ -194,11 +160,11 @@ func RunE1Scaling(cfg Config) (*Report, error) {
 	deepest := depthFit{}
 	for ell := 1; ell <= 8; ell++ {
 		var dxs, dys, dfar []float64
-		for i, n := range affNs {
-			if affElls[i] == ell {
+		for i, n := range ns {
+			if ells[i] == ell {
 				dxs = append(dxs, float64(n))
-				dys = append(dys, affCost[i])
-				dfar = append(dfar, affFar[i])
+				dys = append(dys, cost["affine"][i])
+				dfar = append(dfar, farExchanges[i])
 			}
 		}
 		if len(dxs) < 2 {
@@ -221,10 +187,10 @@ func RunE1Scaling(cfg Config) (*Report, error) {
 
 	// The paper's own cost form: tx = C·n·exp(c·(ln ln n)²).
 	var uxs, vys []float64
-	for i, n := range affNs {
+	for i, n := range ns {
 		u := math.Log(math.Log(float64(n)))
 		uxs = append(uxs, u*u)
-		vys = append(vys, math.Log(affCost[i]/float64(n)))
+		vys = append(vys, math.Log(cost["affine"][i]/float64(n)))
 	}
 	modelFit, err := stats.OLS(uxs, vys)
 	if err != nil {

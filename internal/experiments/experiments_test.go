@@ -1,14 +1,40 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 )
 
 func quickCfg() Config { return Config{Quick: true} }
 
+// quickReportDigests pins the SHA-256 of every rendered Quick report
+// (`cmd/experiments -quick` writes the same bytes to results/<ID>.txt).
+// The runners are the only callers of the engines' ablation knobs, and
+// their reports do not depend on the worker count, so any change to a
+// digest is a change to an engine's output and must be deliberate.
+var quickReportDigests = map[string]string{
+	"E1":  "076de22e5da8b4651072d0012d5296237bb562de2478f857a801f1fb7f6545e4",
+	"E2":  "92b8e9278458ca3d9f1ee770a58d11902c0f9ccdb707695e9696b46c0b2f5236",
+	"E3":  "4b49a0332abea2115839a89dd7c9356bfc42eedf95a24a4c404da0ff2dd24c31",
+	"E4":  "a337cb0d77050cc0d25c86140fe45e1142d61aa8a0f2a834596238b1f25ff21e",
+	"E5":  "f7d164b6639b0cb253594a9c675a772d7f4e930ff7ec2ca7b7827b5e882668ef",
+	"E6":  "04c8175587625846521740851259ad60d8b36fcc95b3750ab05d11f13d584a55",
+	"E7":  "4c1162a9ccefb3f0bf40de259cc1e513180c7777cc303fe1c74aa68918195d2e",
+	"E8":  "11b320ce38bc4c9c12ba8d671a5e6568afca1d9b9be82240f76fcc895c794e52",
+	"E9":  "b9a68310b21df1904f0f9d81815e5ff86b55fb689b2a1db927d6a9a18cfa09e1",
+	"E10": "9ace34ed53741edb4fe161012c511f9955ed7e309ce7115740d3b16787eb8e07",
+	"E11": "8a720ee20a7c557fdc0596dade44687388797056b673aac0cdeaf2bb29b86aea",
+	"E12": "31292afd7b3e2bd6be21ee1f42d25a11f57dbe7d3f8ef58baa434228b224e111",
+	"E13": "fe6be8ce7784f86b35402c6b8c4688d7f4d4c49564607b26eb4bc7ac58dc9ff1",
+	"E14": "0887161c6ab280f3db9713158595e2053320984f1745bbefed9f0bf0793bcdf0",
+	"E15": "33e92f66fc0ecc2640fe36a7494747c850617e2c1911eb940c9e8b2797d038a2",
+	"E16": "bf307cd1ed48b3687da783fdfb50d4ab092228c096536d5cef4a1dec88a1d730",
+}
+
 // runAndCheck executes an experiment in Quick mode and requires every
-// finding to pass; the rendered report must be well-formed.
+// finding to pass and the rendered report to match its pinned digest.
 func runAndCheck(t *testing.T, run func(Config) (*Report, error)) *Report {
 	t.Helper()
 	rep, err := run(quickCfg())
@@ -22,6 +48,10 @@ func runAndCheck(t *testing.T, run func(Config) (*Report, error)) *Report {
 	out := b.String()
 	if !strings.Contains(out, rep.ID) {
 		t.Fatalf("report output missing id:\n%s", out)
+	}
+	sum := sha256.Sum256([]byte(out))
+	if got := hex.EncodeToString(sum[:]); got != quickReportDigests[rep.ID] {
+		t.Errorf("%s report digest %s, want %s:\n%s", rep.ID, got, quickReportDigests[rep.ID], out)
 	}
 	for _, f := range rep.Findings {
 		if !f.OK {

@@ -43,16 +43,6 @@ type Options struct {
 	// survives arbitrary loss. Rep-targeted churn is rejected: these
 	// engines have no hierarchy.
 	Faults channel.Spec
-	// Routes optionally supplies a deterministic route/flood cache bound
-	// to the run's graph (see routing.Cache). Routing is a pure function
-	// of the immutable graph, so caching cannot change any result — but
-	// geographic gossip routes between uniformly random endpoints, whose
-	// (src, dst) pairs essentially never recur (the memoization
-	// pathology DESIGN.md §6 documents), so nil selects the uncached
-	// zero-alloc path rather than a private cache. Only geographic
-	// routes packets; the single-hop engines (boyd, push-sum) ignore
-	// this field.
-	Routes *routing.Cache
 	// Resync enables restart-from-neighbor state recovery: a node whose
 	// clock fires after it revived from a crash first pulls the current
 	// estimate from a random live neighbour (2 transmissions) before
@@ -290,22 +280,11 @@ type GeoOptions struct {
 	// Sampling selects the partner mechanism; zero selects
 	// SamplingRejection.
 	Sampling Sampling
-	// MaxAttempts caps rejection re-targets per exchange; zero selects 10.
-	MaxAttempts int
-	// Recovery selects stall handling for node-addressed return routes;
-	// zero selects routing.RecoveryBFS.
-	Recovery routing.Recovery
 }
 
 func (o GeoOptions) withDefaults() GeoOptions {
 	if o.Sampling == 0 {
 		o.Sampling = SamplingRejection
-	}
-	if o.MaxAttempts == 0 {
-		o.MaxAttempts = 10
-	}
-	if o.Recovery == 0 {
-		o.Recovery = routing.RecoveryBFS
 	}
 	return o
 }
@@ -331,9 +310,13 @@ type TargetSampler struct {
 // of attempts near 2 while removing most of the Voronoi-area spread.
 const rejectionKappa = 0.5
 
+// defaultMaxAttempts caps the rejection re-targets of one geographic
+// exchange, and is what a sampler built with a non-positive cap uses.
+const defaultMaxAttempts = 10
+
 // NewTargetSampler builds a sampler over g with a private uncached
 // routing core (sampled targets are random, so memoization cannot hit;
-// see Options.Routes).
+// DESIGN.md §6).
 func NewTargetSampler(g *graph.Graph, mode Sampling, maxAttempts int) *TargetSampler {
 	return NewTargetSamplerRouter(routing.NewRouter(g, routing.NoCache()), mode, maxAttempts)
 }
@@ -371,7 +354,7 @@ func rejectionAccept(g *graph.Graph, buf []float64) []float64 {
 // computed by rejectionAccept and owned by the caller.
 func (ts *TargetSampler) reset(rt *routing.Router, mode Sampling, maxAttempts int, accept []float64) {
 	if maxAttempts <= 0 {
-		maxAttempts = 10
+		maxAttempts = defaultMaxAttempts
 	}
 	*ts = TargetSampler{
 		g:           rt.Graph(),
@@ -426,7 +409,6 @@ type geoRun struct {
 	h       *sim.Harness
 	sampler *TargetSampler
 	sample  *rng.RNG
-	rec     routing.Recovery
 	resync  resyncState
 }
 
@@ -436,18 +418,14 @@ func newGeoRun(g *graph.Graph, x []float64, opt GeoOptions, r *rng.RNG) (*geoRun
 	if err != nil {
 		return nil, err
 	}
-	routes := opt.Routes
-	if routes == nil {
-		// Geographic routes target uniformly random partners: memoizing
-		// them would grow toward n² entries with near-zero reuse, so the
-		// default is the uncached (still zero-alloc) fast path — one
-		// state-owned disabled cache, reused across runs.
-		if st.noCache == nil {
-			st.noCache = routing.NoCache()
-		}
-		routes = st.noCache
+	// Geographic routes target uniformly random partners: memoizing them
+	// would grow toward n² entries with near-zero reuse (DESIGN.md §6),
+	// so every run takes the uncached (still zero-alloc) fast path — one
+	// state-owned disabled cache, reused across runs.
+	if st.noCache == nil {
+		st.noCache = routing.NoCache()
 	}
-	st.router.Reset(g, routes)
+	st.router.Reset(g, st.noCache)
 	st.h.Reset(x, sim.HarnessConfig{
 		Stop:        opt.Stop,
 		RecordEvery: opt.RecordEvery,
@@ -462,7 +440,7 @@ func newGeoRun(g *graph.Graph, x []float64, opt GeoOptions, r *rng.RNG) (*geoRun
 	if opt.Sampling == SamplingRejection {
 		accept = st.accept(g)
 	}
-	st.sampler.reset(&st.router, opt.Sampling, opt.MaxAttempts, accept)
+	st.sampler.reset(&st.router, opt.Sampling, defaultMaxAttempts, accept)
 	e := &st.geo
 	*e = geoRun{
 		g:       g,
@@ -470,7 +448,6 @@ func newGeoRun(g *graph.Graph, x []float64, opt GeoOptions, r *rng.RNG) (*geoRun
 		h:       &st.h,
 		sampler: &st.sampler,
 		sample:  st.stream(&st.sampleRNG, r, "sample"),
-		rec:     opt.Recovery,
 	}
 	e.resync.reset(opt.Options, st, g.N())
 	return e, nil
@@ -502,7 +479,7 @@ func (e *geoRun) step() {
 		// delivered legs; lost legs are accounted by their loss events.
 		total := hops + paid
 		if target != s {
-			back := h.Router.RouteToNode(target, s, e.rec)
+			back := h.Router.RouteToNode(target, s, routing.RecoveryBFS)
 			if ok, paid := h.Medium.DeliverRoute(h.Packet(target, s, back.Hops)); !ok {
 				// Return leg lost: partial cost, no commit.
 				h.Counter.Add(sim.CatFar, paid)

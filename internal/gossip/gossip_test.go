@@ -210,7 +210,7 @@ func TestSamplerUniformNodeExact(t *testing.T) {
 
 func TestSamplerRejectionImprovesUniformity(t *testing.T) {
 	// TV distance to uniform should be smaller with rejection than with
-	// plain accept-first-node sampling (MaxAttempts=1).
+	// plain accept-first-node sampling (maxAttempts = 1).
 	g := generate(t, 300, 1.6, 99)
 	tv := func(maxAttempts int) float64 {
 		ts := NewTargetSampler(g, SamplingRejection, maxAttempts)

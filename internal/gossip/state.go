@@ -40,8 +40,8 @@ type RunState struct {
 	// acceptance table is a pure function of the graph, cached per bound
 	// graph like the route scratch.
 	router routing.Router
-	// noCache is the state-owned disabled cache geographic runs default
-	// to (see gossip.Options.Routes), reused across runs.
+	// noCache is the state-owned disabled cache every geographic run
+	// routes through (DESIGN.md §6), reused across runs.
 	noCache *routing.Cache
 	sampler TargetSampler
 	acceptG *graph.Graph

@@ -27,9 +27,6 @@ type Options struct {
 	// Nil discards streamed results; Run still returns the collected
 	// slice. Sink.Write is called from a single goroutine.
 	Sink Sink
-	// Skip lists task IDs to leave out: tasks whose ID is present are
-	// neither executed nor reported.
-	Skip map[int]bool
 	// Resume carries results from a previous run of the same spec
 	// (typically parsed by ReadResults from an interrupted run's JSONL
 	// output). Their tasks are not re-executed; the prior results are
@@ -73,11 +70,11 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Run expands the spec and executes every non-skipped task on the worker
-// pool. The returned slice is sorted by TaskID and — given the same spec
-// — bit-identical for any worker count. On context cancellation Run
-// stops scheduling, waits for in-flight tasks to drain, and returns the
-// partial results alongside ctx.Err().
+// Run expands the spec and executes every task opt.Resume does not
+// cover on the worker pool. The returned slice is sorted by TaskID and
+// — given the same spec — bit-identical for any worker count. On
+// context cancellation Run stops scheduling, waits for in-flight tasks
+// to drain, and returns the partial results alongside ctx.Err().
 func Run(ctx context.Context, spec Spec, opt Options) ([]TaskResult, error) {
 	spec = spec.Normalized()
 	if err := spec.Validate(); err != nil {
@@ -90,7 +87,7 @@ func Run(ctx context.Context, spec Spec, opt Options) ([]TaskResult, error) {
 	}
 	tasks := all[:0:0]
 	for _, t := range all {
-		if !opt.Skip[t.ID] && !resumed[t.ID] {
+		if !resumed[t.ID] {
 			tasks = append(tasks, t)
 		}
 	}

@@ -20,7 +20,7 @@ type Sink interface {
 // (they carry the task ID and full coordinates), so a file sorted by
 // task ID is byte-identical regardless of the worker count that
 // produced it, and an interrupted file can seed a resumed run via
-// ReadCompleted.
+// ReadResults and Options.Resume.
 type JSONL struct {
 	mu  sync.Mutex
 	enc *json.Encoder
@@ -59,26 +59,10 @@ func (c *Collector) Results() []TaskResult {
 	return append([]TaskResult(nil), c.results...)
 }
 
-// ReadCompleted scans JSONL sweep output and returns the set of task IDs
-// that already have a result — the Skip set for a resumed run. A
-// truncated final line (the signature of a killed run) is tolerated;
-// malformed content anywhere else is an error.
-func ReadCompleted(r io.Reader) (map[int]bool, error) {
-	results, err := ReadResults(r)
-	if err != nil {
-		return nil, err
-	}
-	done := make(map[int]bool, len(results))
-	for _, res := range results {
-		done[res.TaskID] = true
-	}
-	return done, nil
-}
-
 // ReadResults parses JSONL sweep output back into task results, in file
 // order. Gzip-compressed streams (the -gzip / .jsonl.gz sink form) are
-// detected by their magic bytes and decompressed transparently. Like
-// ReadCompleted it tolerates a truncated final line from a killed run —
+// detected by their magic bytes and decompressed transparently. A
+// truncated final line (the signature of a killed run) is tolerated —
 // including a gzip stream cut mid-block, whose undecodable tail maps to
 // the same forgivable final partial line; malformed content anywhere
 // else is an error.

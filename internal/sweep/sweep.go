@@ -248,6 +248,13 @@ func (s Spec) Validate() error {
 			}
 		}
 	}
+	// 0 selects the engine default; a negative coefficient would run
+	// and diverge, where the facade's WithBeta rejects it.
+	for _, b := range s.Betas {
+		if b < 0 {
+			return fmt.Errorf("sweep: Betas value %v is negative", b)
+		}
+	}
 	for _, m := range s.Samplings {
 		switch m {
 		case SamplingRejection, SamplingUniform:

@@ -86,19 +86,26 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 }
 
 func TestValidateRejectsBadSpecs(t *testing.T) {
-	bad := []Spec{
-		{},
-		{Algorithms: []string{"boid"}, Ns: []int{64}},
-		{Algorithms: []string{AlgoBoyd}},
-		{Algorithms: []string{AlgoBoyd}, Ns: []int{-1}},
-		{Algorithms: []string{AlgoBoyd}, Ns: []int{64}, LossRates: []float64{1.5}},
-		{Algorithms: []string{AlgoBoyd}, Ns: []int{64}, Samplings: []string{"psychic"}},
-		{Algorithms: []string{AlgoBoyd}, Ns: []int{64}, Hierarchies: []string{"sideways"}},
-		{Algorithms: []string{AlgoBoyd}, Ns: []int{64}, Field: "spiky"},
+	bad := []struct {
+		spec Spec
+		want string // a substring of the error; empty accepts any error
+	}{
+		{Spec{}, ""},
+		{Spec{Algorithms: []string{"boid"}, Ns: []int{64}}, ""},
+		{Spec{Algorithms: []string{AlgoBoyd}}, ""},
+		{Spec{Algorithms: []string{AlgoBoyd}, Ns: []int{-1}}, ""},
+		{Spec{Algorithms: []string{AlgoBoyd}, Ns: []int{64}, LossRates: []float64{1.5}}, ""},
+		{Spec{Algorithms: []string{AlgoBoyd}, Ns: []int{64}, Samplings: []string{"psychic"}}, ""},
+		{Spec{Algorithms: []string{AlgoBoyd}, Ns: []int{64}, Hierarchies: []string{"sideways"}}, ""},
+		{Spec{Algorithms: []string{AlgoBoyd}, Ns: []int{64}, Field: "spiky"}, ""},
+		{Spec{Algorithms: []string{AlgoAffine}, Ns: []int{64}, Betas: []float64{0, -1}}, "Betas"},
 	}
-	for i, s := range bad {
-		if err := s.Normalized().Validate(); err == nil {
-			t.Errorf("spec %d validated: %+v", i, s)
+	for i, b := range bad {
+		err := b.spec.Normalized().Validate()
+		if err == nil {
+			t.Errorf("spec %d validated: %+v", i, b.spec)
+		} else if !strings.Contains(err.Error(), b.want) {
+			t.Errorf("spec %d: error %q does not name %s", i, err, b.want)
 		}
 	}
 	if err := smallSpec().Normalized().Validate(); err != nil {
@@ -181,19 +188,43 @@ func sortLines(b []byte) []byte {
 	return []byte(strings.Join(lines, "\n"))
 }
 
+// TestRunSkipsCompletedTasks resumes a run from three of its results.
+// Each carries a marker transmission count that the grid check does
+// not read, so a resumed task that ran again would lose its marker.
 func TestRunSkipsCompletedTasks(t *testing.T) {
 	spec := smallSpec()
-	skip := map[int]bool{0: true, 3: true, 7: true}
-	res, err := Run(context.Background(), spec, Options{Workers: 4, Skip: skip})
+	full, err := Run(context.Background(), spec, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != spec.TaskCount()-len(skip) {
-		t.Fatalf("got %d results, want %d", len(res), spec.TaskCount()-len(skip))
+	var prior []TaskResult
+	resumed := map[int]bool{}
+	for _, id := range []int{0, 3, 7} {
+		r := full[id]
+		r.Transmissions = 1<<40 + uint64(id)
+		prior = append(prior, r)
+		resumed[id] = true
 	}
-	for _, r := range res {
-		if skip[r.TaskID] {
-			t.Fatalf("skipped task %d was executed", r.TaskID)
+	var col Collector
+	res, err := Run(context.Background(), spec, Options{Workers: 4, Sink: &col, Resume: prior})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := col.Results()
+	if want := len(full) - len(prior); len(sent) != want {
+		t.Fatalf("sank %d tasks, want %d", len(sent), want)
+	}
+	for _, r := range sent {
+		if resumed[r.TaskID] {
+			t.Fatalf("resumed task %d was sent to the sink again", r.TaskID)
+		}
+	}
+	if len(res) != len(full) {
+		t.Fatalf("got %d results, want %d", len(res), len(full))
+	}
+	for _, r := range prior {
+		if !reflect.DeepEqual(res[r.TaskID], r) {
+			t.Fatalf("resumed task %d was executed again: %+v", r.TaskID, res[r.TaskID])
 		}
 	}
 }
@@ -243,26 +274,27 @@ type sinkErr struct{}
 
 func (*sinkErr) Error() string { return "disk full" }
 
-func TestReadCompletedRoundTripAndTruncation(t *testing.T) {
+func TestReadResultsForgivesOnlyATruncatedTail(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONL(&buf)
-	for _, id := range []int{4, 0, 9} {
-		if err := sink.Write(TaskResult{TaskID: id, Algorithm: AlgoBoyd}); err != nil {
+	want := []TaskResult{{TaskID: 4, Algorithm: AlgoBoyd}, {TaskID: 0, Algorithm: AlgoBoyd}, {TaskID: 9, Algorithm: AlgoBoyd}}
+	for _, r := range want {
+		if err := sink.Write(r); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Simulate a killed run: a truncated trailing line.
 	full := buf.String() + `{"task_id": 12, "algo`
-	done, err := ReadCompleted(strings.NewReader(full))
+	got, err := ReadResults(strings.NewReader(full))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(done, map[int]bool{0: true, 4: true, 9: true}) {
-		t.Fatalf("done = %v", done)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("read %+v, want %+v", got, want)
 	}
 	// Malformed content before the end is an error, not silent data loss.
 	corrupt := `{"task_id": 1}` + "\nnot json at all\n" + `{"task_id": 2}` + "\n"
-	if _, err := ReadCompleted(strings.NewReader(corrupt)); err == nil {
+	if _, err := ReadResults(strings.NewReader(corrupt)); err == nil {
 		t.Fatal("mid-file corruption not reported")
 	}
 }
@@ -277,25 +309,33 @@ func TestCollectorAndResumeEquivalence(t *testing.T) {
 	if got := col.Results(); len(got) != len(full) {
 		t.Fatalf("collector saw %d results, run returned %d", len(got), len(full))
 	}
-	// A run resumed from the first half must reproduce the second half
-	// bit-for-bit.
+	// A run resumed from the first half's sink lines must execute only
+	// the second half, reproduce it bit-for-bit, and merge to the full
+	// run.
+	half := len(full) / 2
 	var buf bytes.Buffer
 	sink := NewJSONL(&buf)
-	for _, r := range full[:len(full)/2] {
+	for _, r := range full[:half] {
 		if err := sink.Write(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	done, err := ReadCompleted(&buf)
+	prior, err := ReadResults(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rest, err := Run(context.Background(), spec, Options{Workers: 4, Skip: done})
+	var rest Collector
+	merged, err := Run(context.Background(), spec, Options{Workers: 4, Sink: &rest, Resume: prior})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rest, full[len(full)/2:]) {
-		t.Fatal("resumed run does not reproduce the remaining tasks")
+	sent := rest.Results()
+	sort.Slice(sent, func(i, j int) bool { return sent[i].TaskID < sent[j].TaskID })
+	if !reflect.DeepEqual(sent, full[half:]) {
+		t.Fatal("resumed run does not execute exactly the remaining tasks")
+	}
+	if !reflect.DeepEqual(merged, full) {
+		t.Fatal("resumed run does not merge to the full run")
 	}
 }
 
