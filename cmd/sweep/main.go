@@ -46,7 +46,13 @@ import (
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
+		// Errors from the sweep package already name it; the rest get
+		// the command's name here, so every error carries one prefix.
+		msg := err.Error()
+		if !strings.HasPrefix(msg, "sweep: ") {
+			msg = "sweep: " + msg
+		}
+		fmt.Fprintln(os.Stderr, msg)
 		os.Exit(1)
 	}
 }

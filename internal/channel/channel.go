@@ -36,8 +36,8 @@ import (
 // the decision. Non-spatial media (Bernoulli, GilbertElliott) read only
 // ids and hop counts; spatial media (SpatialLoss, Partition) read
 // positions and time. Engines therefore thread their geometry through
-// every delivery call on a spatial medium — see sim.Harness.Packet for
-// the standard constructor, which leaves positions zero otherwise.
+// every delivery call on a spatial medium — see NewPacket, the standard
+// constructor, which leaves positions zero otherwise.
 type Packet struct {
 	// Src and Dst are the endpoint node ids.
 	Src, Dst int32
@@ -54,6 +54,20 @@ type Packet struct {
 	// unit as Advance (ticks for the clock-driven engines, transmissions
 	// for the round-structured recursive engine).
 	Now uint64
+}
+
+// NewPacket returns the context of a src→dst delivery of hops hops
+// decided at time now, taking endpoint positions from pts. Engines pass
+// pts only on spatial media (Spec.Spatial); on the others pts is nil, and
+// the positions stay zero without being loaded. Call it in the Deliver*
+// argument itself: a packet built elsewhere and handed on — patched field
+// by field, or returned through a wrapper — is copied into the call by
+// wider loads that stall on the narrower stores just made (DESIGN.md §7).
+func NewPacket(pts []geo.Point, src, dst int32, hops int, now uint64) Packet {
+	if pts == nil {
+		return Packet{Src: src, Dst: dst, Hops: hops, Now: now}
+	}
+	return Packet{Src: src, Dst: dst, SrcPos: pts[src], DstPos: pts[dst], Hops: hops, Now: now}
 }
 
 // Mid returns the midpoint of the src→dst segment — the cheap proxy for

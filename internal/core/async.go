@@ -552,7 +552,7 @@ func (e *asyncEngine) far(sq *hier.Square) {
 	out := e.rt.RouteToNode(myRep, partnerRep, routing.RecoveryBFS)
 	// On success paid is the transport layer's extra airtime
 	// (retransmissions, duplicates); zero without delay/arq.
-	ok, paid := e.run.Medium.DeliverRoundTrip(e.run.Packet(myRep, partnerRep, out.Hops))
+	ok, paid := e.run.Medium.DeliverRoundTrip(channel.NewPacket(e.run.Points, myRep, partnerRep, out.Hops, e.run.Clock.Ticks()))
 	if !ok {
 		e.run.Counter.Add(sim.CatFar, paid)
 		e.res.RouteFailures++
@@ -601,7 +601,7 @@ func (e *asyncEngine) near(s int32) {
 	default:
 		return
 	}
-	ok, paid := e.run.Medium.DeliverHop(e.run.Packet(s, v, 1))
+	ok, paid := e.run.Medium.DeliverHop(channel.NewPacket(e.run.Points, s, v, 1, e.run.Clock.Ticks()))
 	if !ok {
 		e.run.Counter.Add(sim.CatNear, paid) // lost outbound value
 		e.run.TraceLoss(s, v, paid)

@@ -423,7 +423,7 @@ func (e *engine) farExchange(a, b *hier.Square) {
 	out := e.rt.RouteToNode(ra, rb, routing.RecoveryBFS)
 	// On success paid is the transport layer's extra airtime
 	// (retransmissions, duplicates); zero without delay/arq.
-	ok, paid := e.ch.DeliverRoundTrip(e.packet(ra, rb, out.Hops))
+	ok, paid := e.ch.DeliverRoundTrip(channel.NewPacket(e.pts, ra, rb, out.Hops, e.counter.Total()))
 	if !ok {
 		// One of the two route legs was lost: charge the partial cost and
 		// apply no update (the oracle loop simply runs another round).
@@ -474,17 +474,6 @@ func (e *engine) farExchange(a, b *hier.Square) {
 // time-dependent state when queried, against the latest Advance.
 func (e *engine) advance() {
 	e.ch.Advance(e.counter.Total())
-}
-
-// packet assembles the delivery context for a transmission: endpoint
-// positions on spatial media (zero otherwise, as in sim.Harness.Packet)
-// and the transmission counter as this engine's clock.
-func (e *engine) packet(src, dst int32, hops int) channel.Packet {
-	p := channel.Packet{Src: src, Dst: dst, Hops: hops, Now: e.counter.Total()}
-	if e.pts != nil {
-		p.SrcPos, p.DstPos = e.pts[src], e.pts[dst]
-	}
-	return p
 }
 
 // ensureRep re-elects square sq's representative if it has died
@@ -596,7 +585,7 @@ func (e *engine) leafAverage(sq *hier.Square, eps float64) {
 		default:
 			continue
 		}
-		ok, paid := e.ch.DeliverHop(e.packet(u, v, 1))
+		ok, paid := e.ch.DeliverHop(channel.NewPacket(e.pts, u, v, 1, e.counter.Total()))
 		if !ok {
 			e.counter.Add(sim.CatNear, paid) // lost outbound value
 			charged += paid

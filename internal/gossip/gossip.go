@@ -148,7 +148,7 @@ func (e *boydRun) tick(s, v int32) {
 		v = partner(e.g, s, e.pick)
 	}
 	if v >= 0 {
-		if ok, paid := h.Medium.DeliverHop(h.Packet(s, v, 1)); !ok {
+		if ok, paid := h.Medium.DeliverHop(channel.NewPacket(h.Points, s, v, 1, h.Clock.Ticks())); !ok {
 			// The outbound value was transmitted but lost; no update.
 			h.Counter.Add(sim.CatNear, paid)
 			h.TraceLoss(s, v, paid)
@@ -466,7 +466,7 @@ func (e *geoRun) step() {
 	}
 	e.resync.onTick(s, e.g, h, e.x, e.sample)
 	target, hops, _ := e.sampler.SampleFrom(s, e.sample)
-	if ok, paid := h.Medium.DeliverRoute(h.Packet(s, target, hops)); !ok {
+	if ok, paid := h.Medium.DeliverRoute(channel.NewPacket(h.Points, s, target, hops, h.Clock.Ticks())); !ok {
 		// The outbound packet died partway along its route; charge the
 		// partial cost.
 		h.Counter.Add(sim.CatFar, paid)
@@ -480,7 +480,7 @@ func (e *geoRun) step() {
 		total := hops + paid
 		if target != s {
 			back := h.Router.RouteToNode(target, s, routing.RecoveryBFS)
-			if ok, paid := h.Medium.DeliverRoute(h.Packet(target, s, back.Hops)); !ok {
+			if ok, paid := h.Medium.DeliverRoute(channel.NewPacket(h.Points, target, s, back.Hops, h.Clock.Ticks())); !ok {
 				// Return leg lost: partial cost, no commit.
 				h.Counter.Add(sim.CatFar, paid)
 				h.TraceLoss(target, s, paid)
@@ -514,12 +514,11 @@ func RunGeographic(g *graph.Graph, x []float64, opt GeoOptions, r *rng.RNG) (*me
 	if err := sim.CheckFinite(x); err != nil {
 		return nil, err
 	}
+	opt = opt.withDefaults()
 	name := "geographic-" + opt.Sampling.String()
 	if g.N() == 0 {
 		return sim.EmptyResult(name), nil
 	}
-	opt = opt.withDefaults()
-	name = "geographic-" + opt.Sampling.String()
 	e, err := newGeoRun(g, x, opt, r)
 	if err != nil {
 		return nil, err

@@ -320,3 +320,27 @@ func TestCurvesRecordProgress(t *testing.T) {
 		t.Fatalf("no error decrease recorded: %v -> %v", first.Err, last.Err)
 	}
 }
+
+// TestGeographicEmptyGraphName checks that a run on an empty graph names
+// the sampling mode it would have run, default included.
+func TestGeographicEmptyGraphName(t *testing.T) {
+	g, err := graph.Generate(0, 1.5, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		sampling Sampling
+		want     string
+	}{
+		{0, "geographic-rejection"},
+		{SamplingUniformNode, "geographic-uniform-node"},
+	} {
+		res, err := RunGeographic(g, nil, GeoOptions{Sampling: tc.sampling}, rng.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Algorithm != tc.want || !res.Converged {
+			t.Errorf("sampling %d: empty run %q (converged %v), want %q, converged", tc.sampling, res.Algorithm, res.Converged, tc.want)
+		}
+	}
+}

@@ -33,7 +33,7 @@ func (e *boydRun) step() {
 	deg := e.g.Degree(s)
 	if deg > 0 {
 		v := e.g.Neighbors(s)[e.pick.IntN(deg)]
-		if ok, paid := h.Medium.DeliverHop(positioned(h.Packet(s, v, 1), e.g)); !ok {
+		if ok, paid := h.Medium.DeliverHop(channel.NewPacket(e.g.Points(), s, v, 1, h.Clock.Ticks())); !ok {
 			h.Counter.Add(sim.CatNear, paid)
 			h.TraceLoss(s, v, paid)
 		} else {
@@ -59,7 +59,7 @@ func (e *pushSumRun) step() {
 	deg := e.g.Degree(i)
 	if deg > 0 {
 		j := e.g.Neighbors(i)[e.pick.IntN(deg)]
-		if ok, paid := h.Medium.DeliverHop(positioned(h.Packet(i, j, 1), e.g)); !ok {
+		if ok, paid := h.Medium.DeliverHop(channel.NewPacket(e.g.Points(), i, j, 1, h.Clock.Ticks())); !ok {
 			h.Counter.Add(sim.CatNear, paid)
 			h.TraceLoss(i, j, paid)
 		} else {
@@ -74,12 +74,6 @@ func (e *pushSumRun) step() {
 		}
 	}
 	h.Sample()
-}
-
-// positioned attaches the endpoint positions to p.
-func positioned(p channel.Packet, g *graph.Graph) channel.Packet {
-	p.SrcPos, p.DstPos = g.Point(p.Src), g.Point(p.Dst)
-	return p
 }
 
 // referenceBoyd is RunBoyd driven by the per-tick reference loop.

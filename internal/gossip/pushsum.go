@@ -3,6 +3,7 @@ package gossip
 import (
 	"fmt"
 
+	"geogossip/internal/channel"
 	"geogossip/internal/graph"
 	"geogossip/internal/metrics"
 	"geogossip/internal/rng"
@@ -118,7 +119,7 @@ func (e *pushSumRun) tick(i, j int32) {
 		j = partner(e.g, i, e.pick)
 	}
 	if j >= 0 {
-		if ok, paid := h.Medium.DeliverHop(h.Packet(i, j, 1)); !ok {
+		if ok, paid := h.Medium.DeliverHop(channel.NewPacket(h.Points, i, j, 1, h.Clock.Ticks())); !ok {
 			// Unacknowledged push: the sender rolls its halves back, so
 			// no mass moves — only the transmission is paid.
 			h.Counter.Add(sim.CatNear, paid)

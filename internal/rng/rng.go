@@ -9,11 +9,19 @@
 package rng
 
 import (
+	"math/bits"
 	"math/rand/v2"
 )
 
 // RNG is a deterministic pseudo-random source (PCG-backed) that can be
 // split into independent named substreams.
+//
+// Uint64, Float64 and IntN (and Range, Bernoulli and IntNExcept through
+// them) read the PCG source directly with math/rand/v2's own reductions,
+// so every draw equals the rand.Rand draw it replaces without an
+// interface call per draw. NormFloat64, ExpFloat64, Perm and Shuffle stay
+// on rand.Rand over the same source, so interleaved draws share one
+// stream.
 type RNG struct {
 	rand *rand.Rand
 	src  *rand.PCG
@@ -95,15 +103,39 @@ func mix(a, b uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Float64 returns a uniform value in [0, 1).
-func (r *RNG) Float64() float64 { return r.rand.Float64() }
+// Float64 returns a uniform value in [0, 1): rand.Rand.Float64's low 53
+// bits of one draw over 2^53.
+func (r *RNG) Float64() float64 { return float64(r.src.Uint64()<<11>>11) / (1 << 53) }
 
 // IntN returns a uniform int in [0, n). It panics if n <= 0, matching
 // math/rand/v2 semantics.
-func (r *RNG) IntN(n int) int { return r.rand.IntN(n) }
+func (r *RNG) IntN(n int) int {
+	if n <= 0 {
+		panic("invalid argument to IntN")
+	}
+	return int(r.uint64n(uint64(n)))
+}
+
+// uint64n is rand.Rand's reduction of one source draw to [0, n): a mask
+// when n is a power of two, else Lemire's multiply with the same
+// rejection loop, drawing again only while the low word falls below
+// 2^64 mod n. (rand.Rand's 32-bit-platform path yields the same values.)
+func (r *RNG) uint64n(n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return r.src.Uint64() & (n - 1)
+	}
+	hi, lo := bits.Mul64(r.src.Uint64(), n)
+	if lo < n {
+		thresh := -n % n
+		for lo < thresh {
+			hi, lo = bits.Mul64(r.src.Uint64(), n)
+		}
+	}
+	return hi
+}
 
 // Uint64 returns a uniform 64-bit value.
-func (r *RNG) Uint64() uint64 { return r.rand.Uint64() }
+func (r *RNG) Uint64() uint64 { return r.src.Uint64() }
 
 // ExpFloat64 returns an exponentially distributed value with rate 1.
 func (r *RNG) ExpFloat64() float64 { return r.rand.ExpFloat64() }
@@ -116,7 +148,7 @@ func (r *RNG) Range(lo, hi float64) float64 {
 	if hi < lo {
 		panic("rng: Range with hi < lo")
 	}
-	return lo + (hi-lo)*r.rand.Float64()
+	return lo + (hi-lo)*r.Float64()
 }
 
 // Bernoulli reports true with probability p. Values of p outside [0, 1]
@@ -128,7 +160,7 @@ func (r *RNG) Bernoulli(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return r.rand.Float64() < p
+	return r.Float64() < p
 }
 
 // IntNExcept returns a uniform int in [0, n) excluding skip.
@@ -140,7 +172,7 @@ func (r *RNG) IntNExcept(n, skip int) int {
 	if skip < 0 || skip >= n {
 		panic("rng: IntNExcept skip out of range")
 	}
-	v := r.rand.IntN(n - 1)
+	v := r.IntN(n - 1)
 	if v >= skip {
 		v++
 	}

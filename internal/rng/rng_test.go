@@ -2,6 +2,8 @@ package rng
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -451,6 +453,81 @@ func TestPermIntoMatchesPerm(t *testing.T) {
 			if x, y := a.Uint64(), b.Uint64(); x != y {
 				t.Fatalf("n=%d round %d: generators diverged after perm: %d != %d", n, round, x, y)
 			}
+		}
+	}
+}
+
+// countingSource counts the draws taken from the PCG it wraps.
+type countingSource struct {
+	pcg   *rand.PCG
+	draws int
+}
+
+func (c *countingSource) Uint64() uint64 { c.draws++; return c.pcg.Uint64() }
+
+// TestDrawsMatchMathRand pins the draws RNG serves from its PCG source
+// directly to math/rand/v2's Rand over an identically seeded PCG, the
+// reference, for every n class of the reduction: 1, powers of two (the
+// mask), small odd sizes, 2^31−1, and sizes just above 2^62 and near
+// 2^63, where the Lemire multiply's rejection loop runs. NormFloat64,
+// ExpFloat64 and Shuffle, which RNG serves through rand.Rand, are
+// interleaved with them: the two paths must keep consuming one stream.
+func TestDrawsMatchMathRand(t *testing.T) {
+	ns := []int{1, 2, 3, 4, 5, 7, 10, 97, 1 << 10, 1000, 1<<31 - 1, 1 << 31, 1 << 40,
+		1<<62 + 1, 3 << 61, 5 << 60, 1<<63 - 3, 1<<63 - 1}
+	for _, seed := range []uint64{0, 1, 42, 1 << 40} {
+		got := New(seed)
+		src := &countingSource{pcg: rand.NewPCG(seed, mix(seed, 0x9e3779b97f4a7c15))}
+		want := rand.New(src)
+		rejected := 0 // IntN calls that took more than one draw
+		sg, sw := make([]int, 9), make([]int, 9)
+		for i := 0; i < 500; i++ {
+			for _, n := range ns {
+				before := src.draws
+				if a, b := got.IntN(n), want.IntN(n); a != b {
+					t.Fatalf("seed %d round %d: IntN(%d) = %d, want %d", seed, i, n, a, b)
+				}
+				if src.draws > before+1 {
+					rejected++
+				}
+			}
+			if a, b := got.Uint64(), want.Uint64(); a != b {
+				t.Fatalf("seed %d round %d: Uint64 = %d, want %d", seed, i, a, b)
+			}
+			if a, b := got.Float64(), want.Float64(); a != b {
+				t.Fatalf("seed %d round %d: Float64 = %v, want %v", seed, i, a, b)
+			}
+			if a, b := got.NormFloat64(), want.NormFloat64(); a != b {
+				t.Fatalf("seed %d round %d: NormFloat64 = %v, want %v", seed, i, a, b)
+			}
+			if a, b := got.Bernoulli(0.3), want.Float64() < 0.3; a != b {
+				t.Fatalf("seed %d round %d: Bernoulli(0.3) = %v, want %v", seed, i, a, b)
+			}
+			if a, b := got.Range(-2, 5), -2+7*want.Float64(); a != b {
+				t.Fatalf("seed %d round %d: Range(-2, 5) = %v, want %v", seed, i, a, b)
+			}
+			if a, b := got.ExpFloat64(), want.ExpFloat64(); a != b {
+				t.Fatalf("seed %d round %d: ExpFloat64 = %v, want %v", seed, i, a, b)
+			}
+			skip := i % 9
+			b := want.IntN(8)
+			if b >= skip {
+				b++
+			}
+			if a := got.IntNExcept(9, skip); a != b {
+				t.Fatalf("seed %d round %d: IntNExcept(9, %d) = %d, want %d", seed, i, skip, a, b)
+			}
+			for k := range sg {
+				sg[k], sw[k] = k, k
+			}
+			got.Shuffle(len(sg), func(i, j int) { sg[i], sg[j] = sg[j], sg[i] })
+			want.Shuffle(len(sw), func(i, j int) { sw[i], sw[j] = sw[j], sw[i] })
+			if !slices.Equal(sg, sw) {
+				t.Fatalf("seed %d round %d: Shuffle = %v, want %v", seed, i, sg, sw)
+			}
+		}
+		if rejected == 0 {
+			t.Fatalf("seed %d: no IntN draw reached the rejection loop", seed)
 		}
 	}
 }

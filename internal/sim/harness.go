@@ -41,7 +41,9 @@ import (
 //	    ... the loop body above with s = owner[i] ...
 //	}
 type Harness struct {
-	// Stop is the termination rule (defaults already applied).
+	// Stop is the termination rule (defaults already applied). Its
+	// TargetErr is fixed for the run: Reset derives Done's threshold from
+	// it. MaxTicks may change between ticks; Done reads it live.
 	Stop StopRule
 	// Clock assigns ticks to nodes.
 	Clock *Clock
@@ -72,10 +74,16 @@ type Harness struct {
 	// folds its high-water completion time into SimSeconds. Nil or
 	// inactive (no delay/arq components) changes nothing.
 	Timeline *channel.Timeline
+	// Points is the position table deliveries pass to channel.NewPacket
+	// (HarnessConfig.Points): nil unless the medium is spatial.
+	Points []geo.Point
 
 	n     int
 	every uint64
-	pts   []geo.Point
+	// next is the next tick Sample records: the next multiple of every.
+	next uint64
+	// stop2 is Done's squared-deviation threshold (see stopDev2).
+	stop2 float64
 }
 
 // HarnessConfig configures NewHarness.
@@ -87,7 +95,7 @@ type HarnessConfig struct {
 	RecordEvery uint64
 	// Medium is the radio fault model; nil selects channel.Perfect.
 	Medium channel.Channel
-	// Points holds node positions so Packet can attach the spatial
+	// Points holds node positions so deliveries can attach the spatial
 	// context spatial fault models read; nil leaves positions zero.
 	// Engines attach them only for spatial specs (see SpatialPoints):
 	// no other medium reads Packet positions, so the two loads per
@@ -150,13 +158,17 @@ func (h *Harness) Reset(x []float64, cfg HarnessConfig, clockRNG *rng.RNG) {
 	h.Timeline = cfg.Timeline
 	h.n = len(x)
 	h.every = every
-	h.pts = cfg.Points
+	h.next = every
+	h.stop2 = stopDev2(h.Stop.TargetErr, h.Tracker.Norm0())
+	h.Points = cfg.Points
 	h.Curve.Record(0, 0, h.Tracker.Err())
 }
 
-// Done reports whether the run should stop.
+// Done reports whether the run should stop: Stop.Done on the tracked
+// error, decided on the squared deviation against the threshold Reset
+// derived, so a tick takes no square root and no division.
 func (h *Harness) Done() bool {
-	return h.Stop.Done(h.Clock.Ticks(), h.Tracker.Err())
+	return h.Tracker.Dev2() <= h.stop2 || h.Clock.Ticks() >= h.Stop.MaxTicks
 }
 
 // Tick advances the clock and the medium together and returns the node
@@ -190,24 +202,14 @@ func SpatialPoints(spec channel.Spec, pts []geo.Point) []geo.Point {
 // Alive reports whether node i is up on the medium.
 func (h *Harness) Alive(i int32) bool { return h.Medium.Alive(i) }
 
-// Packet assembles the delivery context for a src→dst transmission of
-// hops hops: endpoint positions from the configured point table (zero
-// when none was supplied, as on non-spatial media) and the current tick
-// count as the decision time. Every engine delivery goes through it, so
-// geometry-aware media always see where and when a packet travels.
-func (h *Harness) Packet(src, dst int32, hops int) channel.Packet {
-	p := channel.Packet{Src: src, Dst: dst, Hops: hops, Now: h.Clock.Ticks()}
-	if h.pts != nil {
-		p.SrcPos, p.DstPos = h.pts[src], h.pts[dst]
-	}
-	return p
-}
-
-// Sample records a curve point when the tick count hits the sampling
-// period. Call it at the end of every loop iteration.
+// Sample records a curve point when the tick count is a multiple of the
+// sampling period. Call it once at the end of every loop iteration:
+// ticks advance one at a time, so comparing with the next multiple
+// replaces a division per tick.
 func (h *Harness) Sample() {
-	if h.Clock.Ticks()%h.every == 0 {
-		h.Curve.Record(h.Clock.Ticks(), h.Counter.Total(), h.Tracker.Err())
+	if t := h.Clock.Ticks(); t == h.next {
+		h.next += h.every
+		h.Curve.Record(t, h.Counter.Total(), h.Tracker.Err())
 	}
 }
 

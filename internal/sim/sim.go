@@ -93,6 +93,9 @@ func (c Category) String() string {
 // Counter accumulates transmission counts by category.
 type Counter struct {
 	counts [numCategories]uint64
+	// total is the sum over counts, kept by Add: the recursive engine
+	// reads it as its clock on every exchange.
+	total uint64
 }
 
 // Add records n transmissions in the given category.
@@ -101,22 +104,17 @@ func (c *Counter) Add(cat Category, n int) {
 		panic("sim: negative transmission count")
 	}
 	c.counts[cat] += uint64(n)
+	c.total += uint64(n)
 }
 
 // Get returns the count for one category.
 func (c *Counter) Get(cat Category) uint64 { return c.counts[cat] }
 
 // Total returns the sum over all categories.
-func (c *Counter) Total() uint64 {
-	var t uint64
-	for _, v := range c.counts {
-		t += v
-	}
-	return t
-}
+func (c *Counter) Total() uint64 { return c.total }
 
 // Reset zeroes every category for a new run.
-func (c *Counter) Reset() { c.counts = [numCategories]uint64{} }
+func (c *Counter) Reset() { *c = Counter{} }
 
 // Breakdown returns the per-category counts keyed by category name.
 func (c *Counter) Breakdown() map[string]uint64 {
@@ -215,11 +213,48 @@ func (t *ErrTracker) Dev2() float64 {
 
 // Err returns the relative error ‖x − x̄‖₂ / ‖x(0) − x̄‖₂. A vector that
 // started at consensus reports 0.
-func (t *ErrTracker) Err() float64 {
-	if t.norm0 == 0 {
+func (t *ErrTracker) Err() float64 { return relErr(t.Dev2(), t.norm0) }
+
+// relErr is Err's formula for squared deviation dev2 and initial norm
+// norm0.
+func relErr(dev2, norm0 float64) float64 {
+	if norm0 == 0 {
 		return 0
 	}
-	return math.Sqrt(t.Dev2()) / t.norm0
+	return math.Sqrt(dev2) / norm0
+}
+
+// stopDev2 returns the threshold thr for which Dev2() <= thr holds
+// exactly when StopRule.Done's error condition, target > 0 && Err() <=
+// target, does, given the tracker's norm0: the largest dev2 whose relErr
+// is at most target, -Inf when no value of Dev2 qualifies (target <= 0)
+// and +Inf when every one does. Sqrt and division are correctly rounded,
+// hence monotone, so relErr is nondecreasing in dev2 and the qualifying
+// values form one interval from 0; the search runs over the bit patterns
+// of the non-negative floats, which order as their values. A NaN Dev2
+// compares false, as its NaN Err does. The one exception is norm0 = 0
+// with target > 0, where Err is 0 whatever Dev2 is; no run reaches a NaN
+// there: such a run stops before its first tick, and every deviation
+// of its start squares to 0, far from the overflow a NaN needs.
+func stopDev2(target, norm0 float64) float64 {
+	ok := func(d float64) bool { return relErr(d, norm0) <= target }
+	if !(target > 0) || !ok(0) {
+		return math.Inf(-1)
+	}
+	inf := math.Inf(1)
+	if ok(inf) {
+		return inf
+	}
+	lo, hi := uint64(0), math.Float64bits(inf) // ok(lo) && !ok(hi)
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if ok(math.Float64frombits(mid)) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return math.Float64frombits(lo)
 }
 
 // Resync forces an exact recomputation of the deviation.
@@ -262,7 +297,8 @@ func (s StopRule) WithDefaults() StopRule {
 }
 
 // Done reports whether the run should stop, given the current tick count
-// and relative error.
+// and relative error. Harness.Done decides the same rule on the squared
+// deviation, without computing the error (see stopDev2).
 func (s StopRule) Done(ticks uint64, err float64) bool {
 	if s.TargetErr > 0 && err <= s.TargetErr {
 		return true
