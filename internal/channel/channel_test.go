@@ -15,29 +15,72 @@ func pkt(src, dst int32, hops int) Packet {
 	return Packet{Src: src, Dst: dst, Hops: hops}
 }
 
-func TestPerfectDeliversEverything(t *testing.T) {
-	var ch Channel = Perfect{}
-	ch.Advance(12345)
-	if !ch.Alive(0) || !ch.Alive(999) {
-		t.Fatal("perfect channel reported a dead node")
+// mustParse parses spec text, failing the test on error.
+func mustParse(t testing.TB, text string) Spec {
+	t.Helper()
+	s, err := Parse(text)
+	if err != nil {
+		t.Fatalf("Parse(%q): %v", text, err)
 	}
-	if ok, paid := ch.DeliverHop(pkt(1, 2, 1)); !ok || paid != 0 {
-		t.Fatalf("DeliverHop = %v, %d", ok, paid)
+	return s
+}
+
+// mustBuild builds s over n nodes, failing the test on error.
+func mustBuild(t testing.TB, s Spec, n int, env Env, lossRNG, churnRNG *rng.RNG) *Medium {
+	t.Helper()
+	m, err := s.Build(n, env, lossRNG, churnRNG)
+	if err != nil {
+		t.Fatalf("Build(%v): %v", s, err)
 	}
-	if ok, paid := ch.DeliverRoute(pkt(1, 2, 17)); !ok || paid != 0 {
-		t.Fatalf("DeliverRoute = %v, %d", ok, paid)
-	}
-	if ok, paid := ch.DeliverRoundTrip(pkt(1, 2, 17)); !ok || paid != 0 {
-		t.Fatalf("DeliverRoundTrip = %v, %d", ok, paid)
+	return m
+}
+
+// untouched fails the test unless r is still at the start of the stream
+// seeded with seed.
+func untouched(t testing.TB, r *rng.RNG, seed uint64, what string) {
+	t.Helper()
+	if got, want := r.Uint64(), rng.New(seed).Uint64(); got != want {
+		t.Fatalf("%s consumed randomness: %d != %d", what, got, want)
 	}
 }
 
-// TestBernoulliDrawCompatibility pins the draw sequence Bernoulli makes
-// against the inline checks the engines used before the channel existed:
-// the refactor's bit-identical-results guarantee rests on it.
+// aliveCount returns the number of the first n nodes up on m.
+func aliveCount(m *Medium, n int) int {
+	count := 0
+	for i := 0; i < n; i++ {
+		if m.Alive(int32(i)) {
+			count++
+		}
+	}
+	return count
+}
+
+func TestPerfectDeliversEverything(t *testing.T) {
+	// Perfect and the zero Medium are the same medium.
+	for _, ch := range []Channel{Perfect{}, &Medium{}} {
+		ch.Advance(12345)
+		if !ch.Alive(0) || !ch.Alive(999) {
+			t.Fatalf("%T: perfect channel reported a dead node", ch)
+		}
+		if ok, paid := ch.DeliverHop(pkt(1, 2, 1)); !ok || paid != 0 {
+			t.Fatalf("%T: DeliverHop = %v, %d", ch, ok, paid)
+		}
+		if ok, paid := ch.DeliverRoute(pkt(1, 2, 17)); !ok || paid != 0 {
+			t.Fatalf("%T: DeliverRoute = %v, %d", ch, ok, paid)
+		}
+		if ok, paid := ch.DeliverRoundTrip(pkt(1, 2, 17)); !ok || paid != 0 {
+			t.Fatalf("%T: DeliverRoundTrip = %v, %d", ch, ok, paid)
+		}
+	}
+}
+
+// TestBernoulliDrawCompatibility pins the draw sequence the Bernoulli
+// loss model makes against the inline checks the engines used before the
+// channel existed: the refactor's bit-identical-results guarantee rests
+// on it.
 func TestBernoulliDrawCompatibility(t *testing.T) {
 	const p = 0.3
-	ch := &Bernoulli{P: p, R: rng.New(77)}
+	ch := mustBuild(t, Spec{Loss: LossBernoulli, LossRate: p}, 2, Env{}, rng.New(77), rng.New(78))
 	ref := rng.New(77)
 	for i := 0; i < 2000; i++ {
 		switch i % 3 {
@@ -82,20 +125,18 @@ func TestBernoulliDrawCompatibility(t *testing.T) {
 
 func TestBernoulliZeroRateConsumesNoRandomness(t *testing.T) {
 	r := rng.New(5)
-	ch := &Bernoulli{P: 0, R: r}
+	ch := mustBuild(t, Spec{Loss: LossBernoulli, LossRate: 0}, 2, Env{}, r, rng.New(6))
 	for i := 0; i < 100; i++ {
 		if ok, _ := ch.DeliverRoute(pkt(0, 1, 9)); !ok {
 			t.Fatal("zero-rate channel lost a packet")
 		}
 	}
-	if got, want := r.Uint64(), rng.New(5).Uint64(); got != want {
-		t.Fatalf("zero-rate channel consumed randomness: %d != %d", got, want)
-	}
+	untouched(t, r, 5, "zero-rate channel")
 }
 
 func TestGilbertElliottStationaryLoss(t *testing.T) {
 	p := GEParams{PGoodToBad: 0.05, PBadToGood: 0.2, LossGood: 0.01, LossBad: 0.6}
-	ch := NewGilbertElliott(p, rng.New(9))
+	ch := mustBuild(t, Spec{Loss: LossGilbertElliott, GE: p}, 2, Env{}, rng.New(9), rng.New(10))
 	const trials = 200_000
 	lost := 0
 	for i := 0; i < trials; i++ {
@@ -114,7 +155,7 @@ func TestGilbertElliottLossesCluster(t *testing.T) {
 	// Burst loss with the same marginal rate as an i.i.d. channel must
 	// show a higher loss-after-loss conditional probability.
 	p := GEParams{PGoodToBad: 0.02, PBadToGood: 0.1, LossGood: 0.01, LossBad: 0.8}
-	ch := NewGilbertElliott(p, rng.New(10))
+	ch := mustBuild(t, Spec{Loss: LossGilbertElliott, GE: p}, 2, Env{}, rng.New(10), rng.New(11))
 	const trials = 300_000
 	var losses, pairs, lossAfterLoss int
 	prevLost := false
@@ -139,15 +180,22 @@ func TestGilbertElliottLossesCluster(t *testing.T) {
 	}
 }
 
+// churnMedium builds churn of the given means over n nodes with the
+// churn stream seeded with seed.
+func churnMedium(t testing.TB, n int, p ChurnParams, seed uint64) *Medium {
+	t.Helper()
+	return mustBuild(t, Spec{Churn: p}, n, Env{}, rng.New(seed+1000), rng.New(seed))
+}
+
 func TestChurnKillsAndRevives(t *testing.T) {
 	const n = 400
-	ch := NewChurn(Perfect{}, n, ChurnParams{MeanUp: 1000, MeanDown: 500}, rng.New(11))
+	ch := churnMedium(t, n, ChurnParams{MeanUp: 1000, MeanDown: 500}, 11)
 	ch.Advance(0)
-	if got := ch.AliveCount(); got != n {
+	if got := aliveCount(ch, n); got != n {
 		t.Fatalf("at t=0 %d alive, want all %d", got, n)
 	}
 	ch.Advance(1500)
-	mid := ch.AliveCount()
+	mid := aliveCount(ch, n)
 	if mid == n || mid == 0 {
 		t.Fatalf("at t=1500 expected partial liveness, got %d/%d", mid, n)
 	}
@@ -173,17 +221,17 @@ func TestChurnKillsAndRevives(t *testing.T) {
 
 func TestChurnCrashStopIsPermanent(t *testing.T) {
 	const n = 300
-	ch := NewChurn(Perfect{}, n, ChurnParams{MeanUp: 100}, rng.New(12))
+	ch := churnMedium(t, n, ChurnParams{MeanUp: 100}, 12)
 	ch.Advance(1_000_000)
-	if got := ch.AliveCount(); got != 0 {
+	if got := aliveCount(ch, n); got != 0 {
 		t.Fatalf("crash-stop after 10000 mean lifetimes left %d alive", got)
 	}
 }
 
 func TestChurnLivenessIndependentOfQueryOrder(t *testing.T) {
 	const n = 128
-	build := func() *Churn {
-		return NewChurn(Perfect{}, n, ChurnParams{MeanUp: 700, MeanDown: 300}, rng.New(13))
+	build := func() *Medium {
+		return churnMedium(t, n, ChurnParams{MeanUp: 700, MeanDown: 300}, 13)
 	}
 	a, b := build(), build()
 	a.Advance(5000)
@@ -202,18 +250,18 @@ func TestChurnLivenessIndependentOfQueryOrder(t *testing.T) {
 
 func TestChurnBlocksDelivery(t *testing.T) {
 	const n = 50
-	ch := NewChurn(Perfect{}, n, ChurnParams{MeanUp: 100}, rng.New(14))
+	ch := churnMedium(t, n, ChurnParams{MeanUp: 100}, 14)
 	ch.Advance(100_000) // everyone dead
 	if ok, paid := ch.DeliverHop(pkt(1, 2, 1)); ok || paid != 0 {
 		t.Fatalf("dead src delivered (ok=%v paid=%d)", ok, paid)
 	}
-	ch2 := NewChurn(Perfect{}, n, ChurnParams{MeanUp: 1e12}, rng.New(14))
+	ch2 := churnMedium(t, n, ChurnParams{MeanUp: 1e12}, 14)
 	ch2.Advance(10)
 	if ok, _ := ch2.DeliverHop(pkt(1, 2, 1)); !ok {
-		t.Fatal("live pair failed to deliver through perfect inner channel")
+		t.Fatal("live pair failed to deliver through a lossless medium")
 	}
 	// Force one dead endpoint: find a dead node at an intermediate time.
-	ch3 := NewChurn(Perfect{}, n, ChurnParams{MeanUp: 1000}, rng.New(15))
+	ch3 := churnMedium(t, n, ChurnParams{MeanUp: 1000}, 15)
 	ch3.Advance(2000)
 	var dead, live int32 = -1, -1
 	for i := int32(0); i < n; i++ {
@@ -342,33 +390,43 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+// TestSpecBuildSelectsImplementation checks that each spec builds the
+// stages it names and no other, and that churn runs before the loss
+// model: a delivery from a dead node fails unsent and draws no loss.
 func TestSpecBuildSelectsImplementation(t *testing.T) {
-	lr, cr := rng.New(1), rng.New(2)
-	build := func(s Spec) Channel {
-		t.Helper()
-		ch, err := s.Build(10, Env{}, lr, cr)
-		if err != nil {
-			t.Fatalf("Build(%v): %v", s, err)
+	var tl Timeline
+	for _, c := range []struct {
+		text string
+		env  Env
+		want stage
+	}{
+		{"perfect", Env{}, 0},
+		{"bernoulli:0", Env{}, 0}, // a zero rate draws nothing
+		{"bernoulli:0.1", Env{}, stageBernoulli},
+		{"ge:0/0/0/0.5", Env{}, stageGE},
+		{"bernoulli:0.1+churn:100/0", Env{}, stageBernoulli | stageChurn},
+		{"jam:0.5/0.5/0.2/0.9+cut:1/0/0.5/0/10", Env{Points: make([]geo.Point, 10)}, stageFields | stageCut},
+		{"dup:0.1", Env{}, stageDelay},
+		{"ge:0.025/0.1/0.01/0.5+jam:0.5/0.5/0.15/0.5+delay:exp/0.5+arq:3/1/2", Env{Points: make([]geo.Point, 10)},
+			stageGE | stageFields | stageDelay | stageARQ},
+		{"ge:0.025/0.1/0.01/0.5+jam:0.5/0.5/0.15/0.5+delay:exp/0.5+arq:3/1/2", Env{Points: make([]geo.Point, 10), Timeline: &tl},
+			stageGE | stageFields | stageDelay | stageARQ | stageTimed},
+		{"bernoulli:0.1", Env{Timeline: &tl}, stageBernoulli}, // no transport, no bracket
+	} {
+		m := mustBuild(t, mustParse(t, c.text), 10, c.env, rng.New(1), rng.New(2))
+		if m.stages != c.want {
+			t.Fatalf("%q (timeline %v) built stages %08b, want %08b", c.text, c.env.Timeline != nil, m.stages, c.want)
 		}
-		return ch
 	}
-	if _, ok := build(Spec{}).(Perfect); !ok {
-		t.Fatal("zero spec did not build Perfect")
+	lr := rng.New(3)
+	ch := mustBuild(t, mustParse(t, "bernoulli:0.5+churn:100/0"), 10, Env{}, lr, rng.New(4))
+	ch.Advance(1 << 40) // every node has crashed
+	for i := 0; i < 50; i++ {
+		if ok, paid := ch.DeliverRoute(pkt(1, 2, 5)); ok || paid != 0 {
+			t.Fatalf("delivery from a dead node = %v, %d; want false, 0", ok, paid)
+		}
 	}
-	if _, ok := build(Spec{Loss: LossBernoulli, LossRate: 0.1}).(*Bernoulli); !ok {
-		t.Fatal("bernoulli spec did not build Bernoulli")
-	}
-	if _, ok := build(Spec{Loss: LossGilbertElliott, GE: GEParams{LossBad: 0.5}}).(*GilbertElliott); !ok {
-		t.Fatal("ge spec did not build GilbertElliott")
-	}
-	ch := build(Spec{Loss: LossBernoulli, LossRate: 0.1, Churn: ChurnParams{MeanUp: 100}})
-	cc, ok := ch.(*Churn)
-	if !ok {
-		t.Fatal("churn spec did not build Churn")
-	}
-	if cc.Name() != "bernoulli+churn" {
-		t.Fatalf("composed name %q", cc.Name())
-	}
+	untouched(t, lr, 3, "churn short-circuit")
 }
 
 func TestExpectedLossRate(t *testing.T) {

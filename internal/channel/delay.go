@@ -1,10 +1,6 @@
 package channel
 
-import (
-	"fmt"
-
-	"geogossip/internal/rng"
-)
+import "fmt"
 
 // DelayKind enumerates the per-hop transport delay distributions.
 type DelayKind int
@@ -91,109 +87,44 @@ func (d DelayParams) validate() error {
 	return nil
 }
 
-// Delay overlays transport-time realism on an inner loss medium: every
-// delivery decision accrues a per-hop latency draw (scaled by the leg
-// count) into the run's Timeline, delivered packets are independently
-// reordered with probability Reorder — the straggler waits out one extra
-// medium traversal — and duplicated with probability Dup, charging the
-// duplicate copy's airtime into the delivery's paid-extra transmissions.
+// delayed is the delay stage, applied to each attempt's verdict: the
+// attempt accrues a per-hop latency draw, scaled by its legs, into the
+// run's Timeline; a delivered packet is independently reordered with
+// probability Reorder — the straggler waits out one extra medium
+// traversal — and duplicated with probability Dup, charging the
+// duplicate copy's airtime (legs transmissions) into the delivery's
+// paid-extra transmissions.
 //
 // Draw discipline (fixed per-call order, so runs replay bit-for-bit):
-// one delay draw per delivery decision — success or loss, a transmitted
-// packet occupies the medium either way — then, on delivered packets
-// only, one Bernoulli per enabled decorator (reorder first, then dup),
-// with the reorder penalty adding a second delay draw when it fires.
-// The latency draws come from a stream derived by name from the loss
-// stream's seed, so enabling delay never perturbs the loss sequence.
-type Delay struct {
-	inner   Channel
-	dist    DelayParams
-	reorder float64
-	dup     float64
-	r       *rng.RNG
-	tl      *Timeline
-}
-
-// NewDelay wraps inner with the delay/reorder/dup decorators, drawing
-// from r and scheduling latency on tl (which may be nil to discard it).
-func NewDelay(inner Channel, dist DelayParams, reorder, dup float64, r *rng.RNG, tl *Timeline) *Delay {
-	d := &Delay{}
-	d.reset(inner, dist, reorder, dup, r, tl)
-	return d
-}
-
-// reset re-initializes a pooled Delay in place.
-func (d *Delay) reset(inner Channel, dist DelayParams, reorder, dup float64, r *rng.RNG, tl *Timeline) {
-	if inner == nil {
-		inner = Perfect{}
-	}
-	d.inner, d.dist, d.reorder, d.dup, d.r, d.tl = inner, dist, reorder, dup, r, tl
-}
-
-// sample draws one per-hop delay.
-func (d *Delay) sample() float64 {
-	switch d.dist.Kind {
-	case DelayFixed:
-		return d.dist.A
-	case DelayUniform:
-		return d.dist.A + (d.dist.B-d.dist.A)*d.r.Float64()
-	case DelayExp:
-		return d.r.ExpFloat64() * d.dist.A
-	}
-	return 0
-}
-
-// decorate applies the delay/reorder/dup decorators to an inner verdict:
-// legs is the delivery's hop count for latency scaling, cost the
-// transmission count one duplicate copy would pay.
-func (d *Delay) decorate(ok bool, paid, legs, cost int) (bool, int) {
-	if d.dist.Kind != DelayNone {
-		lat := d.sample() * float64(legs)
-		if ok && d.reorder > 0 && d.r.Bernoulli(d.reorder) {
-			lat += d.sample() * float64(legs)
+// one delay draw per attempt — success or loss, a transmitted packet
+// occupies the medium either way — then, on delivered packets only, one
+// Bernoulli per enabled decorator (reorder first, then dup), with the
+// reorder penalty adding a second delay draw when it fires. The draws
+// come from a stream derived by name from the loss stream's seed, so
+// enabling delay never perturbs the loss sequence.
+func (m *Medium) delayed(ok bool, paid, legs int) (bool, int) {
+	if m.delay.Kind != DelayNone {
+		lat := m.sampleDelay() * float64(legs)
+		if ok && m.reorder > 0 && m.delayR.Bernoulli(m.reorder) {
+			lat += m.sampleDelay() * float64(legs)
 		}
-		d.tl.Add(lat)
+		m.tl.Add(lat)
 	}
-	if ok && d.dup > 0 && d.r.Bernoulli(d.dup) {
-		paid += cost
+	if ok && m.dup > 0 && m.delayR.Bernoulli(m.dup) {
+		paid += legs
 	}
 	return ok, paid
 }
 
-// Advance implements Channel.
-func (d *Delay) Advance(now uint64) { d.inner.Advance(now) }
-
-// Alive implements Channel.
-func (d *Delay) Alive(i int32) bool { return d.inner.Alive(i) }
-
-// DeliverHop implements Channel.
-func (d *Delay) DeliverHop(p Packet) (bool, int) {
-	ok, paid := d.inner.DeliverHop(p)
-	return d.decorate(ok, paid, 1, 1)
-}
-
-// DeliverRoute implements Channel.
-func (d *Delay) DeliverRoute(p Packet) (bool, int) {
-	ok, paid := d.inner.DeliverRoute(p)
-	return d.decorate(ok, paid, p.Hops, p.Hops)
-}
-
-// DeliverRoundTrip implements Channel.
-func (d *Delay) DeliverRoundTrip(p Packet) (bool, int) {
-	ok, paid := d.inner.DeliverRoundTrip(p)
-	return d.decorate(ok, paid, 2*p.Hops, 2*p.Hops)
-}
-
-// Name implements Channel.
-func (d *Delay) Name() string {
-	if d.inner.Name() == "perfect" {
-		return "delay"
+// sampleDelay draws one per-hop delay.
+func (m *Medium) sampleDelay() float64 {
+	switch m.delay.Kind {
+	case DelayFixed:
+		return m.delay.A
+	case DelayUniform:
+		return m.delay.A + (m.delay.B-m.delay.A)*m.delayR.Float64()
+	case DelayExp:
+		return m.delayR.ExpFloat64() * m.delay.A
 	}
-	return d.inner.Name() + "+delay"
+	return 0
 }
-
-// Compile-time interface checks.
-var (
-	_ Channel = (*Delay)(nil)
-	_ Channel = (*Timed)(nil)
-)

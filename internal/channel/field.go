@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"geogossip/internal/geo"
-	"geogossip/internal/rng"
 )
 
 // FieldKind enumerates jamming-field shapes.
@@ -48,17 +47,24 @@ type FieldParams struct {
 }
 
 // Active reports whether the field is on at time now.
-func (f FieldParams) Active(now uint64) bool {
-	if f.From == 0 && f.Until == 0 {
+func (f FieldParams) Active(now uint64) bool { return windowOn(f.From, f.Until, f.Period, now) }
+
+// windowOn reports whether the window [from, until), repeating every
+// period when period > 0, is on at time now; from and until both zero
+// means always on. The Medium's field stage calls it with the fields of
+// a FieldParams it holds, since a value-receiver call would copy the
+// whole struct.
+func windowOn(from, until, period, now uint64) bool {
+	if from == 0 && until == 0 {
 		return true
 	}
-	if now < f.From {
+	if now < from {
 		return false
 	}
-	if f.Period > 0 {
-		return (now-f.From)%f.Period < f.Until-f.From
+	if period > 0 {
+		return (now-from)%period < until-from
 	}
-	return now < f.Until
+	return now < until
 }
 
 // Moving reports whether the disk travels.
@@ -196,196 +202,83 @@ func (f FieldParams) validate() error {
 	return nil
 }
 
-// SpatialLoss overlays geometry-correlated loss on an inner medium: each
-// delivery samples every active field at the packet's source, midpoint
-// and destination (the midpoint standing in for the route's path, which
-// greedy routing keeps close to the straight line) and takes the worst
-// local probability per field; independent fields then compose as
-// independent loss events. A packet that survives the fields still faces
-// the inner channel.
-//
-// Draw discipline mirrors Bernoulli: one Bernoulli draw per delivery
-// only when the combined probability is positive, plus one IntN draw for
-// the failure point of a lost multi-hop leg — so traffic outside every
-// field consumes no randomness.
-//
-// Hot-path structure: every delivery of a spatial-fault run evaluates
-// every field at three sample points, so each field is precompiled into
-// a fieldEval carrying the region's bounding box — points outside the
-// box are rejected with four comparisons before any disk or polygon
-// math — and a moving disk's reflected centre (the expensive part of
-// its evaluation) is computed once per decision time, not once per
-// sample point. Both are pure rearrangements: the loss probability per
-// packet is bit-identical to evaluating FieldParams.LossAt per point.
-type SpatialLoss struct {
-	inner Channel
-	evals []fieldEval
-	r     *rng.RNG
-}
-
-// fieldEval is one field plus its precompiled fast-rejection state.
-type fieldEval struct {
-	f FieldParams
-	// minX..maxY is the region's bounding box (inclusive): for disks the
-	// centre ± radius, for polygons the vertex hull box. Recomputed per
-	// decision time for moving disks, fixed otherwise.
-	minX, minY, maxX, maxY float64
-	// center is the disk centre the box was built around.
-	center geo.Point
-	// boxNow is the decision time the moving box corresponds to; primed
-	// marks it valid (time zero is a legitimate Now).
-	boxNow uint64
-	primed bool
+// jammer is one jamming field as a Medium evaluates it: the field, the
+// disk centre its sample points are measured from — the fixed centre,
+// or a moving disk's reflected centre at decision time at, computed once
+// per decision time (the expensive part of its evaluation) rather than
+// once per sample point — and a polygon's bounding box.
+type jammer struct {
+	f      FieldParams
 	moving bool
+	center geo.Point
+	at     uint64
+	// primed marks center as the moving disk's centre at time at (time
+	// zero is a legitimate Now).
+	primed bool
+	// minX..maxY is a polygon's vertex bounding box (inclusive).
+	minX, minY, maxX, maxY float64
 }
 
-// NewSpatialLoss wraps inner (nil selects Perfect) with the given loss
-// fields, drawing from r.
-func NewSpatialLoss(inner Channel, fields []FieldParams, r *rng.RNG) *SpatialLoss {
-	s := &SpatialLoss{}
-	s.reset(inner, fields, r)
-	return s
-}
-
-// reset re-initializes a pooled SpatialLoss in place, keeping the
-// evaluator storage.
-func (s *SpatialLoss) reset(inner Channel, fields []FieldParams, r *rng.RNG) {
-	if inner == nil {
-		inner = Perfect{}
-	}
-	if cap(s.evals) >= len(fields) {
-		s.evals = s.evals[:len(fields)]
-	} else {
-		s.evals = make([]fieldEval, len(fields))
-	}
-	s.inner, s.r = inner, r
-	for i, f := range fields {
-		s.evals[i] = fieldEval{}
-		s.initEval(&s.evals[i], f)
-	}
-}
-
-// initEval fills one evaluator with its field and precompiled
-// fast-rejection state.
-func (s *SpatialLoss) initEval(ev *fieldEval, f FieldParams) {
-	ev.f = f
-	ev.moving = f.Moving()
-	switch {
-	case f.Kind == FieldDisk && !ev.moving:
-		ev.center = f.Center
-		ev.setDiskBox(f.Center, f.Radius)
-	case f.Kind == FieldPolygon:
-		ev.minX, ev.minY = math.Inf(1), math.Inf(1)
-		ev.maxX, ev.maxY = math.Inf(-1), math.Inf(-1)
+// newJammer precompiles one field's evaluation state.
+func newJammer(f FieldParams) jammer {
+	j := jammer{f: f, moving: f.Moving(), center: f.Center}
+	if f.Kind == FieldPolygon {
+		j.minX, j.minY = math.Inf(1), math.Inf(1)
+		j.maxX, j.maxY = math.Inf(-1), math.Inf(-1)
 		for _, v := range f.Poly {
-			ev.minX = math.Min(ev.minX, v.X)
-			ev.minY = math.Min(ev.minY, v.Y)
-			ev.maxX = math.Max(ev.maxX, v.X)
-			ev.maxY = math.Max(ev.maxY, v.Y)
+			j.minX, j.minY = min(j.minX, v.X), min(j.minY, v.Y)
+			j.maxX, j.maxY = max(j.maxX, v.X), max(j.maxY, v.Y)
 		}
 	}
+	return j
 }
 
-func (ev *fieldEval) setDiskBox(c geo.Point, radius float64) {
-	ev.minX, ev.minY = c.X-radius, c.Y-radius
-	ev.maxX, ev.maxY = c.X+radius, c.Y+radius
+// inPolygon reports whether q lies in the polygon, rejecting points
+// outside its bounding box before the edge tests.
+func (j *jammer) inPolygon(q geo.Point) bool {
+	return q.X >= j.minX && q.X <= j.maxX && q.Y >= j.minY && q.Y <= j.maxY &&
+		geo.Polygon(j.f.Poly).Contains(q)
 }
 
-// outside reports whether p provably lies outside the field region (the
-// bounding-box early-out). False only means "needs the exact test".
-func (ev *fieldEval) outside(p geo.Point) bool {
-	return p.X < ev.minX || p.X > ev.maxX || p.Y < ev.minY || p.Y > ev.maxY
-}
-
-// lossAtPoint is FieldParams.LossAt with the activity check hoisted and
-// the disk centre supplied by the caller.
-func (ev *fieldEval) lossAtPoint(p geo.Point) float64 {
-	if ev.outside(p) {
-		return 0
-	}
-	f := &ev.f
-	switch f.Kind {
-	case FieldDisk:
-		if ev.center.Dist2(p) <= f.Radius*f.Radius {
-			return f.Loss
-		}
-	case FieldPolygon:
-		if geo.Polygon(f.Poly).Contains(p) {
-			return f.Loss
-		}
-	}
-	return 0
-}
-
-// lossAt combines the fields' local probabilities for the packet: per
-// field the maximum over the three sample points, across fields the
-// independent-events composition 1 − Π(1 − qᵢ).
-func (s *SpatialLoss) lossAt(p Packet) float64 {
+// fieldLoss combines the fields' local loss probabilities for the
+// packet. Each active field is sampled at the packet's source, midpoint
+// and destination (the midpoint standing in for the route's path, which
+// greedy routing keeps close to the straight line) and applies its Loss
+// when any sample lies inside it, the worst of FieldParams.LossAt over
+// the three points; independent fields then compose as independent loss
+// events, 1 − Π(1 − qᵢ).
+//
+// A disk compares the smallest of the three squared distances with
+// Radius², the test LossAt makes per point, so a packet costs three
+// distances and one branch per disk. A bounding-box early-out would cost
+// four data-dependent branches per point, which mispredict on the random
+// endpoints real traffic has. A polygon keeps its box: the edge tests
+// it saves cost more than the branches.
+func (m *Medium) fieldLoss(p *Packet) float64 {
 	survive := 1.0
 	mid := p.Mid()
-	for i := range s.evals {
-		ev := &s.evals[i]
-		f := &ev.f
-		if f.Loss <= 0 || !f.Active(p.Now) {
+	for i := range m.fields {
+		j := &m.fields[i]
+		f := &j.f
+		if f.Loss <= 0 || !windowOn(f.From, f.Until, f.Period, p.Now) {
 			continue
 		}
-		if ev.moving && (!ev.primed || ev.boxNow != p.Now) {
-			// One reflected-centre computation per decision time covers
-			// all three sample points (and any further packet at the
-			// same time).
-			ev.center = f.CenterAt(p.Now)
-			ev.setDiskBox(ev.center, f.Radius)
-			ev.boxNow, ev.primed = p.Now, true
+		var in bool
+		switch f.Kind {
+		case FieldDisk:
+			if j.moving && (!j.primed || j.at != p.Now) {
+				j.center, j.at, j.primed = f.CenterAt(p.Now), p.Now, true
+			}
+			c := j.center
+			in = min(c.Dist2(p.SrcPos), c.Dist2(mid), c.Dist2(p.DstPos)) <= f.Radius*f.Radius
+		case FieldPolygon:
+			in = j.inPolygon(p.SrcPos) || j.inPolygon(mid) || j.inPolygon(p.DstPos)
 		}
-		q := ev.lossAtPoint(p.SrcPos)
-		if v := ev.lossAtPoint(mid); v > q {
-			q = v
+		if in {
+			survive *= 1 - f.Loss
 		}
-		if v := ev.lossAtPoint(p.DstPos); v > q {
-			q = v
-		}
-		survive *= 1 - q
 	}
 	return 1 - survive
-}
-
-// Advance implements Channel.
-func (s *SpatialLoss) Advance(now uint64) { s.inner.Advance(now) }
-
-// Alive implements Channel.
-func (s *SpatialLoss) Alive(i int32) bool { return s.inner.Alive(i) }
-
-// DeliverHop implements Channel.
-func (s *SpatialLoss) DeliverHop(p Packet) (bool, int) {
-	if q := s.lossAt(p); q > 0 && s.r.Bernoulli(q) {
-		return false, 1
-	}
-	return s.inner.DeliverHop(p)
-}
-
-// DeliverRoute implements Channel.
-func (s *SpatialLoss) DeliverRoute(p Packet) (bool, int) {
-	if q := s.lossAt(p); q > 0 && s.r.Bernoulli(q) {
-		return false, partialCost(s.r, p.Hops)
-	}
-	return s.inner.DeliverRoute(p)
-}
-
-// DeliverRoundTrip implements Channel.
-func (s *SpatialLoss) DeliverRoundTrip(p Packet) (bool, int) {
-	// Both legs cross the same geometry: lost unless both survive.
-	if q := s.lossAt(p); q > 0 && s.r.Bernoulli(1-(1-q)*(1-q)) {
-		return false, partialCost(s.r, 2*p.Hops)
-	}
-	return s.inner.DeliverRoundTrip(p)
-}
-
-// Name implements Channel.
-func (s *SpatialLoss) Name() string {
-	if s.inner.Name() == "perfect" {
-		return "jam"
-	}
-	return s.inner.Name() + "+jam"
 }
 
 // CutParams describes a partition/heal event: during [From, Until) the
@@ -427,63 +320,3 @@ func (c CutParams) validate() error {
 	}
 	return nil
 }
-
-// Partition drops every packet crossing an active cut line, consuming no
-// randomness: a crossing route dies (approximately) at the cut, paying
-// half its hops.
-type Partition struct {
-	inner Channel
-	cut   CutParams
-}
-
-// NewPartition wraps inner (nil selects Perfect) with the cut.
-func NewPartition(inner Channel, cut CutParams) *Partition {
-	if inner == nil {
-		inner = Perfect{}
-	}
-	return &Partition{inner: inner, cut: cut}
-}
-
-// Advance implements Channel.
-func (c *Partition) Advance(now uint64) { c.inner.Advance(now) }
-
-// Alive implements Channel.
-func (c *Partition) Alive(i int32) bool { return c.inner.Alive(i) }
-
-// DeliverHop implements Channel.
-func (c *Partition) DeliverHop(p Packet) (bool, int) {
-	if c.cut.Active(p.Now) && c.cut.Severs(p.SrcPos, p.DstPos) {
-		return false, 1
-	}
-	return c.inner.DeliverHop(p)
-}
-
-// DeliverRoute implements Channel.
-func (c *Partition) DeliverRoute(p Packet) (bool, int) {
-	if c.cut.Active(p.Now) && c.cut.Severs(p.SrcPos, p.DstPos) {
-		return false, (p.Hops + 1) / 2 // died at the cut, roughly midway
-	}
-	return c.inner.DeliverRoute(p)
-}
-
-// DeliverRoundTrip implements Channel.
-func (c *Partition) DeliverRoundTrip(p Packet) (bool, int) {
-	if c.cut.Active(p.Now) && c.cut.Severs(p.SrcPos, p.DstPos) {
-		return false, (p.Hops + 1) / 2 // outbound leg died at the cut
-	}
-	return c.inner.DeliverRoundTrip(p)
-}
-
-// Name implements Channel.
-func (c *Partition) Name() string {
-	if c.inner.Name() == "perfect" {
-		return "cut"
-	}
-	return c.inner.Name() + "+cut"
-}
-
-// Compile-time interface checks.
-var (
-	_ Channel = (*SpatialLoss)(nil)
-	_ Channel = (*Partition)(nil)
-)

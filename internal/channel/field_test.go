@@ -73,30 +73,36 @@ func TestPolygonFieldContains(t *testing.T) {
 	}
 }
 
+// fieldMedium builds the jamming fields alone, drawing from r. The
+// packets these tests send carry their own positions, which are all a
+// field reads.
+func fieldMedium(t testing.TB, r *rng.RNG, fields ...FieldParams) *Medium {
+	t.Helper()
+	return mustBuild(t, Spec{Fields: fields}, 2, Env{Points: make([]geo.Point, 2)}, r, rng.New(0))
+}
+
 func TestSpatialLossSamplesMidpoint(t *testing.T) {
 	// A total-loss disk in the middle of the square: a hop passing through
 	// it is always lost even when both endpoints are outside.
 	f := FieldParams{Kind: FieldDisk, Center: geo.Pt(0.5, 0.5), Radius: 0.1, Loss: 1}
-	ch := NewSpatialLoss(nil, []FieldParams{f}, rng.New(1))
+	ch := fieldMedium(t, rng.New(1), f)
 	if ok, paid := ch.DeliverHop(spatialPkt(geo.Pt(0.45, 0.3), geo.Pt(0.55, 0.7), 1, 0)); ok || paid != 1 {
 		t.Fatalf("through-jammer hop survived (ok=%v paid=%d)", ok, paid)
 	}
 	// A hop far from the disk never draws randomness and always survives.
 	r := rng.New(2)
-	ch2 := NewSpatialLoss(nil, []FieldParams{f}, r)
+	ch2 := fieldMedium(t, r, f)
 	for i := 0; i < 200; i++ {
 		if ok, _ := ch2.DeliverHop(spatialPkt(geo.Pt(0.05, 0.05), geo.Pt(0.1, 0.05), 1, 0)); !ok {
 			t.Fatal("clear-air hop lost")
 		}
 	}
-	if got, want := r.Uint64(), rng.New(2).Uint64(); got != want {
-		t.Fatal("clear-air traffic consumed randomness")
-	}
+	untouched(t, r, 2, "clear-air traffic")
 }
 
 func TestSpatialLossRouteCharge(t *testing.T) {
 	f := FieldParams{Kind: FieldDisk, Center: geo.Pt(0.5, 0.5), Radius: 0.2, Loss: 1}
-	ch := NewSpatialLoss(nil, []FieldParams{f}, rng.New(3))
+	ch := fieldMedium(t, rng.New(3), f)
 	ok, paid := ch.DeliverRoute(spatialPkt(geo.Pt(0.5, 0.45), geo.Pt(0.5, 0.55), 20, 0))
 	if ok {
 		t.Fatal("in-jammer route survived total loss")
@@ -108,7 +114,7 @@ func TestSpatialLossRouteCharge(t *testing.T) {
 
 func TestPartitionSeversAndHeals(t *testing.T) {
 	cut := CutParams{A: 1, C: 0.5, From: 100, Until: 200} // vertical line x = 0.5
-	ch := NewPartition(nil, cut)
+	ch := mustBuild(t, Spec{Cut: cut}, 2, Env{Points: make([]geo.Point, 2)}, rng.New(1), rng.New(2))
 	left, right := geo.Pt(0.2, 0.5), geo.Pt(0.8, 0.5)
 	if ok, _ := ch.DeliverHop(spatialPkt(left, right, 1, 50)); !ok {
 		t.Fatal("pre-window crossing was severed")
@@ -131,7 +137,8 @@ func TestPartitionSeversAndHeals(t *testing.T) {
 func TestTargetedChurnKillsOnlyTargets(t *testing.T) {
 	const n = 200
 	targets := []int32{3, 17, 42}
-	ch := NewTargetedChurn(Perfect{}, n, ChurnParams{MeanUp: 10}, targets, rng.New(4))
+	spec := Spec{Churn: ChurnParams{MeanUp: 10}, ChurnTarget: TargetReps}
+	ch := mustBuild(t, spec, n, Env{Reps: targets}, rng.New(1), rng.New(4))
 	ch.Advance(1_000_000) // far beyond every target's crash time
 	isTarget := map[int32]bool{3: true, 17: true, 42: true}
 	for i := int32(0); i < n; i++ {
@@ -143,7 +150,7 @@ func TestTargetedChurnKillsOnlyTargets(t *testing.T) {
 			t.Fatalf("non-target %d died under targeted churn", i)
 		}
 	}
-	if got, want := ch.AliveCount(), n-len(targets); got != want {
+	if got, want := aliveCount(ch, n), n-len(targets); got != want {
 		t.Fatalf("alive count %d, want %d", got, want)
 	}
 }
@@ -154,8 +161,8 @@ func TestTargetedChurnMatchesUniformSchedules(t *testing.T) {
 	// masks the set, it does not re-derive randomness.
 	const n = 64
 	p := ChurnParams{MeanUp: 500, MeanDown: 250}
-	uniform := NewChurn(Perfect{}, n, p, rng.New(5))
-	targeted := NewTargetedChurn(Perfect{}, n, p, []int32{7}, rng.New(5))
+	uniform := mustBuild(t, Spec{Churn: p}, n, Env{}, rng.New(1), rng.New(5))
+	targeted := mustBuild(t, Spec{Churn: p, ChurnTarget: TargetHubs, HubCount: 1}, n, Env{HubOrder: []int32{7}}, rng.New(1), rng.New(5))
 	for _, now := range []uint64{100, 900, 2500, 10_000} {
 		uniform.Advance(now)
 		targeted.Advance(now)
@@ -197,19 +204,59 @@ func TestFieldValidateRejectsUnprintableCombinations(t *testing.T) {
 	}
 }
 
+// TestSpecBuildSpatialComposition checks the spatial stages' order on a
+// spec with all of them: churn first, then the cut, then the fields,
+// then the loss model. Each stage that decides a delivery leaves the
+// stages after it undrawn.
 func TestSpecBuildSpatialComposition(t *testing.T) {
-	pts := make([]geo.Point, 10)
-	spec, err := Parse("bernoulli:0.1+jam:0.5/0.5/0.2/0.9+cut:1/0/0.5/100/200+churn:1000/0")
-	if err != nil {
-		t.Fatal(err)
+	// Node 0 sits in a total-loss disk at x < 0.5; nodes 1 and 2 lie
+	// clear of it, on either side of the cut x = 0.5 (active [100, 200)).
+	pts := []geo.Point{geo.Pt(0.45, 0.5), geo.Pt(0.2, 0.1), geo.Pt(0.8, 0.1), geo.Pt(0.3, 0.1)}
+	spec := mustParse(t, "bernoulli:0.5+jam:0.45/0.5/0.05/1+cut:1/0/0.5/100/200+churn:1000000/0")
+	build := func(lossSeed uint64) (*Medium, *rng.RNG) {
+		lr := rng.New(lossSeed)
+		return mustBuild(t, spec, len(pts), Env{Points: pts}, lr, rng.New(2)), lr
 	}
-	ch, err := spec.Build(10, Env{Points: pts}, rng.New(1), rng.New(2))
-	if err != nil {
-		t.Fatal(err)
+	hop := func(m *Medium, src, dst int32, now uint64) (bool, int) {
+		m.Advance(now)
+		return m.DeliverHop(NewPacket(pts, src, dst, 1, now))
 	}
-	if got, want := ch.Name(), "bernoulli+jam+cut+churn"; got != want {
-		t.Fatalf("composed name %q, want %q", got, want)
+
+	// The cut decides before the jam: a severed hop from inside the disk
+	// draws nothing.
+	m, lr := build(10)
+	if ok, paid := hop(m, 0, 2, 150); ok || paid != 1 {
+		t.Fatalf("severed hop = %v, %d; want false, 1", ok, paid)
 	}
+	untouched(t, lr, 10, "a severed hop")
+
+	// The jam decides before the loss model: a certain jam loss is one
+	// Bernoulli-free drop (p = 1 draws nothing), so the loss model's draw
+	// never happens.
+	m, lr = build(11)
+	if ok, paid := hop(m, 0, 3, 50); ok || paid != 1 {
+		t.Fatalf("jammed hop = %v, %d; want false, 1", ok, paid)
+	}
+	untouched(t, lr, 11, "a jammed hop")
+
+	// Clear of the jam and the cut, the loss model draws once.
+	m, lr = build(12)
+	ok, _ := hop(m, 1, 3, 50)
+	ref := rng.New(12)
+	if lost := ref.Bernoulli(0.5); ok == lost {
+		t.Fatalf("clear hop verdict %v, reference lost=%v", ok, lost)
+	}
+	if lr.Uint64() != ref.Uint64() {
+		t.Fatal("clear hop did not draw exactly one loss Bernoulli")
+	}
+
+	// Churn decides first: once every node has crashed, even a severed,
+	// jammed hop fails unsent.
+	m, lr = build(13)
+	if ok, paid := hop(m, 0, 2, 1<<40); ok || paid != 0 {
+		t.Fatalf("hop from a crashed node = %v, %d; want false, 0", ok, paid)
+	}
+	untouched(t, lr, 13, "a crashed node's hop")
 }
 
 func TestSpecBuildRequiresContext(t *testing.T) {
@@ -249,49 +296,5 @@ func TestExpectedLossRateWithFields(t *testing.T) {
 	}}}
 	if got := spec.ExpectedLossRate(); math.Abs(got-0.25) > 1e-9 {
 		t.Fatalf("field expected loss %v, want 0.25", got)
-	}
-}
-
-var benchSink int
-
-// Benchmark the per-delivery field evaluation — the hot path every
-// data packet of a spatial-fault run goes through.
-func BenchmarkFieldDiskHop(b *testing.B) {
-	f := FieldParams{Kind: FieldDisk, Center: geo.Pt(0.5, 0.5), Radius: 0.2, Loss: 0.5}
-	ch := NewSpatialLoss(nil, []FieldParams{f}, rng.New(1))
-	p := spatialPkt(geo.Pt(0.1, 0.1), geo.Pt(0.15, 0.12), 1, 0)
-	for i := 0; i < b.N; i++ {
-		_, paid := ch.DeliverHop(p)
-		benchSink += paid
-	}
-}
-
-func BenchmarkFieldMovingDiskHop(b *testing.B) {
-	f := FieldParams{Kind: FieldDisk, Center: geo.Pt(0.5, 0.5), Radius: 0.2, Loss: 0.5, Vel: geo.Pt(1e-4, 3e-5)}
-	ch := NewSpatialLoss(nil, []FieldParams{f}, rng.New(1))
-	for i := 0; i < b.N; i++ {
-		p := spatialPkt(geo.Pt(0.1, 0.1), geo.Pt(0.15, 0.12), 1, uint64(i))
-		_, paid := ch.DeliverHop(p)
-		benchSink += paid
-	}
-}
-
-func BenchmarkFieldPolygonHop(b *testing.B) {
-	f := FieldParams{Kind: FieldPolygon, Loss: 0.5,
-		Poly: []geo.Point{geo.Pt(0.3, 0.3), geo.Pt(0.7, 0.3), geo.Pt(0.7, 0.7), geo.Pt(0.3, 0.7)}}
-	ch := NewSpatialLoss(nil, []FieldParams{f}, rng.New(1))
-	p := spatialPkt(geo.Pt(0.4, 0.4), geo.Pt(0.6, 0.6), 1, 0)
-	for i := 0; i < b.N; i++ {
-		_, paid := ch.DeliverHop(p)
-		benchSink += paid
-	}
-}
-
-func BenchmarkPartitionHop(b *testing.B) {
-	ch := NewPartition(nil, CutParams{A: 1, C: 0.5, From: 0, Until: 1 << 62})
-	p := spatialPkt(geo.Pt(0.2, 0.5), geo.Pt(0.3, 0.5), 1, 100)
-	for i := 0; i < b.N; i++ {
-		_, paid := ch.DeliverHop(p)
-		benchSink += paid
 	}
 }

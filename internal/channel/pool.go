@@ -7,34 +7,24 @@ import (
 	"geogossip/internal/rng"
 )
 
-// Pool holds reusable channel state so a pooled run state can rebuild a
-// spec's fault medium every run without re-allocating it: the loss-model
-// and wrapper structs are reused in place, and churn keeps its per-node
-// schedule state — including each node's schedule generator, reseeded per
-// run — across runs. There is one build path: Spec.Build is BuildWith on
-// a fresh Pool, so a channel built through a kept Pool is draw- and
-// behaviour-identical to a fresh one by construction; only the
-// allocations differ. A Pool serves one run at a time, like the engines
-// that own it.
+// Pool holds a reusable Medium so a pooled run state can rebuild a
+// spec's medium every run without re-allocating it: BuildWith builds the
+// Medium in place, keeping its field storage, churn's per-node schedule
+// state — including each node's schedule generator, reseeded per run —
+// and the transport stages' streams, reseeded per run. There is one
+// build path: Spec.Build is BuildWith on a fresh Pool, so a medium built
+// through a kept Pool is draw- and behaviour-identical to a fresh one by
+// construction; only the allocations differ. A Pool serves one run at a
+// time, like the engines that own it.
 type Pool struct {
-	bern    Bernoulli
-	ge      GilbertElliott
-	spatial SpatialLoss
-	part    Partition
-	churn   Churn
-	delay   Delay
-	arq     ARQ
-	timed   Timed
-	// delayRNG and arqRNG are the kept transport streams, reseeded per
-	// run to the identical derived seeds a fresh build would use.
-	delayRNG, arqRNG *rng.RNG
-	// builds counts the channels served from pooled storage; atomic only
-	// so a live metrics scrape can read it while a run builds (one add per
+	m Medium
+	// builds counts the media served from pooled storage; atomic only so
+	// a live metrics scrape can read it while a run builds (one add per
 	// run, nowhere near a hot path).
 	builds atomic.Uint64
 }
 
-// Builds counts how many channels this pool has served without fresh
+// Builds counts how many media this pool has served without fresh
 // allocation — the pool-reuse figure the sweep engine surfaces on the
 // metrics registry.
 func (p *Pool) Builds() uint64 {
@@ -44,10 +34,16 @@ func (p *Pool) Builds() uint64 {
 	return p.builds.Load()
 }
 
-// BuildWith is Spec.Build backed by reusable state: the pool supplies the
-// channel structs (and churn's per-node schedule state) in place of
-// fresh allocations. A nil pool builds into a fresh Pool, which is Build.
-func (s Spec) BuildWith(p *Pool, n int, env Env, lossRNG, churnRNG *rng.RNG) (Channel, error) {
+// BuildWith turns the spec into a live Medium over n nodes, built in
+// place on the pool (a nil pool builds into a fresh Pool, which is
+// Build). Loss draws (the loss model and the jamming fields) come from
+// lossRNG and churn schedules from churnRNG, so an engine wires its own
+// deterministic streams in; the delay and ARQ streams derive by name
+// from lossRNG's seed. env supplies the geometry and roles spatial and
+// targeted components need, and the run-local timeline, tally and
+// tracer. A zero spec builds the perfect medium, which draws from
+// neither stream.
+func (s Spec) BuildWith(p *Pool, n int, env Env, lossRNG, churnRNG *rng.RNG) (*Medium, error) {
 	if s.Spatial() && len(env.Points) < n {
 		return nil, fmt.Errorf("channel: spec %q has spatial components but the engine supplied %d of %d node positions", s, len(env.Points), n)
 	}
@@ -55,32 +51,42 @@ func (s Spec) BuildWith(p *Pool, n int, env Env, lossRNG, churnRNG *rng.RNG) (Ch
 		p = new(Pool)
 	}
 	p.builds.Add(1)
-	var ch Channel = Perfect{}
+	m := &p.m
+	*m = Medium{
+		lossR:  lossRNG,
+		fields: m.fields[:0], nodes: m.nodes, targetBuf: m.targetBuf,
+		delayR: m.delayR, arqR: m.arqR,
+		tl: env.Timeline, tally: env.Tally, tracer: env.Tracer,
+	}
 	switch s.Loss {
 	case LossBernoulli:
-		p.bern = Bernoulli{P: s.LossRate, R: lossRNG}
-		ch = &p.bern
+		if s.LossRate > 0 { // a zero rate draws nothing
+			m.stages |= stageBernoulli
+			m.lossP = s.LossRate
+		}
 	case LossGilbertElliott:
-		p.ge = GilbertElliott{params: s.GE, r: lossRNG}
-		ch = &p.ge
+		m.stages |= stageGE
+		m.ge = s.GE
 	}
 	if len(s.Fields) > 0 {
-		p.spatial.reset(ch, s.Fields, lossRNG)
-		ch = &p.spatial
+		m.stages |= stageFields
+		for _, f := range s.Fields {
+			m.fields = append(m.fields, newJammer(f))
+		}
 	}
 	if s.HasCut() {
-		p.part = Partition{inner: ch, cut: s.Cut}
-		ch = &p.part
+		m.stages |= stageCut
+		m.cut = s.Cut
 	}
 	if s.HasDelayLayer() {
-		p.delayRNG = reseed(p.delayRNG, rng.DeriveString(lossRNG.Seed(), "delay"))
-		p.delay.reset(ch, s.Delay, s.Reorder, s.Dup, p.delayRNG, env.Timeline)
-		ch = &p.delay
+		m.stages |= stageDelay
+		m.delay, m.reorder, m.dup = s.Delay, s.Reorder, s.Dup
+		m.delayR = reseed(m.delayR, rng.DeriveString(lossRNG.Seed(), "delay"))
 	}
 	if !s.ARQ.IsZero() {
-		p.arqRNG = reseed(p.arqRNG, rng.DeriveString(lossRNG.Seed(), "arq"))
-		p.arq.reset(ch, s.ARQ, p.arqRNG, env.Timeline, env.Tally, env.Tracer)
-		ch = &p.arq
+		m.stages |= stageARQ
+		m.arq = s.ARQ
+		m.arqR = reseed(m.arqR, rng.DeriveString(lossRNG.Seed(), "arq"))
 	}
 	if s.HasChurn() {
 		var targets []int32
@@ -96,16 +102,13 @@ func (s Spec) BuildWith(p *Pool, n int, env Env, lossRNG, churnRNG *rng.RNG) (Ch
 			}
 			targets = env.HubOrder[:s.HubCount]
 		}
-		p.churn.reset(ch, n, s.Churn, targets, churnRNG)
-		ch = &p.churn
+		m.stages |= stageChurn
+		m.resetChurn(n, s.Churn, targets, churnRNG)
 	}
 	if s.HasTransport() && env.Timeline != nil {
-		// Outermost bracket: every top-level delivery's accumulated
-		// latency closes on the timeline as one completion.
-		p.timed = Timed{inner: ch, tl: env.Timeline, tally: env.Tally}
-		ch = &p.timed
+		m.stages |= stageTimed
 	}
-	return ch, nil
+	return m, nil
 }
 
 // reseed returns r reseeded to seed, allocating only on first use — the

@@ -73,7 +73,7 @@ func (t Target) String() string {
 // process, optional spatial jamming fields, an optional partition/heal
 // cut, and optional (possibly targeted) node churn. The zero Spec is the
 // perfect medium. Specs travel through facade options, sweep axes, and
-// CLI flags; Build turns one into a live Channel wired to an engine's
+// CLI flags; Build turns one into a live Medium wired to an engine's
 // RNG streams and network context.
 type Spec struct {
 	// Loss selects the packet-loss process.
@@ -120,8 +120,8 @@ func (s Spec) HasTransport() bool {
 	return !s.Delay.IsZero() || s.Reorder > 0 || s.Dup > 0 || !s.ARQ.IsZero()
 }
 
-// HasDelayLayer reports whether the spec needs the Delay wrapper (a
-// delay distribution or a reorder/dup decorator).
+// HasDelayLayer reports whether the spec needs the delay stage (a delay
+// distribution or a reorder/dup decorator).
 func (s Spec) HasDelayLayer() bool {
 	return !s.Delay.IsZero() || s.Reorder > 0 || s.Dup > 0
 }
@@ -318,7 +318,7 @@ func finite(what string, vs ...float64) error {
 }
 
 // Env supplies the network context a spec binds to at Build time, and
-// the run-local state the transport wrappers write to: the engine's
+// the run-local state the transport stages write to: the engine's
 // timeline, its per-run metrics tally and its tracer. The zero Env
 // suits every non-spatial, non-targeted spec; spatial and targeted
 // components fail Build with a descriptive error when their context is
@@ -355,13 +355,9 @@ type Env struct {
 	Tracer trace.Tracer
 }
 
-// Build turns the spec into a live Channel over n nodes. Loss draws
-// (Bernoulli, Gilbert–Elliott, and spatial fields) come from lossRNG and
-// churn schedules from churnRNG, so an engine wires its own
-// deterministic streams in; env supplies the geometry and roles spatial
-// and targeted components need. Build with a zero spec returns Perfect
-// and retains neither stream.
-func (s Spec) Build(n int, env Env, lossRNG, churnRNG *rng.RNG) (Channel, error) {
+// Build turns the spec into a live Medium over n nodes: BuildWith on a
+// fresh Pool.
+func (s Spec) Build(n int, env Env, lossRNG, churnRNG *rng.RNG) (*Medium, error) {
 	return s.BuildWith(nil, n, env, lossRNG, churnRNG)
 }
 

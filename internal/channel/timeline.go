@@ -1,14 +1,12 @@
 package channel
 
-import "geogossip/internal/obs"
-
 // Timeline is the clock of the time-realism layer (DESIGN.md §12).
-// Transport wrappers (Delay, ARQ) accumulate the latency of the delivery
-// decision in flight through Add; the outermost Timed wrapper brackets
-// every top-level Deliver* call and turns the accumulated latency into
-// that delivery's completion time, decision time + latency. High tracks
-// the latest completion so far; a run's sim time is the maximum of its
-// final tick count and that high-water mark.
+// The delay and ARQ stages accumulate the latency of the delivery
+// decision in flight through Add; the Medium's outermost stage, the
+// Timed bracket, encloses every top-level Deliver* call and turns the
+// accumulated latency into that delivery's completion time, decision
+// time + latency. High tracks the latest completion so far; a run's sim
+// time is the maximum of its final tick count and that high-water mark.
 //
 // Completions are not queued. A medium's time-dependent state is
 // evaluated when the medium is queried, against the latest Advance (see
@@ -36,7 +34,7 @@ func (t *Timeline) Reset(active bool) {
 func (t *Timeline) Active() bool { return t != nil && t.active }
 
 // Add accumulates transport latency for the delivery decision in flight.
-// Wrappers call it; safe on nil (latency is then discarded).
+// The transport stages call it; safe on nil (latency is then discarded).
 func (t *Timeline) Add(d float64) {
 	if t != nil && d > 0 {
 		t.pend += d
@@ -74,65 +72,3 @@ func (t *Timeline) High() float64 {
 	}
 	return t.high
 }
-
-// Timed is the outermost transport bracket: it wraps the fully composed
-// medium (including churn, so dead-endpoint short-circuits record no
-// latency) and closes the latency the inner wrappers accumulated during
-// each top-level Deliver* call on the timeline, counting it in the run's
-// delivery-latency tally. Built only when the spec has transport
-// components and the engine supplied a Timeline, so its per-delivery
-// cost never touches transport-free runs.
-type Timed struct {
-	inner Channel
-	tl    *Timeline
-	tally *obs.Tally
-}
-
-// NewTimed wraps inner with the timeline bracket, counting delivery
-// latencies in tally (nil discards them).
-func NewTimed(inner Channel, tl *Timeline, tally *obs.Tally) *Timed {
-	if inner == nil {
-		inner = Perfect{}
-	}
-	return &Timed{inner: inner, tl: tl, tally: tally}
-}
-
-// Advance implements Channel.
-func (w *Timed) Advance(now uint64) { w.inner.Advance(now) }
-
-// Alive implements Channel.
-func (w *Timed) Alive(i int32) bool { return w.inner.Alive(i) }
-
-// DeliverHop implements Channel.
-func (w *Timed) DeliverHop(p Packet) (bool, int) {
-	w.tl.begin()
-	ok, paid := w.inner.DeliverHop(p)
-	w.close(p)
-	return ok, paid
-}
-
-// DeliverRoute implements Channel.
-func (w *Timed) DeliverRoute(p Packet) (bool, int) {
-	w.tl.begin()
-	ok, paid := w.inner.DeliverRoute(p)
-	w.close(p)
-	return ok, paid
-}
-
-// DeliverRoundTrip implements Channel.
-func (w *Timed) DeliverRoundTrip(p Packet) (bool, int) {
-	w.tl.begin()
-	ok, paid := w.inner.DeliverRoundTrip(p)
-	w.close(p)
-	return ok, paid
-}
-
-func (w *Timed) close(p Packet) {
-	if lat := w.tl.finish(float64(p.Now)); lat > 0 {
-		w.tally.DeliveryLatency(lat)
-	}
-}
-
-// Name implements Channel. The bracket is transparent: it renders no
-// component of its own.
-func (w *Timed) Name() string { return w.inner.Name() }

@@ -3,6 +3,7 @@ package channel
 import (
 	"testing"
 
+	"geogossip/internal/geo"
 	"geogossip/internal/obs"
 	"geogossip/internal/rng"
 )
@@ -15,7 +16,7 @@ func TestTimelineFinishSchedulesAndTracksHigh(t *testing.T) {
 	}
 	tl.begin()
 	tl.Add(1.5)
-	tl.Add(2) // latency accumulates across wrappers
+	tl.Add(2) // latency accumulates across stages
 	tl.Add(0) // zero and negative contributions are discarded
 	tl.Add(-3)
 	if got := tl.finish(10); got != 3.5 {
@@ -77,11 +78,16 @@ func TestTimelineResetClearsState(t *testing.T) {
 func TestTimedBracketSchedulesPerDelivery(t *testing.T) {
 	var tl Timeline
 	tl.Reset(true)
-	inner := NewDelay(Perfect{}, DelayParams{Kind: DelayFixed, A: 2}, 0, 0, rng.New(1), &tl)
 	var tally obs.Tally
-	ch := NewTimed(inner, &tl, &tally)
-	if got := ch.Name(); got != "delay" {
-		t.Fatalf("timed bracket leaked into the name: %q", got)
+	spec := mustParse(t, "delay:fixed/2")
+	// Without a timeline the bracket is not built: latency is discarded,
+	// and nothing else changes.
+	if m := mustBuild(t, spec, 2, Env{Tally: &tally}, rng.New(1), rng.New(2)); m.stages&stageTimed != 0 {
+		t.Fatal("bracket built without a timeline")
+	}
+	ch := mustBuild(t, spec, 2, Env{Timeline: &tl, Tally: &tally}, rng.New(1), rng.New(2))
+	if ch.stages&stageTimed == 0 {
+		t.Fatal("transport spec with a timeline built no bracket")
 	}
 	p := pkt(0, 1, 3)
 	p.Now = 7
@@ -112,62 +118,114 @@ func TestTimedBracketSchedulesPerDelivery(t *testing.T) {
 	}
 }
 
-// TestTransportOffTickPathAllocFree pins the zero-delay/ARQ-off contract:
-// a pooled channel without transport components must deliver and advance
-// without allocating, exactly like the pre-transport layer did.
-func TestTransportOffTickPathAllocFree(t *testing.T) {
-	spec, err := Parse("bernoulli:0.2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pool Pool
-	var tl Timeline
-	tl.Reset(false) // transport off: the engine still owns a (dormant) timeline
-	ch, err := spec.BuildWith(&pool, 16, Env{Timeline: &tl}, rng.New(3), rng.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := pkt(1, 2, 4)
+// allocShape is one medium shape the alloc guards run: a spec and the
+// network context it binds to.
+type allocShape struct {
+	spec string
+	reps []int32
+}
+
+// allocNodes is the node count of the alloc guards' media; every tick
+// delivers between two of them, cycling through all of them.
+const allocNodes = 16
+
+// allocTicks returns a tick function over m that advances one time
+// unit and makes every delivery shape the engines make.
+func allocTicks(m *Medium, pts []geo.Point, shapes int) func() {
 	var now uint64
-	allocs := testing.AllocsPerRun(1000, func() {
+	return func() {
 		now++
-		ch.Advance(now)
-		p.Now = now
-		ch.DeliverHop(p)
-		ch.DeliverRoute(p)
-		ch.DeliverRoundTrip(p)
-	})
-	if allocs != 0 {
-		t.Fatalf("transport-off tick path allocates %v per tick, want 0", allocs)
+		m.Advance(now)
+		src, dst := int32(now%allocNodes), int32((now*7+3)%allocNodes)
+		m.Alive(src)
+		m.DeliverHop(NewPacket(pts, src, dst, 1, now))
+		m.DeliverRoute(NewPacket(pts, src, dst, 4, now))
+		if shapes == 3 {
+			m.DeliverRoundTrip(NewPacket(pts, src, dst, 4, now))
+		}
 	}
 }
 
+// assertAllocFree builds each shape on a kept Pool, warms it (the first
+// build allocates the pool's storage, the first query of a churned node
+// its schedule generator), and then requires that ticking and
+// rebuilding on the pool allocate nothing.
+func assertAllocFree(t *testing.T, shapes []allocShape, transport bool, deliveries int) {
+	t.Helper()
+	pts := make([]geo.Point, allocNodes)
+	r := rng.New(9)
+	for i := range pts {
+		pts[i] = geo.Pt(r.Float64(), r.Float64())
+	}
+	for _, sh := range shapes {
+		spec := mustParse(t, sh.spec)
+		var pool Pool
+		var tl Timeline
+		var tally obs.Tally
+		tl.Reset(transport) // the engine always owns a timeline, dormant without transport
+		env := Env{Points: pts, Reps: sh.reps, Timeline: &tl, Tally: &tally}
+		lr, cr := rng.New(3), rng.New(4)
+		m, err := spec.BuildWith(&pool, allocNodes, env, lr, cr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tick := allocTicks(m, packetPoints(spec, pts), deliveries)
+		for i := int32(0); i < allocNodes; i++ {
+			m.Alive(i)
+		}
+		if allocs := testing.AllocsPerRun(1000, tick); allocs != 0 {
+			t.Fatalf("%s: tick path allocates %v per tick, want 0", sh.spec, allocs)
+		}
+		rebuild := func() {
+			tl.Reset(transport)
+			tally.Reset()
+			lr.Reseed(3)
+			m, err := spec.BuildWith(&pool, allocNodes, env, lr, cr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tick := allocTicks(m, packetPoints(spec, pts), deliveries)
+			for range allocNodes {
+				tick()
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, rebuild); allocs != 0 {
+			t.Fatalf("%s: rebuilding on a kept pool allocates %v per build, want 0", sh.spec, allocs)
+		}
+	}
+}
+
+// packetPoints returns pts when spec is spatial and nil otherwise: the engines'
+// packet rule (sim.SpatialPoints).
+func packetPoints(spec Spec, pts []geo.Point) []geo.Point {
+	if spec.Spatial() {
+		return pts
+	}
+	return nil
+}
+
+// TestTransportOffTickPathAllocFree pins the zero-delay/ARQ-off contract:
+// a pooled medium without transport components must deliver and advance
+// without allocating, exactly like the pre-transport layer did, and so
+// must rebuilding it on its pool.
+func TestTransportOffTickPathAllocFree(t *testing.T) {
+	assertAllocFree(t, []allocShape{
+		{spec: "perfect"},
+		{spec: "bernoulli:0.2"},
+		{spec: "ge:0.025/0.1/0.01/0.5+jam:0.5/0.5/0.15/0.5"},
+		{spec: "cut:1/0/0.5/0/100000"},
+		{spec: "churn:500/200"},
+		{spec: "repchurn:500/200", reps: []int32{1, 5, 9, 13}},
+	}, false, 3)
+}
+
 // TestTransportTickPathAllocFree guards the live transport path too: a
-// pooled delay+ARQ channel counting into a tally delivers and records
-// latency without allocating, from its first delivery on.
+// pooled delay+ARQ medium, and the grid-faults workload's loss + jam +
+// delay + ARQ medium, counting into a tally, deliver and record latency
+// without allocating, from their first delivery on.
 func TestTransportTickPathAllocFree(t *testing.T) {
-	spec, err := Parse("bernoulli:0.2+delay:exp/0.5+arq:2/1/2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pool Pool
-	var tl Timeline
-	var tally obs.Tally
-	tl.Reset(true)
-	ch, err := spec.BuildWith(&pool, 16, Env{Timeline: &tl, Tally: &tally}, rng.New(3), rng.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := pkt(1, 2, 4)
-	var now uint64
-	tick := func() {
-		now++
-		ch.Advance(now)
-		p.Now = now
-		ch.DeliverHop(p)
-		ch.DeliverRoute(p)
-	}
-	if allocs := testing.AllocsPerRun(1000, tick); allocs != 0 {
-		t.Fatalf("transport tick path allocates %v per tick after warmup, want 0", allocs)
-	}
+	assertAllocFree(t, []allocShape{
+		{spec: "bernoulli:0.2+delay:exp/0.5+arq:2/1/2"},
+		{spec: "ge:0.025/0.1/0.01/0.5+jam:0.5/0.5/0.15/0.5+delay:exp/0.5+arq:3/1/2"},
+	}, true, 2)
 }

@@ -1,7 +1,6 @@
 package channel
 
 import (
-	"math"
 	"testing"
 
 	"geogossip/internal/geo"
@@ -9,29 +8,6 @@ import (
 	"geogossip/internal/rng"
 	"geogossip/internal/trace"
 )
-
-// script is a Channel whose delivery verdicts follow a fixed cyclic
-// sequence, charging one transmission per failed attempt — the minimal
-// inner medium for pinning ARQ's retry and billing behaviour.
-type script struct {
-	verdicts []bool
-	calls    int
-}
-
-func (s *script) Advance(uint64)   {}
-func (s *script) Alive(int32) bool { return true }
-func (s *script) Name() string     { return "script" }
-func (s *script) next() (bool, int) {
-	ok := s.verdicts[s.calls%len(s.verdicts)]
-	s.calls++
-	if ok {
-		return true, 0
-	}
-	return false, 1
-}
-func (s *script) DeliverHop(Packet) (bool, int)       { return s.next() }
-func (s *script) DeliverRoute(Packet) (bool, int)     { return s.next() }
-func (s *script) DeliverRoundTrip(Packet) (bool, int) { return s.next() }
 
 // collect gathers traced events for assertion.
 type collect struct{ events []trace.Event }
@@ -56,18 +32,58 @@ func flushed(tally *obs.Tally) *obs.Registry {
 	return reg
 }
 
+// lossSeedFor returns the first loss-stream seed on which consecutive
+// Bernoulli(p) draws read verdicts: true for a delivered attempt, false
+// for a lost one. It pins the attempt sequence an ARQ test needs on a
+// Spec-built Bernoulli medium.
+func lossSeedFor(t testing.TB, p float64, verdicts ...bool) uint64 {
+	t.Helper()
+next:
+	for seed := uint64(1); seed < 1000; seed++ {
+		r := rng.New(seed)
+		for _, ok := range verdicts {
+			if r.Bernoulli(p) == ok {
+				continue next
+			}
+		}
+		return seed
+	}
+	t.Fatalf("no seed below 1000 draws %v at p=%v", verdicts, p)
+	return 0
+}
+
+// arqStream returns the ARQ jitter stream a medium built over a loss
+// stream of the given seed draws from.
+func arqStream(lossSeed uint64) *rng.RNG { return rng.New(rng.DeriveString(lossSeed, "arq")) }
+
+// delayStream returns the delay stream a medium built over a loss stream
+// of the given seed draws from.
+func delayStream(lossSeed uint64) *rng.RNG { return rng.New(rng.DeriveString(lossSeed, "delay")) }
+
+// sameStream fails the test unless a and b are at the same position.
+func sameStream(t testing.TB, a, b *rng.RNG, what string) {
+	t.Helper()
+	if a.Uint64() != b.Uint64() {
+		t.Fatalf("%s: streams at different positions", what)
+	}
+}
+
 func TestARQRetriesUntilSuccess(t *testing.T) {
 	var tally obs.Tally
-	inner := &script{verdicts: []bool{false, false, true}}
 	var tr collect
-	a := NewARQ(inner, ARQParams{Retries: 5, Timeout: 1, Backoff: 2}, rng.New(7), nil, &tally, &tr)
+	seed := lossSeedFor(t, 0.5, false, false, true)
+	lr := rng.New(seed)
+	a := mustBuild(t, mustParse(t, "bernoulli:0.5+arq:5/1/2"), 10, Env{Tally: &tally, Tracer: &tr}, lr, rng.New(7))
 	ok, paid := a.DeliverHop(pkt(3, 9, 1))
 	if !ok || paid != 2 {
 		t.Fatalf("DeliverHop = %v, %d; want success paying the 2 failed attempts", ok, paid)
 	}
-	if inner.calls != 3 {
-		t.Fatalf("inner saw %d attempts, want 3", inner.calls)
+	// Three attempts: the loss stream moved by exactly three draws.
+	ref := rng.New(seed)
+	for range 3 {
+		ref.Bernoulli(0.5)
 	}
+	sameStream(t, lr, ref, "loss stream after three attempts")
 	reg := flushed(&tally)
 	if got := reg.Counter(obs.MetricARQTimeouts, "", "engine", "test").Value(); got != 2 {
 		t.Fatalf("timeout counter %d, want 2", got)
@@ -102,15 +118,20 @@ func TestARQRetriesUntilSuccess(t *testing.T) {
 
 func TestARQExhaustsBudget(t *testing.T) {
 	var tally obs.Tally
-	inner := &script{verdicts: []bool{false}}
-	a := NewARQ(inner, ARQParams{Retries: 3, Timeout: 1, Backoff: 2}, rng.New(7), nil, &tally, nil)
+	lr := rng.New(7)
+	a := mustBuild(t, mustParse(t, "bernoulli:1+arq:3/1/2"), 2, Env{Tally: &tally}, lr, rng.New(8))
 	ok, paid := a.DeliverRoute(pkt(0, 1, 5))
-	if ok || paid != 4 {
-		t.Fatalf("DeliverRoute = %v, %d; want give-up billing all 4 attempts", ok, paid)
+	// Every attempt is lost (p = 1 draws nothing) and pays its failure
+	// point: 1 + 3 retries, each billed.
+	ref := rng.New(7)
+	want := 0
+	for range 4 {
+		want += 1 + ref.IntN(5)
 	}
-	if inner.calls != 4 {
-		t.Fatalf("inner saw %d attempts, want 1 + 3 retries", inner.calls)
+	if ok || paid != want {
+		t.Fatalf("DeliverRoute = %v, %d; want give-up billing all 4 attempts (%d)", ok, paid, want)
 	}
+	sameStream(t, lr, ref, "loss stream after 1 + 3 attempts")
 	// Every lost attempt times out; only the retried ones count as
 	// retransmissions — the last timeout is the give-up.
 	reg := flushed(&tally)
@@ -125,58 +146,74 @@ func TestARQExhaustsBudget(t *testing.T) {
 func TestARQBackoffWaitsWithJitter(t *testing.T) {
 	var tl Timeline
 	tl.Reset(true)
-	inner := &script{verdicts: []bool{false}}
-	a := NewARQ(inner, ARQParams{Retries: 2, Timeout: 1, Backoff: 2}, rng.New(11), &tl, nil, nil)
+	a := mustBuild(t, mustParse(t, "bernoulli:1+arq:2/1/2"), 2, Env{Timeline: &tl}, rng.New(11), rng.New(12))
 	if ok, _ := a.DeliverHop(pkt(0, 1, 1)); ok {
 		t.Fatal("all-loss medium delivered")
 	}
 	// Three timeouts wait 1, 2, 4 plus jitter in [0, wait/2) each:
-	// total in [7, 10.5).
-	if tl.pend < 7 || tl.pend >= 10.5 {
-		t.Fatalf("accumulated wait %v outside [7, 10.5)", tl.pend)
+	// total in [7, 10.5), closed at decision time 0.
+	if tl.High() < 7 || tl.High() >= 10.5 {
+		t.Fatalf("accumulated wait %v outside [7, 10.5)", tl.High())
+	}
+	jitter := arqStream(11)
+	want := 0.0
+	for _, wait := range []float64{1, 2, 4} {
+		want += wait + jitter.Float64()*wait/2
+	}
+	if tl.High() != want {
+		t.Fatalf("accumulated wait %v, want %v from the jitter stream", tl.High(), want)
 	}
 }
 
 func TestARQZeroTimeoutDrawsNoJitter(t *testing.T) {
-	r := rng.New(13)
-	inner := &script{verdicts: []bool{false, true}}
-	a := NewARQ(inner, ARQParams{Retries: 1, Timeout: 0, Backoff: 1}, r, nil, nil, nil)
+	seed := lossSeedFor(t, 0.5, false, true)
+	a := mustBuild(t, mustParse(t, "bernoulli:0.5+arq:1/0/1"), 2, Env{}, rng.New(seed), rng.New(1))
 	if ok, paid := a.DeliverHop(pkt(0, 1, 1)); !ok || paid != 1 {
 		t.Fatalf("DeliverHop = %v, %d", ok, paid)
 	}
-	if got, want := r.Uint64(), rng.New(13).Uint64(); got != want {
-		t.Fatalf("zero-timeout ARQ consumed jitter randomness: %d != %d", got, want)
-	}
+	sameStream(t, a.arqR, arqStream(seed), "zero-timeout ARQ jitter stream")
 }
 
 func TestDelayDrawsOncePerDeliveryEvenOnLoss(t *testing.T) {
 	var tl Timeline
+	var tally obs.Tally
 	tl.Reset(true)
 	const mean = 0.5
-	d := NewDelay(&script{verdicts: []bool{true, false}}, DelayParams{Kind: DelayExp, A: mean}, 0, 0, rng.New(21), &tl)
-	ref := rng.New(21)
-	var want float64
+	d := mustBuild(t, mustParse(t, "bernoulli:0.5+delay:exp/0.5"), 2, Env{Timeline: &tl, Tally: &tally}, rng.New(21), rng.New(22))
+	ref := delayStream(21)
+	var want obs.Tally
+	high, lost := 0.0, 0
 	for i := 0; i < 100; i++ {
-		d.DeliverHop(pkt(0, 1, 1))
+		if ok, _ := d.DeliverHop(Packet{Src: 0, Dst: 1, Hops: 1, Now: uint64(i)}); !ok {
+			lost++
+		}
 		// One exponential draw per delivery decision, delivered or lost.
-		want += ref.ExpFloat64() * mean
+		lat := ref.ExpFloat64() * mean
+		want.DeliveryLatency(lat)
+		high = max(high, float64(i)+lat)
 	}
-	if math.Abs(tl.pend-want) > 1e-12 {
-		t.Fatalf("accumulated latency %v, want %v — delay did not draw exactly once per delivery", tl.pend, want)
+	if lost == 0 || lost == 100 {
+		t.Fatalf("%d of 100 lost: both verdicts must occur", lost)
+	}
+	if tally != want {
+		t.Fatal("delivery latencies differ from one delay draw per delivery")
+	}
+	if tl.High() != high {
+		t.Fatalf("high %v, want %v — delay did not draw exactly once per delivery", tl.High(), high)
 	}
 }
 
 func TestDelayReorderPenaltyAndDupCharge(t *testing.T) {
 	var tl Timeline
 	tl.Reset(true)
-	d := NewDelay(Perfect{}, DelayParams{Kind: DelayFixed, A: 2}, 1, 1, rng.New(5), &tl)
+	d := mustBuild(t, mustParse(t, "delay:fixed/2+reorder:1+dup:1"), 2, Env{Timeline: &tl}, rng.New(5), rng.New(6))
 	ok, paid := d.DeliverRoute(pkt(0, 1, 3))
 	if !ok {
-		t.Fatal("perfect medium lost a route")
+		t.Fatal("lossless medium lost a route")
 	}
 	// Certain reorder: base 3-leg latency plus one extra traversal = 12.
-	if tl.pend != 12 {
-		t.Fatalf("latency %v, want 12 (reordered straggler waits out a second traversal)", tl.pend)
+	if tl.High() != 12 {
+		t.Fatalf("latency %v, want 12 (reordered straggler waits out a second traversal)", tl.High())
 	}
 	// Certain duplication: the copy re-pays the route's airtime.
 	if paid != 3 {
@@ -184,8 +221,8 @@ func TestDelayReorderPenaltyAndDupCharge(t *testing.T) {
 	}
 	tl.Reset(true)
 	ok, paid = d.DeliverRoundTrip(pkt(0, 1, 2))
-	if !ok || tl.pend != 16 || paid != 4 {
-		t.Fatalf("round trip = %v, paid %d, latency %v; want true, 4, 16", ok, paid, tl.pend)
+	if !ok || tl.High() != 16 || paid != 4 {
+		t.Fatalf("round trip = %v, paid %d, latency %v; want true, 4, 16", ok, paid, tl.High())
 	}
 }
 
@@ -247,25 +284,58 @@ func TestARQOnPerfectMediumIsInert(t *testing.T) {
 	}
 }
 
+// TestTransportComposesInWrapperOrder checks the transport stages'
+// order: churn before ARQ (a dead endpoint spends no retry, draws
+// nothing and records no latency), delay inside ARQ (each retry re-draws
+// the delay), and the Timed bracket outermost (one completion per
+// delivery, however many attempts it took).
 func TestTransportComposesInWrapperOrder(t *testing.T) {
-	spec, err := Parse("bernoulli:0.1+delay:fixed/1+reorder:0.5+dup:0.1+arq:2/1/2+churn:1000/0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var tl Timeline
+	var tally obs.Tally
+	var tr collect
 	tl.Reset(true)
-	ch, err := spec.Build(8, Env{Timeline: &tl}, rng.New(1), rng.New(2))
-	if err != nil {
-		t.Fatal(err)
+	env := Env{Timeline: &tl, Tally: &tally, Tracer: &tr}
+	lr := rng.New(1)
+	ch := mustBuild(t, mustParse(t, "bernoulli:0.1+delay:fixed/1+reorder:0.5+dup:0.1+arq:2/1/2+churn:1000/0"), 8, env, lr, rng.New(2))
+	ch.Advance(1 << 40) // every node has crashed
+	for i := 0; i < 20; i++ {
+		if ok, paid := ch.DeliverRoute(pkt(1, 2, 4)); ok || paid != 0 {
+			t.Fatalf("delivery from a dead node = %v, %d; want false, 0", ok, paid)
+		}
 	}
-	// Delay inside ARQ (retries re-pay latency) inside churn (dead
-	// endpoints don't burn the retry budget); the Timed bracket is
-	// transparent to the name.
-	if got, want := ch.Name(), "bernoulli+delay+arq+churn"; got != want {
-		t.Fatalf("composed name %q, want %q", got, want)
+	if tally != (obs.Tally{}) || len(tr.events) != 0 || tl.High() != 0 {
+		t.Fatalf("dead-endpoint deliveries spent ARQ or delay: tally %+v, %d events, high %v", tally, len(tr.events), tl.High())
 	}
-	if _, isTimed := ch.(*Timed); !isTimed {
-		t.Fatalf("transport spec built %T, want the Timed bracket outermost", ch)
+	untouched(t, lr, 1, "dead-endpoint deliveries' loss stream")
+	sameStream(t, ch.delayR, delayStream(1), "dead-endpoint deliveries' delay stream")
+	sameStream(t, ch.arqR, arqStream(1), "dead-endpoint deliveries' jitter stream")
+
+	// Every attempt is lost and the timeout is zero, so the latency is
+	// the delay stage's alone: one draw per attempt, three attempts,
+	// closed as one completion.
+	tl.Reset(true)
+	tally.Reset()
+	ch = mustBuild(t, mustParse(t, "bernoulli:1+delay:exp/0.5+arq:2/0/1"), 8, env, rng.New(3), rng.New(4))
+	ch.Advance(5)
+	if ok, _ := ch.DeliverHop(Packet{Src: 1, Dst: 2, Hops: 1, Now: 5}); ok {
+		t.Fatal("all-loss medium delivered")
+	}
+	ref := delayStream(3)
+	lat := 0.0
+	for range 3 {
+		lat += ref.ExpFloat64() * 0.5
+	}
+	var want obs.Tally
+	for retry := range 3 {
+		want.ARQTimeout()
+		want.BackoffWait(0)
+		if retry < 2 {
+			want.Retransmit()
+		}
+	}
+	want.DeliveryLatency(lat)
+	if tl.High() != 5+lat || tally != want {
+		t.Fatalf("high %v, want %v; tally %+v, want %+v", tl.High(), 5+lat, tally, want)
 	}
 }
 
@@ -292,8 +362,8 @@ func TestPoolTransportBuildMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fresh.Name() != pooled.Name() {
-			t.Fatalf("round %d: names differ: %q vs %q", round, fresh.Name(), pooled.Name())
+		if fresh.stages != pooled.stages {
+			t.Fatalf("round %d: stages differ: %08b vs %08b", round, fresh.stages, pooled.stages)
 		}
 		p := pkt(0, 1, 3)
 		for i := 0; i < 1000; i++ {
@@ -400,37 +470,5 @@ func TestTransportSpecRejections(t *testing.T) {
 		if s, err := Parse(text); err == nil {
 			t.Fatalf("Parse(%q) accepted invalid transport spec %+v", text, s)
 		}
-	}
-}
-
-// Benchmark the transport wrappers' per-delivery cost — the hot path
-// every data packet of a time-realism run goes through: the random
-// draws, the latency added to the timeline, and the plain-field counts
-// in the run's tally (no atomics; the tally flushes at run end).
-func BenchmarkDelayHop(b *testing.B) {
-	var tl Timeline
-	var tally obs.Tally
-	tl.Reset(true)
-	inner := &Bernoulli{P: 0.2, R: rng.New(1)}
-	ch := NewTimed(NewDelay(inner, DelayParams{Kind: DelayExp, A: 0.5}, 0.1, 0.05, rng.New(2), &tl), &tl, &tally)
-	p := pkt(0, 1, 1)
-	for i := 0; i < b.N; i++ {
-		p.Now = uint64(i)
-		_, paid := ch.DeliverHop(p)
-		benchSink += paid
-	}
-}
-
-func BenchmarkARQHop(b *testing.B) {
-	var tl Timeline
-	var tally obs.Tally
-	tl.Reset(true)
-	inner := &Bernoulli{P: 0.2, R: rng.New(1)}
-	ch := NewTimed(NewARQ(inner, ARQParams{Retries: 3, Timeout: 1, Backoff: 2}, rng.New(2), &tl, &tally, nil), &tl, &tally)
-	p := pkt(0, 1, 1)
-	for i := 0; i < b.N; i++ {
-		p.Now = uint64(i)
-		_, paid := ch.DeliverHop(p)
-		benchSink += paid
 	}
 }

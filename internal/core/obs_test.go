@@ -95,7 +95,7 @@ func TestInstrumentedPooledBitIdenticalCore(t *testing.T) {
 // TestInstrumentedTicksAllocFreeCore repeats the steady-state zero-alloc
 // assertions with a live registry scope attached to both hierarchy
 // engines, on the perfect medium and on a delay+ARQ medium whose
-// transport wrappers count into the run's tally: per-event counts are
+// transport stages count into the run's tally: per-event counts are
 // plain fields, flushed to the registry only at run end.
 func TestInstrumentedTicksAllocFreeCore(t *testing.T) {
 	for _, faults := range []string{"", "bernoulli:0.1+delay:exp/0.5+arq:3/1/2"} {

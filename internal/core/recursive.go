@@ -164,7 +164,7 @@ type engine struct {
 	// ch is the radio medium every data packet goes through; its clock
 	// is driven by the transmission counter (this engine has no tick
 	// clock).
-	ch channel.Channel
+	ch *channel.Medium
 	// pts holds node positions for spatial media and is nil otherwise
 	// (sim.SpatialPoints): no other medium reads Packet positions.
 	pts []geo.Point
@@ -277,7 +277,7 @@ func RunRecursive(g *graph.Graph, h *hier.Hierarchy, x []float64, opt RecursiveO
 
 // faultEnv assembles the network context spatial, targeted and transport
 // fault models bind to: positions always, the state's timeline plus the
-// run's tally and tracer for delay/arq wrappers, and hierarchy
+// run's tally and tracer for the delay and ARQ stages, and hierarchy
 // representatives and the degree order only when the spec asks for them.
 func (st *RunState) faultEnv(g *graph.Graph, h *hier.Hierarchy, spec channel.Spec, tally *obs.Tally, tracer trace.Tracer) channel.Env {
 	env := channel.Env{Points: g.Points(), Timeline: &st.tline, Tally: tally, Tracer: tracer}

@@ -65,8 +65,8 @@ type RunState struct {
 	privRoutes *routing.Cache
 	ch         channel.Pool
 	// tline is the transport clock (DESIGN.md §12), reset per run
-	// before the medium is built so delay/arq wrappers can add latency
-	// to it. Inactive (and cost-free) without transport components in
+	// before the medium is built so its delay and ARQ stages can add
+	// latency to it. Inactive (and cost-free) without transport components in
 	// the fault spec.
 	tline channel.Timeline
 

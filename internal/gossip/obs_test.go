@@ -122,7 +122,7 @@ func TestInstrumentedRunMatchesBare(t *testing.T) {
 
 // TestSteadyStateTicksAllocFreeInstrumented repeats the steady-state
 // zero-alloc assertion with a live registry scope attached, on a lossy
-// medium and on a delay+ARQ medium whose transport wrappers count into
+// medium and on a delay+ARQ medium whose transport stages count into
 // the run's tally: per-event counts are plain fields and the registry is
 // touched only at run end, so instrumentation must not buy back the
 // allocations the pooled states eliminated.

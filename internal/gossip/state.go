@@ -25,8 +25,8 @@ type RunState struct {
 	h  sim.Harness
 	ch channel.Pool
 	// tline is the transport clock (DESIGN.md §12), reset per run
-	// before the medium is built so delay/arq wrappers can add latency
-	// to it. Inactive (and cost-free) without transport components in
+	// before the medium is built so its delay and ARQ stages can add
+	// latency to it. Inactive (and cost-free) without transport components in
 	// the fault spec.
 	tline channel.Timeline
 
@@ -84,7 +84,7 @@ func (st *RunState) stream(slot **rng.RNG, r *rng.RNG, name string) *rng.RNG {
 // medium builds the run's radio channel through the state's channel pool
 // over the engine's deterministic streams, and returns it with the fault
 // spec it was built from.
-func (st *RunState) medium(o Options, g *graph.Graph, r *rng.RNG) (channel.Channel, channel.Spec, error) {
+func (st *RunState) medium(o Options, g *graph.Graph, r *rng.RNG) (*channel.Medium, channel.Spec, error) {
 	spec := o.Faults
 	if err := spec.Validate(); err != nil {
 		return nil, spec, err

@@ -20,9 +20,9 @@ const (
 	MetricFinalError       = "geogossip_run_final_error"
 
 	// Transport-reliability layer (DESIGN.md §12): ARQ retry traffic and
-	// the delivery-latency distribution of the time-realism channel
-	// wrappers. All engine-labelled; zero unless the run's fault spec has
-	// arq/delay components.
+	// the delivery-latency distribution of the radio medium's
+	// time-realism stages. All engine-labelled; zero unless the run's
+	// fault spec has arq/delay components.
 	MetricRetransmissions = "geogossip_arq_retransmissions_total"
 	MetricARQTimeouts     = "geogossip_arq_timeouts_total"
 	MetricARQBackoffWait  = "geogossip_arq_backoff_wait"

@@ -9,9 +9,9 @@ const tallyBuckets = max(len(HopBuckets), len(LatencyBuckets)) + 1
 // retries and latencies. Its fields are plain integers an engine bumps
 // without atomics; Scope.EndRun adds them to the shared instruments once,
 // at run end (DESIGN.md §8). Each engine run state owns one Tally and
-// zeroes it when a run starts; the transport wrappers reach it through
-// channel.Env. Every method is safe on a nil receiver, which discards the
-// count — a medium built without a tally reports nothing.
+// zeroes it when a run starts; the radio medium's transport stages reach
+// it through channel.Env. Every method is safe on a nil receiver, which
+// discards the count — a medium built without a tally reports nothing.
 type Tally struct {
 	losses, lossCost         uint64
 	reelections, resyncs     uint64

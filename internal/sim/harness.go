@@ -54,7 +54,7 @@ type Harness struct {
 	// Curve is the sampled convergence trajectory.
 	Curve metrics.Curve
 	// Medium is the radio fault model every data packet goes through.
-	Medium channel.Channel
+	Medium *channel.Medium
 	// Router is the run's routing core: every greedy route and region
 	// flood goes through it, so packet movement is memoized and
 	// allocation-free on the warm path. Nil for engines that never route
@@ -84,6 +84,8 @@ type Harness struct {
 	next uint64
 	// stop2 is Done's squared-deviation threshold (see stopDev2).
 	stop2 float64
+	// perfect is the medium a config without one runs on.
+	perfect channel.Medium
 }
 
 // HarnessConfig configures NewHarness.
@@ -93,8 +95,8 @@ type HarnessConfig struct {
 	// RecordEvery samples the curve every RecordEvery ticks; zero
 	// selects n.
 	RecordEvery uint64
-	// Medium is the radio fault model; nil selects channel.Perfect.
-	Medium channel.Channel
+	// Medium is the radio fault model; nil selects the perfect medium.
+	Medium *channel.Medium
 	// Points holds node positions so deliveries can attach the spatial
 	// context spatial fault models read; nil leaves positions zero.
 	// Engines attach them only for spatial specs (see SpatialPoints):
@@ -128,7 +130,8 @@ func NewHarness(x []float64, cfg HarnessConfig, clockRNG *rng.RNG) *Harness {
 func (h *Harness) Reset(x []float64, cfg HarnessConfig, clockRNG *rng.RNG) {
 	medium := cfg.Medium
 	if medium == nil {
-		medium = channel.Perfect{}
+		h.perfect = channel.Medium{}
+		medium = &h.perfect
 	}
 	every := cfg.RecordEvery
 	if every == 0 {
@@ -190,8 +193,8 @@ func (h *Harness) Advance() {
 }
 
 // SpatialPoints returns pts when spec has geometry-dependent components
-// and nil otherwise: the HarnessConfig.Points rule. Only the spatial
-// media (SpatialLoss, Partition) read Packet positions.
+// and nil otherwise: the HarnessConfig.Points rule. Only the jamming
+// fields and the cut read Packet positions.
 func SpatialPoints(spec channel.Spec, pts []geo.Point) []geo.Point {
 	if spec.Spatial() {
 		return pts
@@ -285,7 +288,7 @@ func SimSeconds(tl *channel.Timeline, ticks uint64, n int) float64 {
 
 // AliveMask returns the per-node liveness of the medium at the current
 // time, or nil when every node is up (the common, fault-free case).
-func AliveMask(medium channel.Channel, n int) []bool {
+func AliveMask(medium *channel.Medium, n int) []bool {
 	allUp := true
 	for i := 0; i < n; i++ {
 		if !medium.Alive(int32(i)) {
