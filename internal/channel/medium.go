@@ -129,23 +129,14 @@ func (m *Medium) Alive(i int32) bool {
 // method stores it once and the stages read it through a pointer.
 //
 // Each method tests the stage flags once. The perfect medium returns at
-// once. A medium whose only stage is a loss model decides in the method
-// itself, as attempt would: one more call level costs such a medium
-// about as much as its draws. A medium with no stage outside the
-// attempt runs the attempt; the rest enter deliver.
+// once; a medium with no stage outside the attempt runs the attempt; the
+// rest enter deliver.
 //
 //go:noinline
 func (m *Medium) DeliverHop(p Packet) (bool, int) {
 	switch {
 	case m.stages == 0:
 		return true, 0
-	case m.stages == stageBernoulli:
-		if !m.lossR.Bernoulli(shapeHop.both(m.lossP)) {
-			return true, 0
-		}
-		return false, m.failed(shapeHop, p.Hops)
-	case m.stages == stageGE:
-		return m.burst(shapeHop, p.Hops)
 	case m.stages&outer == 0:
 		return m.attempt(&p, shapeHop)
 	}
@@ -159,13 +150,6 @@ func (m *Medium) DeliverRoute(p Packet) (bool, int) {
 	switch {
 	case m.stages == 0:
 		return true, 0
-	case m.stages == stageBernoulli:
-		if !m.lossR.Bernoulli(shapeRoute.both(m.lossP)) {
-			return true, 0
-		}
-		return false, m.failed(shapeRoute, p.Hops)
-	case m.stages == stageGE:
-		return m.burst(shapeRoute, p.Hops)
 	case m.stages&outer == 0:
 		return m.attempt(&p, shapeRoute)
 	}
@@ -179,13 +163,6 @@ func (m *Medium) DeliverRoundTrip(p Packet) (bool, int) {
 	switch {
 	case m.stages == 0:
 		return true, 0
-	case m.stages == stageBernoulli:
-		if !m.lossR.Bernoulli(shapeRoundTrip.both(m.lossP)) {
-			return true, 0
-		}
-		return false, m.failed(shapeRoundTrip, p.Hops)
-	case m.stages == stageGE:
-		return m.burst(shapeRoundTrip, p.Hops)
 	case m.stages&outer == 0:
 		return m.attempt(&p, shapeRoundTrip)
 	}

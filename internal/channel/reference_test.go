@@ -12,9 +12,10 @@ import (
 
 // This file keeps the reference media: the nested Channel wrappers the
 // Medium pipeline replaced, verbatim apart from their dropped Name
-// methods and two renames (refPartialCost, and buildReference for the
-// BuildWith that nested them). Each wrapper forwards Advance, Alive and
-// Deliver* to the medium it wraps. TestMediumMatchesReference and
+// methods and constructors (buildReference and refPool build them) and
+// two renames (refPartialCost, and buildReference for the BuildWith that
+// nested them). Each wrapper forwards Advance, Alive and Deliver* to the
+// medium it wraps. TestMediumMatchesReference and
 // FuzzMediumMatchesReference check the pipeline against them.
 
 // Bernoulli loses every packet (or route leg) independently with
@@ -85,11 +86,6 @@ type GilbertElliott struct {
 	bad    bool
 }
 
-// NewGilbertElliott builds the chain over r, starting in the Good state.
-func NewGilbertElliott(p GEParams, r *rng.RNG) *GilbertElliott {
-	return &GilbertElliott{params: p, r: r}
-}
-
 // step advances the chain one packet and returns whether that packet is
 // lost.
 func (g *GilbertElliott) step() bool {
@@ -143,10 +139,6 @@ func (g *GilbertElliott) DeliverRoundTrip(p Packet) (bool, int) {
 
 func (g *GilbertElliott) partial(hops int) int { return refPartialCost(g.r, hops) }
 
-// Bad reports whether the chain currently sits in the Bad state (exposed
-// for tests and diagnostics).
-func (g *GilbertElliott) Bad() bool { return g.bad }
-
 // Churn overlays crash-stop node failure (with optional revival) on an
 // inner loss medium: packets to or from a dead node are lost regardless
 // of the inner channel, and engines skip clock ticks owned by dead
@@ -154,9 +146,9 @@ func (g *GilbertElliott) Bad() bool { return g.bad }
 // drawn lazily from a per-node substream, so liveness at any time is a
 // pure function of (seed, node, time) — independent of query order.
 //
-// Churn is optionally adversarial: NewTargetedChurn restricts failures
-// to a chosen node set (hierarchy representatives, high-degree hubs),
-// the attack model that stresses exactly the nodes the paper's protocol
+// Churn is optionally adversarial: reset's targets restrict failures to
+// a chosen node set (hierarchy representatives, high-degree hubs), the
+// attack model that stresses exactly the nodes the paper's protocol
 // depends on. Untargeted nodes never fail. A targeted node's schedule
 // derivation is identical to the uniform case, so uniform churn
 // (nil target set) remains draw-compatible with every pre-existing run.
@@ -177,21 +169,6 @@ type churnNode struct {
 	alive    bool
 	nextFlip uint64
 	started  bool
-}
-
-// NewChurn wraps inner with uniform churn over n nodes, drawing schedules
-// from r.
-func NewChurn(inner Channel, n int, p ChurnParams, r *rng.RNG) *Churn {
-	return NewTargetedChurn(inner, n, p, nil, r)
-}
-
-// NewTargetedChurn wraps inner with churn restricted to the listed nodes;
-// nodes outside targets never fail. nil targets means uniform churn over
-// all n nodes.
-func NewTargetedChurn(inner Channel, n int, p ChurnParams, targets []int32, r *rng.RNG) *Churn {
-	c := &Churn{}
-	c.reset(inner, n, p, targets, r)
-	return c
 }
 
 // reset re-initializes a pooled Churn in place, keeping the per-node
@@ -276,17 +253,6 @@ func (c *Churn) duration(r *rng.RNG, mean float64) uint64 {
 	return uint64(d)
 }
 
-// AliveCount returns the number of nodes currently up.
-func (c *Churn) AliveCount() int {
-	count := 0
-	for i := range c.nodes {
-		if c.Alive(int32(i)) {
-			count++
-		}
-	}
-	return count
-}
-
 // DeliverHop implements Channel.
 func (c *Churn) DeliverHop(p Packet) (bool, int) {
 	if !c.Alive(p.Src) {
@@ -361,14 +327,6 @@ type fieldEval struct {
 	boxNow uint64
 	primed bool
 	moving bool
-}
-
-// NewSpatialLoss wraps inner (nil selects Perfect) with the given loss
-// fields, drawing from r.
-func NewSpatialLoss(inner Channel, fields []FieldParams, r *rng.RNG) *SpatialLoss {
-	s := &SpatialLoss{}
-	s.reset(inner, fields, r)
-	return s
 }
 
 // reset re-initializes a pooled SpatialLoss in place, keeping the
@@ -512,14 +470,6 @@ type Partition struct {
 	cut   CutParams
 }
 
-// NewPartition wraps inner (nil selects Perfect) with the cut.
-func NewPartition(inner Channel, cut CutParams) *Partition {
-	if inner == nil {
-		inner = Perfect{}
-	}
-	return &Partition{inner: inner, cut: cut}
-}
-
 // Advance implements Channel.
 func (c *Partition) Advance(now uint64) { c.inner.Advance(now) }
 
@@ -571,14 +521,6 @@ type Delay struct {
 	dup     float64
 	r       *rng.RNG
 	tl      *Timeline
-}
-
-// NewDelay wraps inner with the delay/reorder/dup decorators, drawing
-// from r and scheduling latency on tl (which may be nil to discard it).
-func NewDelay(inner Channel, dist DelayParams, reorder, dup float64, r *rng.RNG, tl *Timeline) *Delay {
-	d := &Delay{}
-	d.reset(inner, dist, reorder, dup, r, tl)
-	return d
 }
 
 // reset re-initializes a pooled Delay in place.
@@ -675,15 +617,6 @@ type ARQ struct {
 	tracer trace.Tracer
 }
 
-// NewARQ wraps inner with retransmission, drawing jitter from r, adding
-// waits to tl and counting timeouts, retries and waits in tally (either
-// may be nil to discard them).
-func NewARQ(inner Channel, params ARQParams, r *rng.RNG, tl *Timeline, tally *obs.Tally, tracer trace.Tracer) *ARQ {
-	a := &ARQ{}
-	a.reset(inner, params, r, tl, tally, tracer)
-	return a
-}
-
 // reset re-initializes a pooled ARQ in place.
 func (a *ARQ) reset(inner Channel, params ARQParams, r *rng.RNG, tl *Timeline, tally *obs.Tally, tracer trace.Tracer) {
 	if inner == nil {
@@ -772,15 +705,6 @@ type Timed struct {
 	inner Channel
 	tl    *Timeline
 	tally *obs.Tally
-}
-
-// NewTimed wraps inner with the timeline bracket, counting delivery
-// latencies in tally (nil discards them).
-func NewTimed(inner Channel, tl *Timeline, tally *obs.Tally) *Timed {
-	if inner == nil {
-		inner = Perfect{}
-	}
-	return &Timed{inner: inner, tl: tl, tally: tally}
 }
 
 // Advance implements Channel.
