@@ -290,20 +290,16 @@ type Algorithm interface {
 type RunOption func(*runConfig)
 
 type runConfig struct {
-	targetErr   float64
-	maxTicks    uint64
+	// run is the engine configuration the options write; Run adds the
+	// assembled fault spec and the run's metrics scope.
+	run         engine.Config
 	seed        uint64
-	beta        float64
 	betaSet     bool
-	sampling    gossip.Sampling
-	throttle    float64
 	throttleSet bool
 	faults      string
 	// shorthand holds the fault-spec text each medium shorthand option
 	// lowers to, indexed like shorthandNames; "" adds no component.
 	shorthand [len(shorthandNames)]string
-	recover   bool
-	tracer    trace.Tracer
 	// optErr carries the first invalid option input; surfaced by validate
 	// so constructors stay error-free.
 	optErr error
@@ -313,12 +309,12 @@ type runConfig struct {
 // (default 1e-3). It must be positive and finite; Run reports an error
 // otherwise.
 func WithTargetError(eps float64) RunOption {
-	return func(c *runConfig) { c.targetErr = eps }
+	return func(c *runConfig) { c.run.Stop.TargetErr = eps }
 }
 
 // WithMaxTicks caps the simulated clock ticks (default 200,000,000).
 func WithMaxTicks(t uint64) RunOption {
-	return func(c *runConfig) { c.maxTicks = t }
+	return func(c *runConfig) { c.run.Stop.MaxTicks = t }
 }
 
 // WithRunSeed seeds the protocol's randomness (default 1).
@@ -330,20 +326,20 @@ func WithRunSeed(seed uint64) RunOption {
 // value; only meaningful for the affine algorithms). It must be
 // positive and finite; Run reports an error otherwise.
 func WithBeta(beta float64) RunOption {
-	return func(c *runConfig) { c.beta = beta; c.betaSet = true }
+	return func(c *runConfig) { c.run.Beta = beta; c.betaSet = true }
 }
 
 // WithUniformSampling switches geographic gossip to idealized exact
 // uniform partner sampling instead of rejection sampling.
 func WithUniformSampling() RunOption {
-	return func(c *runConfig) { c.sampling = gossip.SamplingUniformNode }
+	return func(c *runConfig) { c.run.Sampling = gossip.SamplingUniformNode }
 }
 
 // WithThrottle sets the async protocol's round-serialization factor
 // (default 8; stands in for the paper's n^a). It must be positive and
 // finite; Run reports an error otherwise.
 func WithThrottle(t float64) RunOption {
-	return func(c *runConfig) { c.throttle = t; c.throttleSet = true }
+	return func(c *runConfig) { c.run.Throttle = t; c.throttleSet = true }
 }
 
 // The medium shorthand options. Each lowers to one component of the
@@ -499,7 +495,7 @@ func WithARQ(retries int, timeout, backoff float64) RunOption {
 // mass-conservation bookkeeping already survives churn. Off by default;
 // fault runs without it reproduce historical results bit-for-bit.
 func WithRecovery() RunOption {
-	return func(c *runConfig) { c.recover = true }
+	return func(c *runConfig) { c.run.Recover = true }
 }
 
 // WithChurn overlays crash-stop node failure on the run: each node
@@ -519,7 +515,7 @@ func WithChurn(meanUp, meanDown float64) RunOption {
 // happen: long-range exchanges, round activations and packet losses for
 // the affine algorithms; packet losses for the baselines.
 func WithTraceWriter(w io.Writer) RunOption {
-	return func(c *runConfig) { c.tracer = &trace.Writer{W: w} }
+	return func(c *runConfig) { c.run.Tracer = &trace.Writer{W: w} }
 }
 
 // WithTraceJSONL streams the run's protocol events to w as JSON Lines —
@@ -546,16 +542,14 @@ func WithTraceJSONL(w io.Writer, sampleEvery int, kinds ...string) RunOption {
 			}
 			j.Filter = append(j.Filter, k)
 		}
-		c.tracer = j
+		c.run.Tracer = j
 	}
 }
 
 func newRunConfig(opts []RunOption) runConfig {
 	cfg := runConfig{
-		targetErr: 1e-3,
-		maxTicks:  200_000_000,
-		seed:      1,
-		sampling:  gossip.SamplingRejection,
+		run:  engine.Config{Stop: sim.StopRule{TargetErr: 1e-3, MaxTicks: 200_000_000}},
+		seed: 1,
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -570,14 +564,14 @@ func (c runConfig) validate() (channel.Spec, error) {
 	if c.optErr != nil {
 		return channel.Spec{}, c.optErr
 	}
-	if !positiveFinite(c.targetErr) {
-		return channel.Spec{}, fmt.Errorf("geogossip: WithTargetError(%v): target error must be positive and finite", c.targetErr)
+	if !positiveFinite(c.run.Stop.TargetErr) {
+		return channel.Spec{}, fmt.Errorf("geogossip: WithTargetError(%v): target error must be positive and finite", c.run.Stop.TargetErr)
 	}
-	if c.betaSet && !positiveFinite(c.beta) {
-		return channel.Spec{}, fmt.Errorf("geogossip: WithBeta(%v): beta must be positive and finite", c.beta)
+	if c.betaSet && !positiveFinite(c.run.Beta) {
+		return channel.Spec{}, fmt.Errorf("geogossip: WithBeta(%v): beta must be positive and finite", c.run.Beta)
 	}
-	if c.throttleSet && !positiveFinite(c.throttle) {
-		return channel.Spec{}, fmt.Errorf("geogossip: WithThrottle(%v): throttle must be positive and finite", c.throttle)
+	if c.throttleSet && !positiveFinite(c.run.Throttle) {
+		return channel.Spec{}, fmt.Errorf("geogossip: WithThrottle(%v): throttle must be positive and finite", c.run.Throttle)
 	}
 	return c.engineFaults()
 }
@@ -656,20 +650,14 @@ func (a algo) Run(nw *Network, values []float64) (*Result, error) {
 	}
 	e, _ := engine.Lookup(a.name)
 	reg := obs.NewRegistry()
-	res, err := e.Run(nw.g, nw.h, values, engine.Config{
-		Stop:     sim.StopRule{TargetErr: a.cfg.targetErr, MaxTicks: a.cfg.maxTicks},
-		Faults:   faults,
-		Recover:  a.cfg.recover,
-		Beta:     a.cfg.beta,
-		Throttle: a.cfg.throttle,
-		Sampling: a.cfg.sampling,
-		Tracer:   a.cfg.tracer,
-		Obs:      reg.Scope(a.name),
-	}, rng.New(a.cfg.seed))
+	cfg := a.cfg.run
+	cfg.Faults = faults
+	cfg.Obs = reg.Scope(a.name)
+	res, err := e.Run(nw.g, nw.h, values, cfg, rng.New(a.cfg.seed))
 	if err != nil {
 		return nil, err
 	}
-	return fromMetrics(res.Result, reg), nil
+	return fromMetrics(res, reg), nil
 }
 
 // Mean returns the arithmetic mean of values (the consensus target), or 0

@@ -77,7 +77,7 @@ func (f FieldParams) Scheduled() bool { return f.From != 0 || f.Until != 0 }
 // translated by Vel·now and reflected back into the unit square
 // (triangle-wave folding), so a moving jammer bounces off the walls
 // forever and its position is a pure function of time.
-func (f FieldParams) CenterAt(now uint64) geo.Point {
+func (f *FieldParams) CenterAt(now uint64) geo.Point {
 	if !f.Moving() {
 		return f.Center
 	}
@@ -296,10 +296,10 @@ type CutParams struct {
 }
 
 // Active reports whether the cut severs at time now.
-func (c CutParams) Active(now uint64) bool { return now >= c.From && now < c.Until }
+func (c *CutParams) Active(now uint64) bool { return now >= c.From && now < c.Until }
 
 // Severs reports whether the segment p→q crosses the cut line.
-func (c CutParams) Severs(p, q geo.Point) bool {
+func (c *CutParams) Severs(p, q geo.Point) bool {
 	sp := c.A*p.X + c.B*p.Y - c.C
 	sq := c.A*q.X + c.B*q.Y - c.C
 	return (sp < 0) != (sq < 0)

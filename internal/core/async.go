@@ -103,32 +103,6 @@ func (o AsyncOptions) withDefaults() AsyncOptions {
 	return o
 }
 
-// AsyncResult extends the shared summary with protocol counters.
-type AsyncResult struct {
-	*metrics.Result
-	// FarExchanges counts long-range exchanges.
-	FarExchanges uint64
-	// NearExchanges counts local pairwise exchanges.
-	NearExchanges uint64
-	// Activations and Deactivations count square round transitions.
-	Activations   uint64
-	Deactivations uint64
-	// OverlapFars counts Far events fired by a square whose own round was
-	// still in progress (counter below budget) — the events the paper's
-	// n^{-a} throttling is designed to suppress.
-	OverlapFars uint64
-	// RouteFailures counts undeliverable long-range round trips.
-	RouteFailures uint64
-	// Reelections counts representative takeovers performed by the
-	// recovery sweep (AsyncOptions.Recover).
-	Reelections uint64
-	// Resyncs counts revived-node control-state resyncs performed by the
-	// recovery sweep.
-	Resyncs uint64
-	// BudgetByDepth reports the per-depth round budgets used.
-	BudgetByDepth []uint64
-}
-
 type asyncEngine struct {
 	st *RunState
 	g  *graph.Graph
@@ -161,11 +135,11 @@ type asyncEngine struct {
 	// healEvery is the recovery-sweep period in ticks (n = once per
 	// simulated time unit; 0 when Recover is off).
 	healEvery uint64
-	// reelections and resyncs count recovery actions during the run.
-	reelections, resyncs uint64
 
 	protoRNG *rng.RNG
-	res      AsyncResult
+	// res holds the run's protocol and recovery counters, counted in
+	// place; the harness fills in the rest of the result at run end.
+	res metrics.Result
 }
 
 // rep returns sq's current representative through the view.
@@ -186,7 +160,7 @@ func RunAsync(g *graph.Graph, h *hier.Hierarchy, x []float64, opt AsyncOptions, 
 	}
 	opt = opt.withDefaults()
 	if g.N() == 0 {
-		return &AsyncResult{Result: sim.EmptyResult("affine-async")}, nil
+		return &Result{Result: sim.EmptyResult("affine-async")}, nil
 	}
 	spec := opt.Faults
 	if err := spec.Validate(); err != nil {
@@ -256,16 +230,11 @@ func RunAsync(g *graph.Graph, h *hier.Hierarchy, x []float64, opt AsyncOptions, 
 	for !e.run.Done() {
 		e.step()
 	}
-	e.res.Result = e.run.Finish("affine-async")
-	e.res.BudgetByDepth = append([]uint64(nil), e.budget...)
-	e.res.Reelections = e.reelections
-	e.res.Resyncs = e.resyncs
-	e.res.Result.Reelections = e.reelections
-	e.res.Result.Resyncs = e.resyncs
 	// The engine lives inside a pooled state: hand out a copy so a later
 	// run's reset cannot touch the caller's counters.
 	res := e.res
-	return &res, nil
+	res.BudgetByDepth = append([]uint64(nil), e.budget...)
+	return &Result{Result: e.run.Finish("affine-async", &res)}, nil
 }
 
 // step executes one clock tick of the §4.2 protocol: the owner's
@@ -302,7 +271,7 @@ func (e *asyncEngine) heal() {
 	e.st.changedBuf = changed
 	for _, id := range changed {
 		sq := e.h.Squares[id]
-		e.reelections++
+		e.res.Reelections++
 		e.st.chargeReelection(sq, alive, &e.run.Counter, e.opt.Tracer, &e.run.Tally)
 		// The successor restarts the square's round from scratch.
 		e.count[id] = 0
@@ -334,7 +303,7 @@ func (e *asyncEngine) heal() {
 				continue // prevAlive stays false: retry next sweep
 			}
 			e.run.Counter.Add(sim.CatControl, 2)
-			e.resyncs++
+			e.res.Resyncs++
 			leaf := int(e.h.NodeLeaf[i])
 			e.run.Tally.Churn(true)
 			e.run.Tally.Resync()

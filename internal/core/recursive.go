@@ -122,24 +122,16 @@ func (o RecursiveOptions) withDefaults() RecursiveOptions {
 	return o
 }
 
-// Result extends the shared run summary with protocol-specific counters.
+// Result is a run's summary: the one run result, metrics.Result, and
+// nothing more. RunRecursive and RunAsync return it rather than the
+// bare *metrics.Result only because the benchmark (bench/layers.go)
+// names both types and reads their Result field.
 type Result struct {
 	*metrics.Result
-	// FarExchanges counts long-range affine exchanges across all levels.
-	FarExchanges uint64
-	// RouteFailures counts undeliverable representative round trips
-	// (possible only on disconnected instances).
-	RouteFailures uint64
-	// LeafStalls counts leaf-averaging calls that hit their exchange cap
-	// before reaching the level target.
-	LeafStalls uint64
-	// IncompleteSquares counts internal squares whose rounds hit the
-	// round cap or the divergence guard before reaching the level target.
-	IncompleteSquares uint64
-	// Reelections counts representative takeovers performed under
-	// RecursiveOptions.Recover (also mirrored into the shared Result).
-	Reelections uint64
 }
+
+// AsyncResult is RunAsync's result, the same wrapper.
+type AsyncResult = Result
 
 type engine struct {
 	st *RunState
@@ -169,7 +161,9 @@ type engine struct {
 	// (sim.SpatialPoints): no other medium reads Packet positions.
 	pts []geo.Point
 
-	res Result
+	// res holds the run's protocol counters, counted in place; the run
+	// end fills in the rest of the result.
+	res metrics.Result
 }
 
 // rep returns sq's current representative through the view.
@@ -253,26 +247,23 @@ func RunRecursive(g *graph.Graph, h *hier.Hierarchy, x []float64, opt RecursiveO
 			e.counter.Get(sim.CatControl), e.counter.Get(sim.CatFlood),
 			e.res.FarExchanges, converged, finalErr)
 	}
-	e.res.Result = &metrics.Result{
-		Algorithm:               name,
-		N:                       g.N(),
-		Converged:               converged,
-		FinalErr:                finalErr,
-		Ticks:                   e.res.FarExchanges,
-		Transmissions:           e.counter.Total(),
-		TransmissionsByCategory: e.counter.Breakdown(),
-		Curve:                   e.curve.Snapshot(),
-		Alive:                   sim.AliveMask(e.ch, g.N()),
-		Reelections:             e.res.Reelections,
-	}
-	// This engine's clock is the transmission counter, so its simulated
-	// seconds are denominated in transmissions per node rather than Poisson
-	// ticks per node; zero without transport components, like the others.
-	e.res.SimSeconds = sim.SimSeconds(&st.tline, e.counter.Total(), g.N())
 	// The engine lives inside a pooled state: hand out a copy so a later
 	// run's reset cannot touch the caller's counters.
 	res := e.res
-	return &res, nil
+	res.Algorithm = name
+	res.N = g.N()
+	res.Converged = converged
+	res.FinalErr = finalErr
+	res.Ticks = res.FarExchanges
+	res.Transmissions = e.counter.Total()
+	res.TransmissionsByCategory = e.counter.Breakdown()
+	res.Curve = e.curve.Snapshot()
+	res.Alive = sim.AliveMask(e.ch, g.N())
+	// This engine's clock is the transmission counter, so its simulated
+	// seconds are denominated in transmissions per node rather than Poisson
+	// ticks per node; zero without transport components, like the others.
+	res.SimSeconds = sim.SimSeconds(&st.tline, e.counter.Total(), g.N())
+	return &Result{Result: &res}, nil
 }
 
 // faultEnv assembles the network context spatial, targeted and transport

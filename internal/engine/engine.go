@@ -1,7 +1,8 @@
 // Package engine is the one table of the averaging engines. The facade,
-// the sweep and cmd/geogossip look engines up here by name, and each
-// entry alone decides which Config fields its engine reads (DESIGN.md
-// §7, "Engine table").
+// the sweep, cmd/geogossip and the experiments look engines up here by
+// name. Each entry alone decides which Config fields its engine reads,
+// and returns its engine's *metrics.Result unchanged (DESIGN.md §7,
+// "Engine table").
 package engine
 
 import (
@@ -54,19 +55,12 @@ type Config struct {
 	Core   *core.RunState
 }
 
-// Result is a run's summary plus the far exchanges the hierarchical
-// engines count.
-type Result struct {
-	*metrics.Result
-	FarExchanges uint64
-}
-
 // Engine is one entry of the table. Hierarchical engines run over the
 // network's square hierarchy; the others ignore it.
 type Engine struct {
 	Name         string
 	Hierarchical bool
-	run          func(g *graph.Graph, h *hier.Hierarchy, x []float64, c Config, r *rng.RNG) (Result, error)
+	run          func(g *graph.Graph, h *hier.Hierarchy, x []float64, c Config, r *rng.RNG) (*metrics.Result, error)
 }
 
 var table = []Engine{
@@ -81,13 +75,13 @@ var table = []Engine{
 // the values x. A run that ends at a NaN or infinite relative error
 // fails with an error naming the engine and the value: it neither
 // converged nor left a result anyone can aggregate or encode.
-func (e Engine) Run(g *graph.Graph, h *hier.Hierarchy, x []float64, c Config, r *rng.RNG) (Result, error) {
+func (e Engine) Run(g *graph.Graph, h *hier.Hierarchy, x []float64, c Config, r *rng.RNG) (*metrics.Result, error) {
 	res, err := e.run(g, h, x, c, r)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	if !sim.Finite(res.FinalErr) {
-		return Result{}, fmt.Errorf("engine: %s run ended at non-finite relative error %v", e.Name, res.FinalErr)
+		return nil, fmt.Errorf("engine: %s run ended at non-finite relative error %v", e.Name, res.FinalErr)
 	}
 	return res, nil
 }
@@ -125,27 +119,24 @@ func baseline(c Config) gossip.Options {
 	}
 }
 
-func runBoyd(g *graph.Graph, _ *hier.Hierarchy, x []float64, c Config, r *rng.RNG) (Result, error) {
-	res, err := gossip.RunBoyd(g, x, baseline(c), r)
-	return Result{Result: res}, err
+func runBoyd(g *graph.Graph, _ *hier.Hierarchy, x []float64, c Config, r *rng.RNG) (*metrics.Result, error) {
+	return gossip.RunBoyd(g, x, baseline(c), r)
 }
 
-func runGeographic(g *graph.Graph, _ *hier.Hierarchy, x []float64, c Config, r *rng.RNG) (Result, error) {
-	res, err := gossip.RunGeographic(g, x, gossip.GeoOptions{
+func runGeographic(g *graph.Graph, _ *hier.Hierarchy, x []float64, c Config, r *rng.RNG) (*metrics.Result, error) {
+	return gossip.RunGeographic(g, x, gossip.GeoOptions{
 		Options:  baseline(c),
 		Sampling: c.Sampling,
 	}, r)
-	return Result{Result: res}, err
 }
 
 // runPushSum passes Recover through as Resync, which push-sum ignores:
 // its mass bookkeeping already survives churn.
-func runPushSum(g *graph.Graph, _ *hier.Hierarchy, x []float64, c Config, r *rng.RNG) (Result, error) {
-	res, err := gossip.RunPushSum(g, x, baseline(c), r)
-	return Result{Result: res}, err
+func runPushSum(g *graph.Graph, _ *hier.Hierarchy, x []float64, c Config, r *rng.RNG) (*metrics.Result, error) {
+	return gossip.RunPushSum(g, x, baseline(c), r)
 }
 
-func runAffine(g *graph.Graph, h *hier.Hierarchy, x []float64, c Config, r *rng.RNG) (Result, error) {
+func runAffine(g *graph.Graph, h *hier.Hierarchy, x []float64, c Config, r *rng.RNG) (*metrics.Result, error) {
 	res, err := core.RunRecursive(g, h, x, core.RecursiveOptions{
 		Eps:     c.Stop.TargetErr,
 		Beta:    c.Beta,
@@ -157,12 +148,12 @@ func runAffine(g *graph.Graph, h *hier.Hierarchy, x []float64, c Config, r *rng.
 		Obs:     c.Obs,
 	}, r)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	return Result{Result: res.Result, FarExchanges: res.FarExchanges}, nil
+	return res.Result, nil
 }
 
-func runAsync(g *graph.Graph, h *hier.Hierarchy, x []float64, c Config, r *rng.RNG) (Result, error) {
+func runAsync(g *graph.Graph, h *hier.Hierarchy, x []float64, c Config, r *rng.RNG) (*metrics.Result, error) {
 	res, err := core.RunAsync(g, h, x, core.AsyncOptions{
 		Eps:       c.Stop.TargetErr,
 		Beta:      c.Beta,
@@ -179,7 +170,7 @@ func runAsync(g *graph.Graph, h *hier.Hierarchy, x []float64, c Config, r *rng.R
 		Obs:          c.Obs,
 	}, r)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	return Result{Result: res.Result, FarExchanges: res.FarExchanges}, nil
+	return res.Result, nil
 }

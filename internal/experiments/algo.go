@@ -283,9 +283,10 @@ func RunE9EpsScaling(cfg Config) (*Report, error) {
 	var lx, ly []float64
 	prev := uint64(0)
 	monotone := true
+	affine, _ := engine.Lookup(engine.Affine)
 	for _, eps := range epss {
 		x := append([]float64(nil), x0...)
-		res, err := core.RunRecursive(g, h, x, core.RecursiveOptions{Eps: eps}, rng.New(cfg.seed()+77))
+		res, err := affine.Run(g, h, x, engine.Config{Stop: sim.StopRule{TargetErr: eps}}, rng.New(cfg.seed()+77))
 		if err != nil {
 			return nil, err
 		}
@@ -343,9 +344,10 @@ func RunE11Stability(cfg Config) (*Report, error) {
 	var okBetas []float64
 	var bxs, brounds []float64
 	bestBeta, bestRounds := 0.0, math.Inf(1)
+	affine, _ := engine.Lookup(engine.Affine)
 	for _, beta := range betas {
 		x := append([]float64(nil), x0...)
-		res, err := core.RunRecursive(g, h, x, core.RecursiveOptions{Eps: 1e-3, Beta: beta}, rng.New(cfg.seed()+88))
+		res, err := affine.Run(g, h, x, engine.Config{Stop: sim.StopRule{TargetErr: 1e-3}, Beta: beta}, rng.New(cfg.seed()+88))
 		if err != nil {
 			return nil, err
 		}
@@ -494,13 +496,12 @@ func RunE13Control(cfg Config) (*Report, error) {
 	overlapRates := make([]float64, 0, len(throttles))
 	convergedHigh := false
 	var shareHigh float64
+	async, _ := engine.Lookup(engine.Async)
 	for _, th := range throttles {
 		x := append([]float64(nil), x0...)
-		res, err := core.RunAsync(g, h, x, core.AsyncOptions{
-			Eps:          2e-2,
-			Throttle:     th,
-			RoundsFactor: 2,
-			Stop:         sim.StopRule{TargetErr: 2e-2, MaxTicks: maxTicks},
+		res, err := async.Run(g, h, x, engine.Config{
+			Stop:     sim.StopRule{TargetErr: 2e-2, MaxTicks: maxTicks},
+			Throttle: th,
 		}, rng.New(cfg.seed()+111))
 		if err != nil {
 			return nil, err

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 
-	"geogossip/internal/gossip"
+	"geogossip/internal/engine"
 	"geogossip/internal/rng"
 	"geogossip/internal/sim"
 	"geogossip/internal/spectral"
@@ -35,6 +35,7 @@ func RunE16Mixing(cfg Config) (*Report, error) {
 		lambda2, relax, invR2, ratio float64
 		transmissions                uint64
 	}
+	boyd, _ := engine.Lookup(engine.Boyd)
 	rows, err := sweep.Map(context.Background(), len(ns), cfg.Workers,
 		func(i int) (row, error) {
 			n := ns[i]
@@ -51,7 +52,7 @@ func RunE16Mixing(cfg Config) (*Report, error) {
 				return row{}, err
 			}
 			x := e1Field(g)
-			res, err := gossip.RunBoyd(g, x, gossip.Options{
+			res, err := boyd.Run(g, nil, x, engine.Config{
 				Stop: sim.StopRule{TargetErr: 1e-2, MaxTicks: 200_000_000},
 			}, rng.New(cfg.seed()+601))
 			if err != nil {

@@ -184,9 +184,7 @@ func RunBoyd(g *graph.Graph, x []float64, opt Options, r *rng.RNG) (*metrics.Res
 		return nil, err
 	}
 	e.run()
-	res := e.h.Finish("boyd")
-	res.Resyncs = e.resync.count
-	return res, nil
+	return e.h.Finish("boyd", &metrics.Result{Resyncs: e.resync.count}), nil
 }
 
 // resyncState implements restart-from-neighbor recovery for the
@@ -526,7 +524,5 @@ func RunGeographic(g *graph.Graph, x []float64, opt GeoOptions, r *rng.RNG) (*me
 	for !e.h.Done() {
 		e.step()
 	}
-	res := e.h.Finish(name)
-	res.Resyncs = e.resync.count
-	return res, nil
+	return e.h.Finish(name, &metrics.Result{Resyncs: e.resync.count}), nil
 }

@@ -85,9 +85,7 @@ func referenceBoyd(g *graph.Graph, x []float64, opt Options, r *rng.RNG) (*metri
 	for !e.h.Done() {
 		e.step()
 	}
-	res := e.h.Finish("boyd")
-	res.Resyncs = e.resync.count
-	return res, nil
+	return e.h.Finish("boyd", &metrics.Result{Resyncs: e.resync.count}), nil
 }
 
 // referencePushSum is RunPushSumState driven by the per-tick reference
@@ -100,7 +98,7 @@ func referencePushSum(g *graph.Graph, x []float64, opt Options, r *rng.RNG) (*me
 	for !e.h.Done() {
 		e.step()
 	}
-	res := e.h.Finish("push-sum")
+	res := e.h.Finish("push-sum", &metrics.Result{})
 	copy(x, e.est)
 	return res, append([]float64(nil), e.s...), append([]float64(nil), e.w...), nil
 }

@@ -172,7 +172,7 @@ func runPushSum(g *graph.Graph, x []float64, opt Options, r *rng.RNG) (*metrics.
 		return nil, nil, err
 	}
 	e.run()
-	res := e.h.Finish("push-sum")
+	res := e.h.Finish("push-sum", &metrics.Result{})
 	// Expose the final estimates through x, matching the other runners'
 	// contract that x converges toward the mean in place.
 	copy(x, e.est)

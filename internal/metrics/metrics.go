@@ -98,7 +98,10 @@ func (c *Curve) Validate() error {
 	return nil
 }
 
-// Result is the outcome of one algorithm run.
+// Result is the outcome of one algorithm run, and the one run result
+// every engine returns. The protocol counters from FarExchanges on are
+// counted only by the engines named in their comments and read zero
+// elsewhere.
 type Result struct {
 	// Algorithm names the protocol that produced the run.
 	Algorithm string
@@ -129,6 +132,33 @@ type Result struct {
 	// Resyncs counts restart-from-neighbor state resyncs after node
 	// revival (engines with recovery enabled).
 	Resyncs uint64
+	// FarExchanges counts long-range affine exchanges across all levels
+	// (both affine engines).
+	FarExchanges uint64
+	// RouteFailures counts undeliverable long-range round trips (both
+	// affine engines; possible only on disconnected instances or under
+	// faults).
+	RouteFailures uint64
+	// LeafStalls counts leaf-averaging calls that hit their exchange cap
+	// before reaching the level target (affine-hierarchical).
+	LeafStalls uint64
+	// IncompleteSquares counts internal squares whose rounds hit the
+	// round cap or the divergence guard before reaching the level target
+	// (affine-hierarchical).
+	IncompleteSquares uint64
+	// NearExchanges counts local pairwise exchanges (affine-async).
+	NearExchanges uint64
+	// Activations and Deactivations count square round transitions
+	// (affine-async).
+	Activations   uint64
+	Deactivations uint64
+	// OverlapFars counts Far events fired by a square whose own round was
+	// still in progress (counter below budget) — the events the paper's
+	// n^{-a} throttling is designed to suppress (affine-async).
+	OverlapFars uint64
+	// BudgetByDepth reports the per-depth round budgets used
+	// (affine-async).
+	BudgetByDepth []uint64
 	// SimSeconds is the run's wall-clock convergence time in simulated
 	// seconds — the latest of the final clock tick and the last transport
 	// delivery completion, divided by n (each node's unit-rate Poisson

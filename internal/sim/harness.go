@@ -24,7 +24,7 @@ import (
 //	    ... protocol step using h.Medium, h.Tracker, h.Counter ...
 //	    h.Sample()
 //	}
-//	return h.Finish(name), nil
+//	return h.Finish(name, &metrics.Result{...protocol counters...}), nil
 //
 // which keeps the clock/tracker/counter/curve wiring — and its exact
 // draw and sampling order — identical across engines. Tick is Clock.Draw
@@ -239,13 +239,14 @@ func Finite(finalErr float64) bool {
 	return !math.IsNaN(finalErr) && !math.IsInf(finalErr, 0)
 }
 
-// Finish resyncs the tracker, appends the final curve sample, and
-// assembles the standard result (Converged = target error set and
-// reached), flushing the run's metrics unless its final error is not
-// Finite. The liveness mask is included when the medium killed nodes.
-// The result's curve is a snapshot: a later Reset of a pooled harness
-// cannot corrupt a result already handed out.
-func (h *Harness) Finish(name string) *metrics.Result {
+// Finish resyncs the tracker, appends the final curve sample, and fills
+// in res — which holds the engine's own protocol counters — with the
+// standard run summary (Converged = target error set and reached),
+// flushing the run's metrics unless its final error is not Finite. The
+// liveness mask is included when the medium killed nodes. The result's
+// curve is a snapshot: a later Reset of a pooled harness cannot corrupt
+// a result already handed out.
+func (h *Harness) Finish(name string, res *metrics.Result) *metrics.Result {
 	h.Tracker.Resync()
 	finalErr := h.Tracker.Err()
 	h.Curve.Record(h.Clock.Ticks(), h.Counter.Total(), finalErr)
@@ -255,17 +256,15 @@ func (h *Harness) Finish(name string) *metrics.Result {
 			h.Counter.Get(CatControl), h.Counter.Get(CatFlood),
 			h.Clock.Ticks(), converged, finalErr)
 	}
-	res := &metrics.Result{
-		Algorithm:               name,
-		N:                       h.n,
-		Converged:               converged,
-		FinalErr:                finalErr,
-		Ticks:                   h.Clock.Ticks(),
-		Transmissions:           h.Counter.Total(),
-		TransmissionsByCategory: h.Counter.Breakdown(),
-		Curve:                   h.Curve.Snapshot(),
-		Alive:                   AliveMask(h.Medium, h.n),
-	}
+	res.Algorithm = name
+	res.N = h.n
+	res.Converged = converged
+	res.FinalErr = finalErr
+	res.Ticks = h.Clock.Ticks()
+	res.Transmissions = h.Counter.Total()
+	res.TransmissionsByCategory = h.Counter.Breakdown()
+	res.Curve = h.Curve.Snapshot()
+	res.Alive = AliveMask(h.Medium, h.n)
 	res.SimSeconds = SimSeconds(h.Timeline, h.Clock.Ticks(), h.n)
 	return res
 }

@@ -20,23 +20,6 @@ type CellKey struct {
 	Hierarchy  string  `json:"hierarchy,omitempty"`
 }
 
-// lineKey is a CellKey minus N: the grouping for scaling fits across n.
-type lineKey struct {
-	Algorithm  string
-	LossRate   float64
-	FaultModel string
-	Transport  string
-	Recover    bool
-	Beta       float64
-	Sampling   string
-	Hierarchy  string
-}
-
-func (k CellKey) line() lineKey {
-	return lineKey{Algorithm: k.Algorithm, LossRate: k.LossRate, FaultModel: k.FaultModel,
-		Transport: k.Transport, Recover: k.Recover, Beta: k.Beta, Sampling: k.Sampling, Hierarchy: k.Hierarchy}
-}
-
 // Dist summarizes one metric across a cell's seeds.
 type Dist struct {
 	Mean float64 `json:"mean"`
@@ -81,16 +64,10 @@ type CellStats struct {
 }
 
 // ScalingFit is a fitted power law transmissions ≈ C·n^p across the cells
-// of one algorithm/parameter line — the paper's headline quantity.
+// of one algorithm/parameter line — the paper's headline quantity. The
+// line's key is its cells' key with N zeroed: a fit spans network sizes.
 type ScalingFit struct {
-	Algorithm  string  `json:"algorithm"`
-	LossRate   float64 `json:"loss_rate"`
-	FaultModel string  `json:"fault_model,omitempty"`
-	Transport  string  `json:"transport,omitempty"`
-	Recover    bool    `json:"recover,omitempty"`
-	Beta       float64 `json:"beta"`
-	Sampling   string  `json:"sampling,omitempty"`
-	Hierarchy  string  `json:"hierarchy,omitempty"`
+	CellKey
 	// Points is the number of (n, mean transmissions) cells fitted.
 	Points   int     `json:"points"`
 	Exponent float64 `json:"exponent"`
@@ -105,14 +82,11 @@ type ScalingFit struct {
 // loss content of fault models alike: Bernoulli rate, Gilbert–Elliott
 // stationary loss, jamming-field mean loss). An exponent near 1 means
 // cost grows like the naive retransmission count; larger exponents
-// expose protocols whose structure amplifies loss.
+// expose protocols whose structure amplifies loss. The line's key is its
+// cells' key with the medium axes (LossRate, FaultModel, Transport)
+// zeroed: the medium's effective loss is the fitted variable.
 type LossFit struct {
-	Algorithm string  `json:"algorithm"`
-	N         int     `json:"n"`
-	Recover   bool    `json:"recover,omitempty"`
-	Beta      float64 `json:"beta"`
-	Sampling  string  `json:"sampling,omitempty"`
-	Hierarchy string  `json:"hierarchy,omitempty"`
+	CellKey
 	// Points is the number of (retransmission factor, mean transmissions)
 	// cells fitted.
 	Points   int     `json:"points"`
@@ -182,10 +156,12 @@ func Aggregate(results []TaskResult) *Summary {
 	}
 	sort.Slice(sum.Cells, func(i, j int) bool { return cellLess(sum.Cells[i].CellKey, sum.Cells[j].CellKey) })
 
-	lines := make(map[lineKey][]CellStats)
+	lines := make(map[CellKey][]CellStats)
 	for _, cs := range sum.Cells {
 		if cs.Count > 0 {
-			lines[cs.line()] = append(lines[cs.line()], cs)
+			lk := cs.CellKey
+			lk.N = 0
+			lines[lk] = append(lines[lk], cs)
 		}
 	}
 	for lk, lcells := range lines {
@@ -203,35 +179,11 @@ func Aggregate(results []TaskResult) *Summary {
 		if err != nil {
 			continue
 		}
-		sum.Fits = append(sum.Fits, ScalingFit{
-			Algorithm:  lk.Algorithm,
-			LossRate:   lk.LossRate,
-			FaultModel: lk.FaultModel,
-			Transport:  lk.Transport,
-			Recover:    lk.Recover,
-			Beta:       lk.Beta,
-			Sampling:   lk.Sampling,
-			Hierarchy:  lk.Hierarchy,
-			Points:     len(ns),
-			Exponent:   p,
-			Constant:   c,
-			R2:         r2,
-		})
+		sum.Fits = append(sum.Fits, ScalingFit{CellKey: lk, Points: len(ns), Exponent: p, Constant: c, R2: r2})
 	}
-	sort.Slice(sum.Fits, func(i, j int) bool { return fitLess(sum.Fits[i], sum.Fits[j]) })
+	sort.Slice(sum.Fits, func(i, j int) bool { return cellLess(sum.Fits[i].CellKey, sum.Fits[j].CellKey) })
 	sum.LossFits = lossFits(sum.Cells)
 	return sum
-}
-
-// lossLineKey groups cells for cost-vs-loss fits: the coordinates minus
-// the loss axes (LossRate and FaultModel become the fitted variable).
-type lossLineKey struct {
-	Algorithm string
-	N         int
-	Recover   bool
-	Beta      float64
-	Sampling  string
-	Hierarchy string
 }
 
 // effectiveLoss resolves a cell's per-packet loss rate: the expected
@@ -271,7 +223,7 @@ func effectiveLoss(k CellKey) (float64, bool) {
 // distinct loss points produce no fit.
 func lossFits(cells []CellStats) []LossFit {
 	type pt struct{ x, tx float64 }
-	lines := make(map[lossLineKey][]pt)
+	lines := make(map[CellKey][]pt)
 	for _, cs := range cells {
 		if cs.Count == 0 || cs.Transmissions.Mean <= 0 {
 			continue
@@ -286,8 +238,8 @@ func lossFits(cells []CellStats) []LossFit {
 		if !ok {
 			continue
 		}
-		lk := lossLineKey{Algorithm: cs.Algorithm, N: cs.N, Recover: cs.Recover, Beta: cs.Beta,
-			Sampling: cs.Sampling, Hierarchy: cs.Hierarchy}
+		lk := cs.CellKey
+		lk.LossRate, lk.FaultModel, lk.Transport = 0, "", ""
 		lines[lk] = append(lines[lk], pt{x: 1 / (1 - p), tx: cs.Transmissions.Mean})
 	}
 	var out []LossFit
@@ -307,40 +259,10 @@ func lossFits(cells []CellStats) []LossFit {
 		if err != nil {
 			continue
 		}
-		out = append(out, LossFit{
-			Algorithm: lk.Algorithm,
-			N:         lk.N,
-			Recover:   lk.Recover,
-			Beta:      lk.Beta,
-			Sampling:  lk.Sampling,
-			Hierarchy: lk.Hierarchy,
-			Points:    len(xs),
-			Exponent:  q,
-			Constant:  c,
-			R2:        r2,
-		})
+		out = append(out, LossFit{CellKey: lk, Points: len(xs), Exponent: q, Constant: c, R2: r2})
 	}
-	sort.Slice(out, func(i, j int) bool { return lossFitLess(out[i], out[j]) })
+	sort.Slice(out, func(i, j int) bool { return cellLess(out[i].CellKey, out[j].CellKey) })
 	return out
-}
-
-func lossFitLess(a, b LossFit) bool {
-	if a.Algorithm != b.Algorithm {
-		return a.Algorithm < b.Algorithm
-	}
-	if a.N != b.N {
-		return a.N < b.N
-	}
-	if a.Recover != b.Recover {
-		return !a.Recover
-	}
-	if a.Beta != b.Beta {
-		return a.Beta < b.Beta
-	}
-	if a.Sampling != b.Sampling {
-		return a.Sampling < b.Sampling
-	}
-	return a.Hierarchy < b.Hierarchy
 }
 
 func cellLess(a, b CellKey) bool {
@@ -349,31 +271,6 @@ func cellLess(a, b CellKey) bool {
 	}
 	if a.N != b.N {
 		return a.N < b.N
-	}
-	if a.LossRate != b.LossRate {
-		return a.LossRate < b.LossRate
-	}
-	if a.FaultModel != b.FaultModel {
-		return a.FaultModel < b.FaultModel
-	}
-	if a.Transport != b.Transport {
-		return a.Transport < b.Transport
-	}
-	if a.Recover != b.Recover {
-		return !a.Recover
-	}
-	if a.Beta != b.Beta {
-		return a.Beta < b.Beta
-	}
-	if a.Sampling != b.Sampling {
-		return a.Sampling < b.Sampling
-	}
-	return a.Hierarchy < b.Hierarchy
-}
-
-func fitLess(a, b ScalingFit) bool {
-	if a.Algorithm != b.Algorithm {
-		return a.Algorithm < b.Algorithm
 	}
 	if a.LossRate != b.LossRate {
 		return a.LossRate < b.LossRate

@@ -140,7 +140,7 @@ type Spec struct {
 
 // Normalized returns a copy with every defaulted field filled in.
 func (s Spec) Normalized() Spec {
-	if s.Seeds <= 0 {
+	if s.Seeds == 0 {
 		s.Seeds = 1
 	}
 	if s.BaseSeed == 0 {
@@ -163,13 +163,13 @@ func (s Spec) Normalized() Spec {
 	if len(s.Hierarchies) == 0 {
 		s.Hierarchies = []string{HierarchyDeep}
 	}
-	if s.TargetErr <= 0 {
+	if s.TargetErr == 0 {
 		s.TargetErr = 1e-2
 	}
 	if s.MaxTicks == 0 {
 		s.MaxTicks = 200_000_000
 	}
-	if s.RadiusMultiplier <= 0 {
+	if s.RadiusMultiplier == 0 {
 		s.RadiusMultiplier = 1.5
 	}
 	if s.Field == "" {
@@ -218,8 +218,16 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("sweep: invalid network size %d", n)
 		}
 	}
+	if s.Seeds < 0 {
+		return fmt.Errorf("sweep: Seeds value %d is negative", s.Seeds)
+	}
+	if s.AsyncLeafTicks < 0 {
+		return fmt.Errorf("sweep: AsyncLeafTicks value %d is negative", s.AsyncLeafTicks)
+	}
 	// A non-finite value would run, then fail the sink's JSON encoding on
-	// the first result line; reject it here, by field name.
+	// the first result line. Zero selects a default; a negative value
+	// would run where the facade's options reject it (a negative Betas
+	// coefficient diverges). Reject both here, by field name.
 	for _, f := range []struct {
 		name string
 		vs   []float64
@@ -234,10 +242,13 @@ func (s Spec) Validate() error {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return fmt.Errorf("sweep: %s value %v is not finite", f.name, v)
 			}
+			if v < 0 {
+				return fmt.Errorf("sweep: %s value %v is negative", f.name, v)
+			}
 		}
 	}
 	for _, p := range s.LossRates {
-		if p < 0 || p >= 1 {
+		if p >= 1 {
 			return fmt.Errorf("sweep: loss rate %v outside [0, 1)", p)
 		}
 		for _, fm := range s.FaultModels {
@@ -246,13 +257,6 @@ func (s Spec) Validate() error {
 					return err
 				}
 			}
-		}
-	}
-	// 0 selects the engine default; a negative coefficient would run
-	// and diverge, where the facade's WithBeta rejects it.
-	for _, b := range s.Betas {
-		if b < 0 {
-			return fmt.Errorf("sweep: Betas value %v is negative", b)
 		}
 	}
 	for _, m := range s.Samplings {
@@ -273,12 +277,6 @@ func (s Spec) Validate() error {
 	case FieldSmooth, FieldGaussian:
 	default:
 		return fmt.Errorf("sweep: unknown field %q", s.Field)
-	}
-	if s.AsyncThrottle < 0 {
-		return fmt.Errorf("sweep: negative async throttle %v", s.AsyncThrottle)
-	}
-	if s.AsyncLeafTicks < 0 {
-		return fmt.Errorf("sweep: negative async leaf ticks %d", s.AsyncLeafTicks)
 	}
 	return nil
 }

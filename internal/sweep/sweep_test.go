@@ -53,9 +53,9 @@ func TestExpandAssignsSequentialIDs(t *testing.T) {
 // TestValidateRejectsNonFinite covers the float fields cmd/sweep parses
 // straight from its flags: NaN or ±Inf in any of them fails validation
 // with the field named, instead of running and then failing the sink's
-// JSON encoding. NaN and +Inf survive Normalized, so they fail the
-// path every caller takes too; Normalized maps a non-positive radius
-// multiplier or target, -Inf included, to its default.
+// JSON encoding. Normalized defaults only zero values, so every
+// non-finite value survives it and fails the path every caller takes
+// too.
 func TestValidateRejectsNonFinite(t *testing.T) {
 	fields := []struct {
 		name string
@@ -74,12 +74,10 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 			if err := s.Validate(); err == nil || !strings.Contains(err.Error(), f.name) {
 				t.Errorf("%s = %v: Validate() = %v, want an error naming the field", f.name, v, err)
 			}
-			if !math.IsInf(v, -1) {
-				raw := smallSpec()
-				f.set(&raw, v)
-				if err := raw.Normalized().Validate(); err == nil {
-					t.Errorf("%s = %v validated after Normalized", f.name, v)
-				}
+			raw := smallSpec()
+			f.set(&raw, v)
+			if err := raw.Normalized().Validate(); err == nil {
+				t.Errorf("%s = %v validated after Normalized", f.name, v)
 			}
 		}
 	}
@@ -99,6 +97,14 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{Spec{Algorithms: []string{AlgoBoyd}, Ns: []int{64}, Hierarchies: []string{"sideways"}}, ""},
 		{Spec{Algorithms: []string{AlgoBoyd}, Ns: []int{64}, Field: "spiky"}, ""},
 		{Spec{Algorithms: []string{AlgoAffine}, Ns: []int{64}, Betas: []float64{0, -1}}, "Betas"},
+		// Normalized defaults only zero values: a negative one is an
+		// error naming its field, not a request for the default.
+		{Spec{Algorithms: []string{AlgoBoyd}, Ns: []int{64}, Seeds: -2}, "Seeds"},
+		{Spec{Algorithms: []string{AlgoBoyd}, Ns: []int{64}, TargetErr: -1}, "TargetErr"},
+		{Spec{Algorithms: []string{AlgoBoyd}, Ns: []int{64}, RadiusMultiplier: -3}, "RadiusMultiplier"},
+		{Spec{Algorithms: []string{AlgoBoyd}, Ns: []int{64}, LossRates: []float64{-0.1}}, "LossRates"},
+		{Spec{Algorithms: []string{AlgoAsync}, Ns: []int{64}, AsyncThrottle: -1}, "AsyncThrottle"},
+		{Spec{Algorithms: []string{AlgoAsync}, Ns: []int{64}, AsyncLeafTicks: -1}, "AsyncLeafTicks"},
 	}
 	for i, b := range bad {
 		err := b.spec.Normalized().Validate()

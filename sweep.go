@@ -127,7 +127,8 @@ func (s SweepSpec) TaskCount() int { return s.internal().TaskCount() }
 
 // SweepCoords are the grid-cell coordinates shared by tasks, cells and
 // fits: one point of the algorithm × n × loss × fault-model × beta ×
-// sampling × hierarchy grid.
+// sampling × hierarchy grid. Its fields are the sweep's cell key's, in
+// the same order, so the report converts each key in one step.
 type SweepCoords struct {
 	Algorithm string
 	N         int
@@ -505,17 +506,7 @@ func buildReport(results []sweep.TaskResult, metrics map[string]float64, routeSt
 	agg := sweep.Aggregate(results)
 	for _, c := range agg.Cells {
 		cell := SweepCell{
-			SweepCoords: SweepCoords{
-				Algorithm:  c.Algorithm,
-				N:          c.N,
-				LossRate:   c.LossRate,
-				FaultModel: c.FaultModel,
-				Transport:  c.Transport,
-				Recover:    c.Recover,
-				Beta:       c.Beta,
-				Sampling:   c.Sampling,
-				Hierarchy:  c.Hierarchy,
-			},
+			SweepCoords:    SweepCoords(c.CellKey),
 			Count:          c.Count,
 			ConvergedCount: c.ConvergedCount,
 			Errors:         c.Errors,
@@ -544,20 +535,11 @@ func buildReport(results []sweep.TaskResult, metrics map[string]float64, routeSt
 	}
 	for _, f := range agg.Fits {
 		rep.Fits = append(rep.Fits, SweepFit{
-			SweepCoords: SweepCoords{
-				Algorithm:  f.Algorithm,
-				LossRate:   f.LossRate,
-				FaultModel: f.FaultModel,
-				Transport:  f.Transport,
-				Recover:    f.Recover,
-				Beta:       f.Beta,
-				Sampling:   f.Sampling,
-				Hierarchy:  f.Hierarchy,
-			},
-			Points:   f.Points,
-			Exponent: f.Exponent,
-			Constant: f.Constant,
-			R2:       f.R2,
+			SweepCoords: SweepCoords(f.CellKey),
+			Points:      f.Points,
+			Exponent:    f.Exponent,
+			Constant:    f.Constant,
+			R2:          f.R2,
 		})
 	}
 	return rep
@@ -565,18 +547,8 @@ func buildReport(results []sweep.TaskResult, metrics map[string]float64, routeSt
 
 func fromInternalResult(r sweep.TaskResult) SweepResult {
 	return SweepResult{
-		TaskID: r.TaskID,
-		SweepCoords: SweepCoords{
-			Algorithm:  r.Algorithm,
-			N:          r.N,
-			LossRate:   r.LossRate,
-			FaultModel: r.FaultModel,
-			Transport:  r.Transport,
-			Recover:    r.Recover,
-			Beta:       r.Beta,
-			Sampling:   r.Sampling,
-			Hierarchy:  r.Hierarchy,
-		},
+		TaskID:           r.TaskID,
+		SweepCoords:      SweepCoords(r.Cell()),
 		SeedIndex:        r.SeedIndex,
 		TargetErr:        r.TargetErr,
 		MaxTicks:         r.MaxTicks,
