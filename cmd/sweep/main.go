@@ -155,6 +155,11 @@ func run(args []string) error {
 		}
 	}
 
+	// Reject an invalid grid before the resume line or the coordinator
+	// banner below reports a task count for it.
+	if err := sweep.Spec(spec).Normalized().Validate(); err != nil {
+		return err
+	}
 	if *resume && *out == "-" {
 		return fmt.Errorf("-resume needs -out FILE: stdout output cannot be re-read")
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -19,6 +20,42 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// runMain runs the command with args and returns its stderr, failing
+// the test unless it exits with status 1.
+func runMain(t *testing.T, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "SWEEP_TEST_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("%v: exit %v, want status 1", args, err)
+	}
+	return stderr.String()
+}
+
+// TestInvalidGridPrintsNoTaskCount checks that an invalid grid fails
+// before the coordinator banner or the resume line reports a task count
+// for it: the error is all the command prints.
+func TestInvalidGridPrintsNoTaskCount(t *testing.T) {
+	prior := filepath.Join(t.TempDir(), "prior.jsonl")
+	if err := os.WriteFile(prior, []byte(`{"task_id":0,"algorithm":"boyd","n":64}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	grid := []string{"-algos", "boyd", "-ns", "64", "-seeds", "-2"}
+	for _, extra := range [][]string{
+		{"-serve", "127.0.0.1:0"},
+		{"-resume", "-out", prior},
+	} {
+		args := append(append([]string(nil), grid...), extra...)
+		if got, want := runMain(t, args...), "sweep: Seeds value -2 is negative\n"; got != want {
+			t.Errorf("%v: stderr %q, want only %q", args, got, want)
+		}
+	}
+}
+
 // TestErrorsCarryOnePrefix checks that main prints every error with
 // exactly one "sweep:" prefix, both for errors the sweep package already
 // prefixes (spec validation) and for the command's own (flag checks).
@@ -30,17 +67,8 @@ func TestErrorsCarryOnePrefix(t *testing.T) {
 		{[]string{"-betas", "-1"}, "sweep: Betas value -1 is negative"},
 		{[]string{"-resume"}, "sweep: -resume needs -out FILE: stdout output cannot be re-read"},
 	} {
-		cmd := exec.Command(os.Args[0], tc.args...)
-		cmd.Env = append(os.Environ(), "SWEEP_TEST_MAIN=1")
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		err := cmd.Run()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-			t.Fatalf("%v: exit %v, want status 1", tc.args, err)
-		}
 		// The error is the last line; progress and phase lines precede it.
-		lines := strings.Split(strings.TrimSuffix(stderr.String(), "\n"), "\n")
+		lines := strings.Split(strings.TrimSuffix(runMain(t, tc.args...), "\n"), "\n")
 		if got := lines[len(lines)-1]; got != tc.want {
 			t.Errorf("%v: error line %q, want %q", tc.args, got, tc.want)
 		}

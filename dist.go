@@ -72,11 +72,11 @@ func SweepServe(ctx context.Context, ln net.Listener, spec SweepSpec, opts ...Sw
 	for _, r := range cfg.resume {
 		copt.Resume = append(copt.Resume, toInternalResult(r))
 	}
-	sum, err := dist.Serve(ctx, ln, spec.internal(), copt)
+	sum, err := dist.Serve(ctx, ln, sweep.Spec(spec), copt)
 	if sum == nil {
 		return nil, err
 	}
-	return buildReport(sum.Results, sum.Metrics, sum.Route, sum.Net), err
+	return buildReport(sum.Results, sum.Metrics, sum.Stats), err
 }
 
 // SweepJoin connects to a SweepServe coordinator at addr and executes

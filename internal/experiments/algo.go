@@ -90,7 +90,7 @@ func RunE1Scaling(cfg Config) (*Report, error) {
 	cfgE := engine.Config{Stop: sim.StopRule{TargetErr: e1Target, MaxTicks: 400_000_000}}
 	for _, n := range ns {
 		perAlgo := map[string][]float64{}
-		var farEx uint64
+		farProduct := 1.0 // of the seeds' far-exchange counts
 		var ell int
 		for s := 0; s < seeds; s++ {
 			seed := cfg.seed() + uint64(s)*7907
@@ -113,20 +113,23 @@ func RunE1Scaling(cfg Config) (*Report, error) {
 				}
 				perAlgo[algos[i]] = append(perAlgo[algos[i]], float64(res.Transmissions))
 				if e.Hierarchical {
-					farEx = res.FarExchanges
+					farProduct *= float64(res.FarExchanges)
 				}
 			}
 			ell = h.Ell
 		}
+		// The geometric mean over the seeds, like every other column; as
+		// Pow(x, 1) is x, a single seed reads its own count exactly.
+		farEx := math.Pow(farProduct, 1/float64(seeds))
 		ells = append(ells, ell)
-		farExchanges = append(farExchanges, float64(farEx))
+		farExchanges = append(farExchanges, farEx)
 		row := []string{fmtF(float64(n)), fmtF(float64(ell))}
 		for _, a := range algos {
 			gm := stats.GeometricMean(perAlgo[a])
 			cost[a] = append(cost[a], gm)
 			row = append(row, fmtF(gm))
 		}
-		row = append(row, fmtU(farEx))
+		row = append(row, fmtF(farEx))
 		tb.AddRow(row...)
 	}
 	rep.addTable(tb)

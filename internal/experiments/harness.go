@@ -171,8 +171,6 @@ func gaussianValues(n int, seed uint64) []float64 {
 	return x
 }
 
-func fmtU(v uint64) string { return fmt.Sprintf("%d", v) }
-
 func fmtF(v float64) string { return table.FormatFloat(v) }
 
 func logSpace(lo, hi float64, k int) []float64 {

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"geogossip/internal/obs"
-	"geogossip/internal/routing"
 	"geogossip/internal/sweep"
 )
 
@@ -54,9 +53,9 @@ type CoordOptions struct {
 	// Obs, when non-nil, receives the coordinator's scheduling gauges:
 	// connected workers, active leases, re-issues, buffered results,
 	// per-worker task counts and heartbeat ages, plus the sweep-level
-	// task gauges and scrape-time aggregated worker cache counters (the
-	// same keys the local engine maintains, so /progress endpoints work
-	// unchanged).
+	// task gauges and the workers' summed sweep.RunStats, published by
+	// the same RunStats.SetGauges as the local engine's, so /progress
+	// endpoints work unchanged.
 	Obs *obs.Registry
 }
 
@@ -87,14 +86,12 @@ type Summary struct {
 	// same executed task set, regardless of worker count or lease
 	// re-issues (duplicates are discarded with their deltas).
 	Metrics map[string]float64
-	// Route and Net sum the workers' cache and construction stats
-	// (best-effort under worker death: a crashed worker's last heartbeat
-	// snapshot stands in). Distributed workers each build their own
-	// networks, so Net.Networks counts builds across processes — higher
-	// than a single-process run of the same grid.
-	Route         routing.CacheStats
-	Net           sweep.NetBuildStats
-	ChannelBuilds uint64
+	// Stats sums the workers' run statistics (best-effort under worker
+	// death: a crashed worker's last heartbeat stands in). Distributed
+	// workers each build their own networks, so Stats.Net.Networks counts
+	// builds across processes — higher than a single-process run of the
+	// same grid.
+	Stats sweep.RunStats
 	// Workers counts distinct worker sessions that completed hello;
 	// Reissued counts leases that expired or died and went back to the
 	// pool.
@@ -122,7 +119,7 @@ type workerConn struct {
 	leases   map[int]*lease
 	lastBeat time.Time
 	done     int
-	stats    WorkerStats
+	stats    sweep.RunStats
 	deadline time.Time
 }
 
@@ -143,7 +140,7 @@ type coordinator struct {
 	sinkErr   error
 
 	workers     map[string]*workerConn
-	gone        []WorkerStats // final stats of departed workers
+	gone        sweep.RunStats // summed final stats of departed workers
 	nextLease   int
 	sessions    int
 	reissued    int
@@ -272,50 +269,24 @@ func (c *coordinator) registerObs() {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		now := time.Now()
-		var s WorkerStats
-		for _, g := range c.gone {
-			s.add(g)
-		}
 		for _, w := range c.workers {
-			s.add(w.stats)
 			reg.Gauge(obs.MetricDistWorkerTasksDone,
 				"Tasks completed, by worker.", "worker", w.key).Set(float64(w.done))
 			reg.Gauge(obs.MetricDistHeartbeatAge,
 				"Seconds since each worker's last message.", "worker", w.key).Set(now.Sub(w.lastBeat).Seconds())
 		}
-		help := "Route/flood cache lookups of the current sweep run, by kind and result (scrape-time snapshot)."
-		reg.Gauge(obs.MetricRouteCacheLookups, help, "kind", "route", "result", "hit").Set(float64(s.RouteHits))
-		reg.Gauge(obs.MetricRouteCacheLookups, help, "kind", "route", "result", "miss").Set(float64(s.RouteMisses))
-		reg.Gauge(obs.MetricRouteCacheLookups, help, "kind", "flood", "result", "hit").Set(float64(s.FloodHits))
-		reg.Gauge(obs.MetricRouteCacheLookups, help, "kind", "flood", "result", "miss").Set(float64(s.FloodMisses))
-		reg.Gauge(obs.MetricChannelPoolBuilds,
-			"Radio channels served from pooled worker state instead of fresh allocations (scrape-time snapshot).").Set(float64(s.ChannelBuilds))
-		reg.Gauge(obs.MetricNetstoreHits,
-			"Networks loaded from snapshot stores across the fleet instead of being rebuilt (scrape-time snapshot).").Set(float64(s.NetLoads))
-		reg.Gauge(obs.MetricNetstoreMisses,
-			"Network store misses across the fleet that fell back to a fresh build (scrape-time snapshot).").Set(float64(s.NetStoreMisses))
-		reg.Gauge(obs.MetricNetstoreStoredBytes,
-			"Snapshot bytes persisted to network stores across the fleet (scrape-time snapshot).").Set(float64(s.NetStoreBytes))
-		reg.Gauge(obs.MetricNetstoreLoadSeconds,
-			"Cumulative wall-clock spent loading network snapshots across the fleet (scrape-time snapshot).").Set(s.NetLoadSeconds)
+		c.statsLocked().SetGauges(reg)
 	})
 }
 
-func (s *WorkerStats) add(o WorkerStats) {
-	s.RouteHits += o.RouteHits
-	s.RouteMisses += o.RouteMisses
-	s.FloodHits += o.FloodHits
-	s.FloodMisses += o.FloodMisses
-	s.Networks += o.Networks
-	s.Nodes += o.Nodes
-	s.BuildSeconds += o.BuildSeconds
-	s.GraphBytes += o.GraphBytes
-	s.HierBytes += o.HierBytes
-	s.ChannelBuilds += o.ChannelBuilds
-	s.NetLoads += o.NetLoads
-	s.NetLoadSeconds += o.NetLoadSeconds
-	s.NetStoreMisses += o.NetStoreMisses
-	s.NetStoreBytes += o.NetStoreBytes
+// statsLocked sums the latest run statistics of every worker session,
+// departed and connected. Callers hold c.mu.
+func (c *coordinator) statsLocked() sweep.RunStats {
+	s := c.gone
+	for _, w := range c.workers {
+		s.Add(w.stats)
+	}
+	return s
 }
 
 func (c *coordinator) handleConn(conn net.Conn) {
@@ -400,7 +371,7 @@ func (c *coordinator) unregister(w *workerConn) {
 	defer c.mu.Unlock()
 	c.releaseLocked(w)
 	delete(c.workers, w.key)
-	c.gone = append(c.gone, w.stats)
+	c.gone.Add(w.stats)
 	if c.gaugeWkrs != nil {
 		c.gaugeWkrs.Set(float64(len(c.workers)))
 	}
@@ -442,7 +413,7 @@ func (c *coordinator) refresh(w *workerConn) {
 	c.mu.Unlock()
 }
 
-func (c *coordinator) noteStats(w *workerConn, s *WorkerStats) {
+func (c *coordinator) noteStats(w *workerConn, s *sweep.RunStats) {
 	if s == nil {
 		return
 	}
@@ -552,7 +523,7 @@ func (c *coordinator) finishLocked() {
 	}
 }
 
-func (c *coordinator) leaseDone(w *workerConn, id int, s *WorkerStats) {
+func (c *coordinator) leaseDone(w *workerConn, id int, s *sweep.RunStats) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if s != nil {
@@ -608,32 +579,10 @@ func (c *coordinator) summary() *Summary {
 	defer c.mu.Unlock()
 	sum := &Summary{
 		Metrics:  c.metrics,
+		Stats:    c.statsLocked(),
 		Workers:  c.sessions,
 		Reissued: c.reissued,
 	}
-	var s WorkerStats
-	for _, g := range c.gone {
-		s.add(g)
-	}
-	for _, w := range c.workers {
-		s.add(w.stats)
-	}
-	sum.Route = routing.CacheStats{
-		RouteHits: s.RouteHits, RouteMisses: s.RouteMisses,
-		FloodHits: s.FloodHits, FloodMisses: s.FloodMisses,
-	}
-	sum.Net = sweep.NetBuildStats{
-		Networks:    s.Networks,
-		Loads:       s.NetLoads,
-		Nodes:       s.Nodes,
-		BuildTime:   time.Duration(s.BuildSeconds * float64(time.Second)),
-		LoadTime:    time.Duration(s.NetLoadSeconds * float64(time.Second)),
-		GraphBytes:  s.GraphBytes,
-		HierBytes:   s.HierBytes,
-		StoreMisses: s.NetStoreMisses,
-		StoreBytes:  s.NetStoreBytes,
-	}
-	sum.ChannelBuilds = s.ChannelBuilds
 	ids := make([]int, 0, len(c.results))
 	for id := range c.results {
 		ids = append(ids, id)

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"geogossip/internal/obs"
+	"geogossip/internal/routing"
 	"geogossip/internal/sweep"
 )
 
@@ -300,7 +301,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Type: MsgHello, Proto: ProtocolVersion, Name: "w0", Slots: 3},
 		{Type: MsgLease, Lease: 7, Tasks: []int{0, 1, 5}},
 		{Type: MsgWait, RetryMillis: 250},
-		{Type: MsgHeartbeat, Stats: &WorkerStats{RouteHits: 12, Networks: 2}},
+		{Type: MsgHeartbeat, Stats: &sweep.RunStats{Route: routing.CacheStats{RouteHits: 12}, Net: sweep.NetBuildStats{Networks: 2, BuildTime: 1500 * time.Millisecond}}},
 		{Type: MsgBye},
 	}
 	for _, m := range sent {

@@ -47,19 +47,19 @@ func TestWorkersShareNetworkStore(t *testing.T) {
 	if !bytes.Equal(coldBytes, wantBytes) {
 		t.Error("cold shared-store session: sink differs from single-process reference")
 	}
-	if coldSum.Net.StoreMisses == 0 || coldSum.Net.StoreBytes <= 0 {
-		t.Errorf("cold session reports no store traffic: %+v", coldSum.Net)
+	if coldSum.Stats.Net.StoreMisses == 0 || coldSum.Stats.Net.StoreBytes <= 0 {
+		t.Errorf("cold session reports no store traffic: %+v", coldSum.Stats.Net)
 	}
 
 	warmSum, warmBytes := session()
 	if !bytes.Equal(warmBytes, wantBytes) {
 		t.Error("warm shared-store session: sink differs from single-process reference")
 	}
-	if warmSum.Net.StoreMisses != 0 {
-		t.Errorf("warm session still built %d network(s): %+v", warmSum.Net.StoreMisses, warmSum.Net)
+	if warmSum.Stats.Net.StoreMisses != 0 {
+		t.Errorf("warm session still built %d network(s): %+v", warmSum.Stats.Net.StoreMisses, warmSum.Stats.Net)
 	}
-	if warmSum.Net.Loads == 0 || warmSum.Net.Loads != warmSum.Net.Networks {
-		t.Errorf("warm session loads: %+v", warmSum.Net)
+	if warmSum.Stats.Net.Loads == 0 || warmSum.Stats.Net.Loads != warmSum.Stats.Net.Networks {
+		t.Errorf("warm session loads: %+v", warmSum.Stats.Net)
 	}
 	if !reflect.DeepEqual(coldSum.Results, warmSum.Results) {
 		t.Error("cold and warm shared-store sessions disagree on results")

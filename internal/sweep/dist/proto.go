@@ -4,11 +4,12 @@
 // leases, collects result lines streamed back by workers, and flushes
 // them to the sink in canonical task order — so the sink file is
 // byte-identical to a single-process, single-worker sweep of the same
-// spec. Workers (Join) run the existing pooled-executor loop per lease
-// and send periodic heartbeats; a lease whose worker dies or goes
-// silent is re-issued deterministically (per-task seeds make every
-// re-execution bit-identical, so duplicate results are simply
-// discarded).
+// spec. Workers (Join) keep one sweep.Executor for their session and
+// drive each lease through its Each loop — the loop sweep.Run drives a
+// local grid through — and send periodic heartbeats; a lease whose
+// worker dies or goes silent is re-issued deterministically (per-task
+// seeds make every re-execution bit-identical, so duplicate results are
+// simply discarded).
 //
 // The wire protocol is length-prefixed JSON: a 4-byte big-endian frame
 // length followed by one Msg object. The exchange is strictly
@@ -29,8 +30,9 @@ import (
 )
 
 // ProtocolVersion gates hello: a worker and coordinator must agree on
-// the frame vocabulary before any lease moves.
-const ProtocolVersion = 1
+// the frame vocabulary before any lease moves (DESIGN §10 says what
+// version 2 changed).
+const ProtocolVersion = 2
 
 // maxFrame bounds one message (oversized frames indicate a corrupt or
 // hostile peer, not a big grid: leases carry IDs, not tasks).
@@ -56,41 +58,16 @@ const (
 	// MsgResult streams one completed task upward, with the per-task
 	// metrics delta riding along.
 	MsgResult = "result"
-	// MsgDone reports a lease fully executed; cumulative worker stats
-	// ride along.
+	// MsgDone reports a lease fully executed; the worker executor's
+	// cumulative sweep.RunStats ride along.
 	MsgDone = "done"
-	// MsgHeartbeat keeps the worker's leases alive while tasks run.
+	// MsgHeartbeat keeps the worker's leases alive while tasks run, and
+	// carries the same cumulative stats as done.
 	MsgHeartbeat = "heartbeat"
 	// MsgBye ends the session: the grid is complete (or Err explains the
 	// rejection).
 	MsgBye = "bye"
 )
-
-// WorkerStats is a worker's cumulative execution summary, piggybacked
-// on done and heartbeat messages: route/flood cache counters, network
-// builds and pooled channel reuse. The coordinator keeps the latest
-// snapshot per worker and sums them into the sweep report — best-effort
-// under worker death (a crashed worker's last snapshot stands in for
-// its final one).
-type WorkerStats struct {
-	RouteHits     uint64  `json:"route_hits,omitempty"`
-	RouteMisses   uint64  `json:"route_misses,omitempty"`
-	FloodHits     uint64  `json:"flood_hits,omitempty"`
-	FloodMisses   uint64  `json:"flood_misses,omitempty"`
-	Networks      int     `json:"networks,omitempty"`
-	Nodes         int64   `json:"nodes,omitempty"`
-	BuildSeconds  float64 `json:"build_seconds,omitempty"`
-	GraphBytes    int64   `json:"graph_bytes,omitempty"`
-	HierBytes     int64   `json:"hier_bytes,omitempty"`
-	ChannelBuilds uint64  `json:"channel_builds,omitempty"`
-	// Network snapshot store counters (JSON-additive in protocol 1:
-	// absent from workers running without a store — or without the
-	// fields — and zero-valued either way).
-	NetLoads       int     `json:"net_loads,omitempty"`
-	NetLoadSeconds float64 `json:"net_load_seconds,omitempty"`
-	NetStoreMisses uint64  `json:"net_store_misses,omitempty"`
-	NetStoreBytes  int64   `json:"net_store_bytes,omitempty"`
-}
 
 // Msg is one protocol frame. Fields beyond Type are populated per the
 // message-type constants above.
@@ -113,8 +90,11 @@ type Msg struct {
 	Result  *sweep.TaskResult  `json:"result,omitempty"`
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 
-	// done / heartbeat
-	Stats *WorkerStats `json:"stats,omitempty"`
+	// done / heartbeat: the worker's cumulative run statistics. The
+	// coordinator keeps the latest per worker and sums them into the
+	// sweep report — best-effort under worker death (a crashed worker's
+	// last report stands in for its final one).
+	Stats *sweep.RunStats `json:"stats,omitempty"`
 
 	// wait
 	RetryMillis int `json:"retry_ms,omitempty"`

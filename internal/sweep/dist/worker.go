@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"sync"
 	"time"
 
 	"geogossip/internal/netstore"
@@ -102,7 +101,7 @@ func Join(ctx context.Context, addr string, opt WorkerOptions) error {
 			case <-hbStop:
 				return
 			case <-t.C:
-				s := workerStats(exec)
+				s := exec.Stats()
 				if fw.send(&Msg{Type: MsgHeartbeat, Stats: &s}) != nil {
 					return // main loop will observe the broken connection
 				}
@@ -150,95 +149,33 @@ func Join(ctx context.Context, addr string, opt WorkerOptions) error {
 	}
 }
 
-// runLease executes one lease across the executor's slots, streaming
-// each result as it completes, and closes with the done report. Returns
-// the number of tasks executed.
+// runLease executes one lease through the executor's Each loop,
+// streaming each result as it completes, and closes with the done
+// report. Returns the number of tasks executed.
 func runLease(ctx context.Context, exec *sweep.Executor, fw *frameWriter, tasks []sweep.Task, lease *Msg, doneBase int, progress func(int)) (int, error) {
-	for _, id := range lease.Tasks {
+	leased := make([]sweep.Task, len(lease.Tasks))
+	for i, id := range lease.Tasks {
 		if id < 0 || id >= len(tasks) {
 			return 0, fmt.Errorf("dist: lease %d references task %d outside the %d-task grid", lease.Lease, id, len(tasks))
 		}
+		leased[i] = tasks[id]
 	}
-	slots := exec.Slots()
-	if slots > len(lease.Tasks) {
-		slots = len(lease.Tasks)
-	}
-	idCh := make(chan int)
-	go func() {
-		defer close(idCh)
-		for _, id := range lease.Tasks {
-			select {
-			case idCh <- id:
-			case <-ctx.Done():
-				return
-			}
+	executed := 0
+	err := exec.Each(ctx, leased, func(r sweep.TaskResult, delta map[string]float64) error {
+		if err := fw.send(&Msg{Type: MsgResult, Result: &r, Metrics: delta}); err != nil {
+			return err
 		}
-	}()
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		executed int
-	)
-	for s := 0; s < slots; s++ {
-		wg.Add(1)
-		go func(slot int) {
-			defer wg.Done()
-			for id := range idCh {
-				mu.Lock()
-				stop := firstErr != nil
-				mu.Unlock()
-				if stop || ctx.Err() != nil {
-					return
-				}
-				r, delta := exec.Execute(slot, tasks[id])
-				err := fw.send(&Msg{Type: MsgResult, Result: &r, Metrics: delta})
-				mu.Lock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-				} else {
-					executed++
-					if progress != nil {
-						progress(doneBase + executed)
-					}
-				}
-				mu.Unlock()
-			}
-		}(s)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return executed, firstErr
-	}
-	if err := ctx.Err(); err != nil {
+		executed++
+		if progress != nil {
+			progress(doneBase + executed)
+		}
+		return nil
+	})
+	if err != nil {
 		return executed, err
 	}
-	s := workerStats(exec)
+	s := exec.Stats()
 	return executed, fw.send(&Msg{Type: MsgDone, Lease: lease.Lease, Stats: &s})
-}
-
-func workerStats(exec *sweep.Executor) WorkerStats {
-	route := exec.RouteStats()
-	net := exec.NetStats()
-	return WorkerStats{
-		RouteHits:     route.RouteHits,
-		RouteMisses:   route.RouteMisses,
-		FloodHits:     route.FloodHits,
-		FloodMisses:   route.FloodMisses,
-		Networks:      net.Networks,
-		Nodes:         net.Nodes,
-		BuildSeconds:  net.BuildTime.Seconds(),
-		GraphBytes:    net.GraphBytes,
-		HierBytes:     net.HierBytes,
-		ChannelBuilds: exec.ChannelBuilds(),
-
-		NetLoads:       net.Loads,
-		NetLoadSeconds: net.LoadTime.Seconds(),
-		NetStoreMisses: net.StoreMisses,
-		NetStoreBytes:  net.StoreBytes,
-	}
 }
 
 // ctxErr prefers the context's cancellation cause over the transport

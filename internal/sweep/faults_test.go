@@ -29,7 +29,7 @@ func TestFaultModelAxisExpansion(t *testing.T) {
 // the run seed, so pre-fault-axis grids keep their derived seeds — and
 // their results — unchanged; non-empty models get distinct seeds.
 func TestFaultModelSeedBackCompat(t *testing.T) {
-	base := Task{Algorithm: AlgoBoyd, N: 128, BaseSeed: 1}
+	base := Task{Params: Params{Algorithm: AlgoBoyd, N: 128}, BaseSeed: 1}
 	withModel := base
 	withModel.FaultModel = "churn:5000/0"
 	if base.runSeed() == withModel.runSeed() {
@@ -115,17 +115,8 @@ func TestResumeDetectsFaultModelMismatch(t *testing.T) {
 		FaultModels: []string{"churn:5000/1000"},
 	}
 	tasks := spec.Normalized().Expand()
-	prior := TaskResult{
-		TaskID:           0,
-		Algorithm:        AlgoBoyd,
-		N:                64,
-		FaultModel:       "churn:9999/0", // disagrees with the grid
-		TargetErr:        tasks[0].TargetErr,
-		MaxTicks:         tasks[0].MaxTicks,
-		RadiusMultiplier: tasks[0].RadiusMultiplier,
-		Field:            tasks[0].Field,
-		RunSeed:          tasks[0].runSeed(),
-	}
+	prior := TaskResult{TaskID: 0, Params: tasks[0].Params, RunSeed: tasks[0].runSeed()}
+	prior.FaultModel = "churn:9999/0" // disagrees with the grid
 	if _, err := Run(context.Background(), spec, Options{Resume: []TaskResult{prior}}); err == nil {
 		t.Fatal("fault-model mismatch on resume accepted")
 	}

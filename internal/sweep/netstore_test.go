@@ -16,17 +16,17 @@ import (
 func runWithStore(t *testing.T, store *netstore.Store) ([]TaskResult, []byte, NetBuildStats) {
 	t.Helper()
 	var sink bytes.Buffer
-	var stats NetBuildStats
+	var stats RunStats
 	results, err := Run(context.Background(), smallSpec(), Options{
 		Workers:  1,
 		Sink:     NewJSONL(&sink),
-		NetStats: &stats,
+		Stats:    &stats,
 		NetStore: store,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return results, sink.Bytes(), stats
+	return results, sink.Bytes(), stats.Net
 }
 
 // The snapshot store is invisible to results: a cold run (build +

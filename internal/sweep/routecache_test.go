@@ -4,8 +4,6 @@ import (
 	"context"
 	"sync"
 	"testing"
-
-	"geogossip/internal/routing"
 )
 
 // TestRouteStatsAggregated verifies the run aggregates the shared
@@ -19,8 +17,8 @@ func TestRouteStatsAggregated(t *testing.T) {
 		Seeds:      2,
 		TargetErr:  5e-2,
 	}
-	var stats routing.CacheStats
-	results, err := Run(context.Background(), spec, Options{Workers: 2, RouteStats: &stats})
+	var run RunStats
+	results, err := Run(context.Background(), spec, Options{Workers: 2, Stats: &run})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,6 +27,7 @@ func TestRouteStatsAggregated(t *testing.T) {
 			t.Fatalf("task %d: %s", r.TaskID, r.Error)
 		}
 	}
+	stats := run.Route
 	if stats.RouteMisses == 0 {
 		t.Error("no route misses recorded: tasks did not touch the shared caches")
 	}

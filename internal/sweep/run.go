@@ -58,7 +58,7 @@ type netEntry struct {
 // netCache deduplicates network construction across the tasks of a grid:
 // every (algorithm × loss × beta × ...) combination at the same
 // (n, seed index) runs on one shared immutable Network build. Entries are
-// built exactly once under a per-entry sync.Once so concurrent workers
+// built exactly once under a per-entry sync.Once so concurrent slots
 // never duplicate or block each other on unrelated keys.
 type netCache struct {
 	mu      sync.Mutex
@@ -201,20 +201,22 @@ func (t Task) faults() (channel.Spec, error) {
 	return medium(t.LossRate, t.FaultModel, t.Transport)
 }
 
-// runStates bundles the reusable engine run states one worker threads
-// through every task it executes (one per worker, mirroring the PR 4
-// route-cache sharing): a grid of R runs over one network performs O(1)
-// state allocations instead of O(R). Pooling is invisible to results —
-// pooled and fresh execution are bit-identical (asserted by the
-// pooled-vs-fresh suite).
+// runStates bundles the reusable engine run states one executor slot
+// threads through every task it executes, as the network cache shares
+// route caches across tasks: a grid of R runs over one network performs
+// O(1) state allocations instead of O(R). Pooling is invisible to
+// results — pooled and fresh execution are bit-identical (asserted by
+// the pooled-vs-fresh suite).
 type runStates struct {
 	gossip gossip.RunState
 	core   core.RunState
 	x      []float64
 	runRNG *rng.RNG
-	// reg is the sweep's shared metrics registry (nil when observability
-	// is off). Scopes are memoized per engine label inside the registry,
-	// and every instrument is atomic, so workers share them freely.
+	// reg is the registry the slot's engines report into: Run's shared
+	// Options.Obs (nil when observability is off), or the slot's private
+	// one on a NewExecutor. Scopes are memoized per engine label inside
+	// the registry, and every instrument is atomic, so slots share them
+	// freely.
 	reg *obs.Registry
 }
 
@@ -227,13 +229,13 @@ func (st *runStates) scope(engine string) *obs.Scope {
 	return st.reg.Scope(engine)
 }
 
-// channelBuilds reports the pooled channel builds this worker's states
+// channelBuilds reports the pooled channel builds this slot's states
 // have served (see channel.Pool.Builds).
 func (st *runStates) channelBuilds() uint64 {
 	return st.gossip.ChannelBuilds() + st.core.ChannelBuilds()
 }
 
-// rng returns the task's protocol generator, reusing the worker's pooled
+// rng returns the task's protocol generator, reusing the slot's pooled
 // generator.
 func (st *runStates) rng(seed uint64) *rng.RNG {
 	if st.runRNG == nil {
@@ -252,28 +254,10 @@ func Execute(t Task, cache *netCache) TaskResult {
 	return executeWith(t, cache, &runStates{})
 }
 
-// executeWith is Execute running on a worker's pooled run states.
+// executeWith is Execute running on an executor slot's pooled run
+// states.
 func executeWith(t Task, cache *netCache, st *runStates) TaskResult {
-	out := TaskResult{
-		TaskID:           t.ID,
-		Algorithm:        t.Algorithm,
-		N:                t.N,
-		SeedIndex:        t.SeedIndex,
-		LossRate:         t.LossRate,
-		FaultModel:       t.FaultModel,
-		Transport:        t.Transport,
-		Recover:          t.Recover,
-		Beta:             t.Beta,
-		Sampling:         t.Sampling,
-		Hierarchy:        t.Hierarchy,
-		TargetErr:        t.TargetErr,
-		MaxTicks:         t.MaxTicks,
-		RadiusMultiplier: t.RadiusMultiplier,
-		Field:            t.Field,
-		AsyncThrottle:    t.AsyncThrottle,
-		AsyncLeafTicks:   t.AsyncLeafTicks,
-		RunSeed:          t.runSeed(),
-	}
+	out := TaskResult{TaskID: t.ID, Params: t.Params, RunSeed: t.runSeed()}
 	g, h, routes, netSeed, err := t.network(cache)
 	if err != nil {
 		out.Error = err.Error()

@@ -7,8 +7,8 @@ import (
 )
 
 // TestPooledWorkersMatchFreshExecute runs a grid covering all five
-// engines and a fault + recovery axis through the worker pool (pooled
-// per-worker run states) and compares every task result against a fresh
+// engines and a fault + recovery axis through Run's executor (pooled
+// per-slot run states) and compares every task result against a fresh
 // per-task Execute — the pooled-vs-fresh contract at the orchestration
 // layer.
 func TestPooledWorkersMatchFreshExecute(t *testing.T) {
@@ -95,8 +95,8 @@ func TestRecoveryAxisKeepsPriorSeeds(t *testing.T) {
 // cells and survives the result→cell round trip.
 func TestRecoveryAxisAggregation(t *testing.T) {
 	results := []TaskResult{
-		{TaskID: 0, Algorithm: AlgoBoyd, N: 64, FaultModel: "churn:1000/100", Recover: false, Transmissions: 100, Converged: true},
-		{TaskID: 1, Algorithm: AlgoBoyd, N: 64, FaultModel: "churn:1000/100", Recover: true, Transmissions: 140, Converged: true},
+		{TaskID: 0, Params: Params{Algorithm: AlgoBoyd, N: 64, FaultModel: "churn:1000/100", Recover: false}, Transmissions: 100, Converged: true},
+		{TaskID: 1, Params: Params{Algorithm: AlgoBoyd, N: 64, FaultModel: "churn:1000/100", Recover: true}, Transmissions: 140, Converged: true},
 	}
 	sum := Aggregate(results)
 	if len(sum.Cells) != 2 {

@@ -1,9 +1,13 @@
 // Package sweep is the concurrent multi-scenario experiment orchestrator:
 // it expands a declarative parameter grid (algorithm × n × seed × loss
 // rate × fault model × recovery × beta × sampling mode × hierarchy
-// shape) into independent tasks, executes them on a worker pool — each
-// worker threading one set of reusable engine run states through its
-// tasks — and streams per-task results to a pluggable sink.
+// shape) into independent tasks, executes them on an Executor — one
+// shared network cache, and one reusable engine run state per slot,
+// threaded through every task the slot runs — and streams per-task
+// results to a pluggable sink. The Executor is the only code that runs a
+// task: Run drives one through a grid, the distributed worker
+// (internal/sweep/dist) drives one through its leases, and both share
+// the package's one goroutine fan-out with Map.
 //
 // Determinism is the design invariant. Every task derives its own seeds
 // from the spec's base seed and the task's semantic coordinates (never
@@ -281,37 +285,80 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// TaskCount returns the number of tasks the normalized spec expands to.
+// TaskCount returns the number of tasks the normalized spec expands to,
+// or 0 when Validate rejects it.
 func (s Spec) TaskCount() int {
 	s = s.Normalized()
+	if s.Validate() != nil {
+		return 0
+	}
 	return len(s.Algorithms) * len(s.Ns) * s.Seeds * len(s.LossRates) *
 		len(s.FaultModels) * len(s.Transports) * len(s.Recovery) * len(s.Betas) * len(s.Samplings) * len(s.Hierarchies)
+}
+
+// Params are what one task is: its grid coordinates and the run-level
+// parameters it executes under. Task and TaskResult both embed them, so
+// a result records its task in one field, and a resumed result matches
+// the grid's task when the two Params are equal. The JSON tags are the
+// sink's field names, in the sink's order.
+type Params struct {
+	Algorithm string  `json:"algorithm"`
+	N         int     `json:"n"`
+	SeedIndex int     `json:"seed"`
+	LossRate  float64 `json:"loss_rate"`
+	// FaultModel is the channel.Parse spec the task runs under; empty for
+	// the perfect medium / plain LossRate axis.
+	FaultModel string `json:"fault_model,omitempty"`
+	// Transport is the transport-reliability fragment (delay/reorder/dup/
+	// arq) composed onto the fault model; empty when the task runs without
+	// a transport layer.
+	Transport string `json:"transport,omitempty"`
+	// Recover reports whether the engines run their recovery protocols
+	// (re-election / restart-from-neighbor resync).
+	Recover   bool    `json:"recover,omitempty"`
+	Beta      float64 `json:"beta"`
+	Sampling  string  `json:"sampling,omitempty"`
+	Hierarchy string  `json:"hierarchy,omitempty"`
+
+	// The run-level parameters copied from the spec, recorded so a result
+	// line is fully self-describing (replayable in isolation, and
+	// checkable against the grid a resumed run expands).
+	TargetErr        float64 `json:"target_err"`
+	MaxTicks         uint64  `json:"max_ticks"`
+	RadiusMultiplier float64 `json:"radius"`
+	Field            string  `json:"field"`
+	// AsyncThrottle and AsyncLeafTicks are recorded only when the spec
+	// overrode the async engine's round-budget model (omitted as zero
+	// otherwise, so pre-existing output stays byte-identical).
+	AsyncThrottle  float64 `json:"async_throttle,omitempty"`
+	AsyncLeafTicks int     `json:"async_leaf_ticks,omitempty"`
+}
+
+// Cell returns the grid-cell key of the parameters: the task coordinates
+// minus the seed index, the unit results aggregate over.
+func (p Params) Cell() CellKey {
+	return CellKey{
+		Algorithm:  p.Algorithm,
+		N:          p.N,
+		LossRate:   p.LossRate,
+		FaultModel: p.FaultModel,
+		Transport:  p.Transport,
+		Recover:    p.Recover,
+		Beta:       p.Beta,
+		Sampling:   p.Sampling,
+		Hierarchy:  p.Hierarchy,
+	}
 }
 
 // Task is one expanded grid point. IDs are assigned in expansion order
 // (algorithm outermost, hierarchy innermost), so the same spec always
 // yields the same Task list.
 type Task struct {
-	ID         int
-	Algorithm  string
-	N          int
-	SeedIndex  int
-	LossRate   float64
-	FaultModel string
-	Transport  string
-	Recover    bool
-	Beta       float64
-	Sampling   string
-	Hierarchy  string
-
-	// Run-level parameters copied from the spec.
-	TargetErr        float64
-	MaxTicks         uint64
-	RadiusMultiplier float64
-	Field            string
-	BaseSeed         uint64
-	AsyncThrottle    float64
-	AsyncLeafTicks   int
+	ID int
+	Params
+	// BaseSeed is the spec's: with the Params it derives every seed the
+	// task runs with.
+	BaseSeed uint64
 }
 
 // Expand lists every task of the grid in deterministic ID order.
@@ -329,8 +376,7 @@ func (s Spec) Expand() []Task {
 								for _, beta := range s.Betas {
 									for _, sampling := range s.Samplings {
 										for _, shape := range s.Hierarchies {
-											tasks = append(tasks, Task{
-												ID:               id,
+											tasks = append(tasks, Task{ID: id, BaseSeed: s.BaseSeed, Params: Params{
 												Algorithm:        algo,
 												N:                n,
 												SeedIndex:        seed,
@@ -345,10 +391,9 @@ func (s Spec) Expand() []Task {
 												MaxTicks:         s.MaxTicks,
 												RadiusMultiplier: s.RadiusMultiplier,
 												Field:            s.Field,
-												BaseSeed:         s.BaseSeed,
 												AsyncThrottle:    s.AsyncThrottle,
 												AsyncLeafTicks:   s.AsyncLeafTicks,
-											})
+											}})
 											id++
 										}
 									}
@@ -446,37 +491,9 @@ func (t Task) fieldSeed() uint64 {
 // fields: serializing results sorted by TaskID yields byte-identical
 // output regardless of worker count.
 type TaskResult struct {
-	TaskID    int     `json:"task_id"`
-	Algorithm string  `json:"algorithm"`
-	N         int     `json:"n"`
-	SeedIndex int     `json:"seed"`
-	LossRate  float64 `json:"loss_rate"`
-	// FaultModel is the channel.Parse spec the task ran under; empty for
-	// the perfect medium / plain LossRate axis.
-	FaultModel string `json:"fault_model,omitempty"`
-	// Transport is the transport-reliability fragment (delay/reorder/dup/
-	// arq) composed onto the fault model; empty when the task ran without
-	// a transport layer.
-	Transport string `json:"transport,omitempty"`
-	// Recover reports whether the engines ran their recovery protocols
-	// (re-election / restart-from-neighbor resync).
-	Recover   bool    `json:"recover,omitempty"`
-	Beta      float64 `json:"beta"`
-	Sampling  string  `json:"sampling,omitempty"`
-	Hierarchy string  `json:"hierarchy,omitempty"`
-
-	// The run-level parameters the task executed under, recorded so a
-	// result line is fully self-describing (replayable in isolation, and
-	// checkable against the grid a resumed run expands).
-	TargetErr        float64 `json:"target_err"`
-	MaxTicks         uint64  `json:"max_ticks"`
-	RadiusMultiplier float64 `json:"radius"`
-	Field            string  `json:"field"`
-	// AsyncThrottle and AsyncLeafTicks are recorded only when the spec
-	// overrode the async engine's round-budget model (omitted as zero
-	// otherwise, so pre-existing output stays byte-identical).
-	AsyncThrottle  float64 `json:"async_throttle,omitempty"`
-	AsyncLeafTicks int     `json:"async_leaf_ticks,omitempty"`
+	TaskID int `json:"task_id"`
+	// Params are the task's, in the sink's field order.
+	Params
 
 	NetSeed uint64 `json:"net_seed"`
 	RunSeed uint64 `json:"run_seed"`
@@ -496,20 +513,4 @@ type TaskResult struct {
 	// Error carries a per-task failure (e.g. no connected instance
 	// found); all result fields above it are zero when set.
 	Error string `json:"error,omitempty"`
-}
-
-// Cell returns the grid-cell key of the result: the task coordinates
-// minus the seed index, the unit results aggregate over.
-func (r TaskResult) Cell() CellKey {
-	return CellKey{
-		Algorithm:  r.Algorithm,
-		N:          r.N,
-		LossRate:   r.LossRate,
-		FaultModel: r.FaultModel,
-		Transport:  r.Transport,
-		Recover:    r.Recover,
-		Beta:       r.Beta,
-		Sampling:   r.Sampling,
-		Hierarchy:  r.Hierarchy,
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -112,6 +113,9 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 			t.Errorf("spec %d validated: %+v", i, b.spec)
 		} else if !strings.Contains(err.Error(), b.want) {
 			t.Errorf("spec %d: error %q does not name %s", i, err, b.want)
+		}
+		if n := b.spec.TaskCount(); n != 0 {
+			t.Errorf("spec %d: rejected spec counts %d tasks, want 0", i, n)
 		}
 	}
 	if err := smallSpec().Normalized().Validate(); err != nil {
@@ -262,6 +266,39 @@ func TestRunStopsOnCancel(t *testing.T) {
 	}
 }
 
+// TestSinkAndProgressAreSerialized runs a grid on 8 workers with a sink
+// and a progress callback that each fail on re-entry, into themselves or
+// into each other, and share a counter without a lock, so that under
+// -race an unserialized call also shows as a data race.
+func TestSinkAndProgressAreSerialized(t *testing.T) {
+	var inside atomic.Bool
+	calls := 0
+	enter := func(who string) {
+		if !inside.CompareAndSwap(false, true) {
+			t.Errorf("%s entered while another callback ran", who)
+			return
+		}
+		calls++
+		time.Sleep(100 * time.Microsecond) // widen the window for an overlap
+		inside.Store(false)
+	}
+	res, err := Run(context.Background(), smallSpec(), Options{
+		Workers:  8,
+		Sink:     sinkFunc(func(TaskResult) error { enter("Sink.Write"); return nil }),
+		Progress: func(int, int) { enter("Progress") },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != smallSpec().TaskCount() || calls != 2*len(res) {
+		t.Fatalf("%d results and %d callback calls, want %d and %d", len(res), calls, smallSpec().TaskCount(), 2*len(res))
+	}
+}
+
+type sinkFunc func(TaskResult) error
+
+func (f sinkFunc) Write(r TaskResult) error { return f(r) }
+
 func TestRunReportsSinkError(t *testing.T) {
 	spec := smallSpec()
 	_, err := Run(context.Background(), spec, Options{Workers: 2, Sink: failSink{}})
@@ -283,7 +320,8 @@ func (*sinkErr) Error() string { return "disk full" }
 func TestReadResultsForgivesOnlyATruncatedTail(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONL(&buf)
-	want := []TaskResult{{TaskID: 4, Algorithm: AlgoBoyd}, {TaskID: 0, Algorithm: AlgoBoyd}, {TaskID: 9, Algorithm: AlgoBoyd}}
+	boyd := Params{Algorithm: AlgoBoyd}
+	want := []TaskResult{{TaskID: 4, Params: boyd}, {TaskID: 0, Params: boyd}, {TaskID: 9, Params: boyd}}
 	for _, r := range want {
 		if err := sink.Write(r); err != nil {
 			t.Fatal(err)
@@ -418,9 +456,7 @@ func TestAggregateCellsAndFits(t *testing.T) {
 		for seed := 0; seed < 2; seed++ {
 			results = append(results, TaskResult{
 				TaskID:        len(results),
-				Algorithm:     AlgoBoyd,
-				N:             n,
-				SeedIndex:     seed,
+				Params:        Params{Algorithm: AlgoBoyd, N: n, SeedIndex: seed},
 				Converged:     true,
 				FinalErr:      1e-3,
 				Transmissions: uint64(n) * uint64(n),
@@ -428,7 +464,7 @@ func TestAggregateCellsAndFits(t *testing.T) {
 		}
 	}
 	results = append(results, TaskResult{
-		TaskID: len(results), Algorithm: AlgoBoyd, N: 100, SeedIndex: 2,
+		TaskID: len(results), Params: Params{Algorithm: AlgoBoyd, N: 100, SeedIndex: 2},
 		Error: "no connected instance",
 	})
 	sum := Aggregate(results)
@@ -463,15 +499,14 @@ func TestAggregateCellsAndFits(t *testing.T) {
 func TestExecuteReportsUnusableCell(t *testing.T) {
 	// Sub-threshold radius: no connected instance exists, the task must
 	// fail gracefully rather than hang or panic.
-	task := Task{
+	task := Task{BaseSeed: 1, Params: Params{
 		Algorithm:        AlgoBoyd,
 		N:                512,
 		RadiusMultiplier: 0.2,
 		TargetErr:        1e-2,
 		MaxTicks:         1000,
 		Field:            FieldSmooth,
-		BaseSeed:         1,
-	}
+	}}
 	res := Execute(task, newNetCache())
 	if res.Error == "" {
 		t.Fatal("unusable cell produced no error")
@@ -553,16 +588,16 @@ func TestNonFiniteRunFailsAlone(t *testing.T) {
 func TestRunBuildWorkersInvariance(t *testing.T) {
 	spec := smallSpec()
 	run := func(buildWorkers int) ([]TaskResult, NetBuildStats) {
-		var stats NetBuildStats
+		var stats RunStats
 		results, err := Run(context.Background(), spec, Options{
 			Workers:      1,
 			BuildWorkers: buildWorkers,
-			NetStats:     &stats,
+			Stats:        &stats,
 		})
 		if err != nil {
 			t.Fatalf("build-workers=%d: %v", buildWorkers, err)
 		}
-		return results, stats
+		return results, stats.Net
 	}
 	refResults, refStats := run(1)
 	if refStats.Networks == 0 || refStats.Nodes == 0 || refStats.GraphBytes == 0 || refStats.HierBytes == 0 {

@@ -52,7 +52,7 @@ func TestTransportAxisCanonicalization(t *testing.T) {
 // run seed, so grids without the axis keep their derived seeds — and
 // their results — unchanged; non-empty transports get distinct seeds.
 func TestTransportSeedBackCompat(t *testing.T) {
-	base := Task{Algorithm: AlgoBoyd, N: 128, BaseSeed: 1, FaultModel: "bernoulli:0.1"}
+	base := Task{Params: Params{Algorithm: AlgoBoyd, N: 128, FaultModel: "bernoulli:0.1"}, BaseSeed: 1}
 	withARQ := base
 	withARQ.Transport = "arq:2/1/2"
 	if base.runSeed() == withARQ.runSeed() {
@@ -219,17 +219,8 @@ func TestResumeDetectsTransportMismatch(t *testing.T) {
 		Transports: []string{"arq:2/1/2"},
 	}
 	tasks := spec.Normalized().Expand()
-	prior := TaskResult{
-		TaskID:           0,
-		Algorithm:        AlgoBoyd,
-		N:                64,
-		Transport:        "arq:9/1/2", // disagrees with the grid
-		TargetErr:        tasks[0].TargetErr,
-		MaxTicks:         tasks[0].MaxTicks,
-		RadiusMultiplier: tasks[0].RadiusMultiplier,
-		Field:            tasks[0].Field,
-		RunSeed:          tasks[0].runSeed(),
-	}
+	prior := TaskResult{TaskID: 0, Params: tasks[0].Params, RunSeed: tasks[0].runSeed()}
+	prior.Transport = "arq:9/1/2" // disagrees with the grid
 	if _, err := Run(context.Background(), spec, Options{Resume: []TaskResult{prior}}); err == nil {
 		t.Fatal("transport mismatch on resume accepted")
 	}

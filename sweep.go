@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"geogossip/internal/netstore"
-	"geogossip/internal/routing"
 	"geogossip/internal/sweep"
 )
 
@@ -100,30 +99,9 @@ type SweepSpec struct {
 	AsyncLeafTicks int
 }
 
-func (s SweepSpec) internal() sweep.Spec {
-	return sweep.Spec{
-		Algorithms:       s.Algorithms,
-		Ns:               s.Ns,
-		Seeds:            s.Seeds,
-		BaseSeed:         s.BaseSeed,
-		LossRates:        s.LossRates,
-		FaultModels:      s.FaultModels,
-		Transports:       s.Transports,
-		Recovery:         s.Recovery,
-		Betas:            s.Betas,
-		Samplings:        s.Samplings,
-		Hierarchies:      s.Hierarchies,
-		TargetErr:        s.TargetErr,
-		MaxTicks:         s.MaxTicks,
-		RadiusMultiplier: s.RadiusMultiplier,
-		Field:            s.Field,
-		AsyncThrottle:    s.AsyncThrottle,
-		AsyncLeafTicks:   s.AsyncLeafTicks,
-	}
-}
-
-// TaskCount returns the number of runs the grid expands to.
-func (s SweepSpec) TaskCount() int { return s.internal().TaskCount() }
+// TaskCount returns the number of runs the grid expands to, or 0 when
+// the grid is invalid (Sweep would reject it).
+func (s SweepSpec) TaskCount() int { return sweep.Spec(s).TaskCount() }
 
 // SweepCoords are the grid-cell coordinates shared by tasks, cells and
 // fits: one point of the algorithm × n × loss × fault-model × beta ×
@@ -360,8 +338,8 @@ func WithSweepJSONL(w io.Writer) SweepOption {
 	return func(c *sweepConfig) { c.jsonl = w }
 }
 
-// WithSweepProgress reports completion after every task (single
-// goroutine, done out of total).
+// WithSweepProgress reports completion after every task (done out of
+// total). Calls are serialized, never concurrent.
 func WithSweepProgress(fn func(done, total int)) SweepOption {
 	return func(c *sweepConfig) { c.progress = fn }
 }
@@ -448,14 +426,12 @@ func Sweep(ctx context.Context, spec SweepSpec, opts ...SweepOption) (*SweepRepo
 	if reg == nil {
 		reg = NewMetricsRegistry()
 	}
-	var routeStats routing.CacheStats
-	var netStats sweep.NetBuildStats
+	var stats sweep.RunStats
 	iopt := sweep.Options{
 		Workers:      cfg.workers,
 		BuildWorkers: cfg.buildWorkers,
 		Progress:     cfg.progress,
-		RouteStats:   &routeStats,
-		NetStats:     &netStats,
+		Stats:        &stats,
 		Obs:          reg.reg,
 	}
 	if cfg.netDir != "" {
@@ -471,33 +447,29 @@ func Sweep(ctx context.Context, spec SweepSpec, opts ...SweepOption) (*SweepRepo
 	if cfg.jsonl != nil {
 		iopt.Sink = sweep.NewJSONL(cfg.jsonl)
 	}
-	results, err := sweep.Run(ctx, spec.internal(), iopt)
-	return buildReport(results, reg.reg.Flatten(), routeStats, netStats), err
+	results, err := sweep.Run(ctx, sweep.Spec(spec), iopt)
+	return buildReport(results, reg.reg.Flatten(), stats), err
 }
 
 // buildReport assembles the public report from internal results plus the
-// run's metrics and cache/construction summaries — shared by the local
-// Sweep and the distributed SweepServe, so both report identically.
-func buildReport(results []sweep.TaskResult, metrics map[string]float64, routeStats routing.CacheStats, netStats sweep.NetBuildStats) *SweepReport {
+// run's metrics and statistics — shared by the local Sweep and the
+// distributed SweepServe, so both report identically.
+func buildReport(results []sweep.TaskResult, metrics map[string]float64, stats sweep.RunStats) *SweepReport {
+	nb := stats.Net
 	rep := &SweepReport{
-		Results: make([]SweepResult, 0, len(results)),
-		Metrics: metrics,
-		RouteCache: SweepRouteCacheStats{
-			RouteHits:   routeStats.RouteHits,
-			RouteMisses: routeStats.RouteMisses,
-			FloodHits:   routeStats.FloodHits,
-			FloodMisses: routeStats.FloodMisses,
-		},
+		Results:    make([]SweepResult, 0, len(results)),
+		Metrics:    metrics,
+		RouteCache: SweepRouteCacheStats(stats.Route),
 		NetBuild: SweepNetBuildStats{
-			Networks:       netStats.Networks,
-			Nodes:          netStats.Nodes,
-			Loads:          netStats.Loads,
-			BuildSeconds:   netStats.BuildTime.Seconds(),
-			LoadSeconds:    netStats.LoadTime.Seconds(),
-			GraphBytes:     netStats.GraphBytes,
-			HierarchyBytes: netStats.HierBytes,
-			StoreMisses:    netStats.StoreMisses,
-			StoreBytes:     netStats.StoreBytes,
+			Networks:       nb.Networks,
+			Nodes:          nb.Nodes,
+			Loads:          nb.Loads,
+			BuildSeconds:   nb.BuildTime.Seconds(),
+			LoadSeconds:    nb.LoadTime.Seconds(),
+			GraphBytes:     nb.GraphBytes,
+			HierarchyBytes: nb.HierBytes,
+			StoreMisses:    nb.StoreMisses,
+			StoreBytes:     nb.StoreBytes,
 		},
 	}
 	for _, r := range results {
@@ -570,31 +542,33 @@ func fromInternalResult(r sweep.TaskResult) SweepResult {
 
 func toInternalResult(r SweepResult) sweep.TaskResult {
 	return sweep.TaskResult{
-		TaskID:           r.TaskID,
-		Algorithm:        r.Algorithm,
-		N:                r.N,
-		SeedIndex:        r.SeedIndex,
-		LossRate:         r.LossRate,
-		FaultModel:       r.FaultModel,
-		Transport:        r.Transport,
-		Recover:          r.Recover,
-		Beta:             r.Beta,
-		Sampling:         r.Sampling,
-		Hierarchy:        r.Hierarchy,
-		TargetErr:        r.TargetErr,
-		MaxTicks:         r.MaxTicks,
-		RadiusMultiplier: r.RadiusMultiplier,
-		Field:            r.Field,
-		AsyncThrottle:    r.AsyncThrottle,
-		AsyncLeafTicks:   r.AsyncLeafTicks,
-		NetSeed:          r.NetSeed,
-		RunSeed:          r.RunSeed,
-		Converged:        r.Converged,
-		FinalErr:         r.FinalErr,
-		Transmissions:    r.Transmissions,
-		SimSeconds:       r.SimSeconds,
-		Breakdown:        r.Breakdown,
-		FarExchanges:     r.FarExchanges,
-		Error:            r.Err,
+		TaskID: r.TaskID,
+		Params: sweep.Params{
+			Algorithm:        r.Algorithm,
+			N:                r.N,
+			SeedIndex:        r.SeedIndex,
+			LossRate:         r.LossRate,
+			FaultModel:       r.FaultModel,
+			Transport:        r.Transport,
+			Recover:          r.Recover,
+			Beta:             r.Beta,
+			Sampling:         r.Sampling,
+			Hierarchy:        r.Hierarchy,
+			TargetErr:        r.TargetErr,
+			MaxTicks:         r.MaxTicks,
+			RadiusMultiplier: r.RadiusMultiplier,
+			Field:            r.Field,
+			AsyncThrottle:    r.AsyncThrottle,
+			AsyncLeafTicks:   r.AsyncLeafTicks,
+		},
+		NetSeed:       r.NetSeed,
+		RunSeed:       r.RunSeed,
+		Converged:     r.Converged,
+		FinalErr:      r.FinalErr,
+		Transmissions: r.Transmissions,
+		SimSeconds:    r.SimSeconds,
+		Breakdown:     r.Breakdown,
+		FarExchanges:  r.FarExchanges,
+		Error:         r.Err,
 	}
 }

@@ -190,6 +190,24 @@ func TestSweepValidatesSpec(t *testing.T) {
 	}
 }
 
+// TaskCount counts the runs of a valid grid and reads 0 for one Sweep
+// rejects, rather than the product of its axes.
+func TestSweepTaskCount(t *testing.T) {
+	spec := SweepSpec{Algorithms: []string{"boyd", "push-sum"}, Ns: []int{64, 96}, Seeds: 3}
+	if got := spec.TaskCount(); got != 12 {
+		t.Errorf("TaskCount = %d, want 12", got)
+	}
+	for _, bad := range []SweepSpec{
+		{Algorithms: []string{"boyd"}, Ns: []int{64}, Seeds: -2},
+		{Algorithms: []string{"telepathy"}, Ns: []int{64}},
+		{Algorithms: []string{"boyd"}},
+	} {
+		if got := bad.TaskCount(); got != 0 {
+			t.Errorf("TaskCount of invalid %+v = %d, want 0", bad, got)
+		}
+	}
+}
+
 // Result.Breakdown must be the caller's to mutate: it may not alias the
 // engine's internal per-category counters.
 func TestResultBreakdownIsACopy(t *testing.T) {
