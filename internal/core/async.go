@@ -307,11 +307,11 @@ func (e *asyncEngine) heal() {
 			leaf := int(e.h.NodeLeaf[i])
 			e.run.Tally.Churn(true)
 			e.run.Tally.Resync()
-			e.run.Trace(trace.Event{Kind: trace.KindChurn, Square: leaf, NodeA: int32(i), NodeB: 1})
-			e.run.Trace(trace.Event{Kind: trace.KindResync, Square: leaf, NodeA: int32(i), NodeB: donor, Hops: 2})
+			e.run.Trace(trace.KindChurn, leaf, int32(i), 1, 0)
+			e.run.Trace(trace.KindResync, leaf, int32(i), donor, 2)
 		} else if !up && e.prevAlive[i] {
 			e.run.Tally.Churn(false)
-			e.run.Trace(trace.Event{Kind: trace.KindChurn, Square: int(e.h.NodeLeaf[i]), NodeA: int32(i), NodeB: 0})
+			e.run.Trace(trace.KindChurn, int(e.h.NodeLeaf[i]), int32(i), 0, 0)
 		}
 		e.prevAlive[i] = up
 	}
@@ -462,7 +462,7 @@ func (e *asyncEngine) activate(sq *hier.Square) {
 			}
 		}
 	}
-	e.run.Trace(trace.Event{Kind: trace.KindActivate, Square: sq.ID, NodeA: e.rep(sq), NodeB: -1, Hops: cost})
+	e.run.Trace(trace.KindActivate, sq.ID, e.rep(sq), -1, cost)
 }
 
 // deactivate is activate's inverse (Deactivate.square). It only pays the
@@ -496,7 +496,7 @@ func (e *asyncEngine) deactivate(sq *hier.Square) {
 			}
 		}
 	}
-	e.run.Trace(trace.Event{Kind: trace.KindDeactivate, Square: sq.ID, NodeA: e.rep(sq), NodeB: -1, Hops: cost})
+	e.run.Trace(trace.KindDeactivate, sq.ID, e.rep(sq), -1, cost)
 }
 
 // far performs one long-range exchange (procedure Far of §4.2): the
@@ -526,7 +526,7 @@ func (e *asyncEngine) far(sq *hier.Square) {
 		e.run.Counter.Add(sim.CatFar, paid)
 		e.res.RouteFailures++
 		e.run.Tally.Loss(paid)
-		e.run.Trace(trace.Event{Kind: trace.KindLoss, Square: sq.ID, NodeA: myRep, NodeB: partnerRep, Hops: paid})
+		e.run.Trace(trace.KindLoss, sq.ID, myRep, partnerRep, paid)
 		return
 	}
 	hops := out.Hops + paid
@@ -543,11 +543,10 @@ func (e *asyncEngine) far(sq *hier.Square) {
 	}
 	xi, xj := e.x[myRep], e.x[partnerRep]
 	coeff := e.opt.Beta * sq.Expected
-	e.run.Tracker.Set(myRep, xi+coeff*(xj-xi))
-	e.run.Tracker.Set(partnerRep, xj+coeff*(xi-xj))
+	e.run.Tracker.SetPair(myRep, partnerRep, xi+coeff*(xj-xi), xj+coeff*(xi-xj))
 	e.res.FarExchanges++
 	e.run.Tally.FarExchange(hops)
-	e.run.Trace(trace.Event{Kind: trace.KindFar, Square: sq.ID, NodeA: myRep, NodeB: partnerRep, Hops: hops})
+	e.run.Trace(trace.KindFar, sq.ID, myRep, partnerRep, hops)
 	// §4.2 Far step 5: the partner's counter resets too, re-activating its
 	// subtree for re-averaging.
 	e.count[partner.ID] = 0
@@ -577,11 +576,10 @@ func (e *asyncEngine) near(s int32) {
 		return
 	}
 	avg := (e.x[s] + e.x[v]) / 2
-	e.run.Tracker.Set(s, avg)
-	e.run.Tracker.Set(v, avg)
+	e.run.Tracker.SetPair(s, v, avg, avg)
 	// paid on success is the transport layer's extra airtime
 	// (retransmissions, duplicates); zero without delay/arq.
 	e.run.Counter.Add(sim.CatNear, cost+paid)
 	e.res.NearExchanges++
-	e.run.Trace(trace.Event{Kind: trace.KindNear, Square: int(e.h.NodeLeaf[s]), NodeA: s, NodeB: v, Hops: cost + paid})
+	e.run.Trace(trace.KindNear, int(e.h.NodeLeaf[s]), s, v, cost+paid)
 }

@@ -448,8 +448,7 @@ func (e *engine) farExchange(a, b *hier.Square) {
 		ni = xi + coeff*(xj-xi)
 		nj = xj + coeff*(xi-xj)
 	}
-	e.tracker.Set(ra, ni)
-	e.tracker.Set(rb, nj)
+	e.tracker.SetPair(ra, rb, ni, nj)
 	e.res.FarExchanges++
 	if e.opt.Tracer != nil {
 		e.opt.Tracer.Record(trace.Event{Kind: trace.KindFar, Square: a.ID, NodeA: ra, NodeB: rb, Hops: hops})
@@ -587,8 +586,7 @@ func (e *engine) leafAverage(sq *hier.Square, eps float64) {
 		avg := (xu + xv) / 2
 		du, dv, da := xu-mean, xv-mean, avg-mean
 		dev2 += 2*da*da - du*du - dv*dv
-		e.tracker.Set(u, avg)
-		e.tracker.Set(v, avg)
+		e.tracker.SetPair(u, v, avg, avg)
 		// paid on success is the transport layer's extra airtime
 		// (retransmissions, duplicates); zero without delay/arq.
 		e.counter.Add(sim.CatNear, cost+paid)

@@ -154,13 +154,12 @@ func (e *boydRun) tick(s, v int32) {
 			h.TraceLoss(s, v, paid)
 		} else {
 			avg := (e.x[s] + e.x[v]) / 2
-			h.Tracker.Set(s, avg)
-			h.Tracker.Set(v, avg)
+			h.Tracker.SetPair(s, v, avg, avg)
 			// paid is the transport layer's extra airtime (retransmissions,
 			// duplicates); zero without delay/arq, keeping the charge — and
 			// the event — byte-identical to the transport-free run.
 			h.Counter.Add(sim.CatNear, 2+paid)
-			h.Trace(trace.Event{Kind: trace.KindNear, Square: -1, NodeA: s, NodeB: v, Hops: 2 + paid})
+			h.Trace(trace.KindNear, -1, s, v, 2+paid)
 		}
 	}
 	h.Sample()
@@ -211,23 +210,28 @@ func (rs *resyncState) markDead(s int32, h *sim.Harness) {
 	if rs.wasDead != nil && !rs.wasDead[s] {
 		rs.wasDead[s] = true
 		h.Tally.Churn(false)
-		h.Trace(trace.Event{Kind: trace.KindChurn, Square: -1, NodeA: s, NodeB: 0})
+		h.Trace(trace.KindChurn, -1, s, 0, 0)
 	}
 }
 
-// onTick performs the resync exchange for a freshly revived node: x[s]
-// adopts a random live neighbour's value at a cost of 2 transmissions
-// (request + response). A lost draw (dead neighbour) just skips — the
-// node retries on its next tick.
+// onTick performs the resync exchange when s is a freshly revived node.
+// It inlines, so a tick with resync off pays one nil test for it.
 func (rs *resyncState) onTick(s int32, g *graph.Graph, h *sim.Harness, x []float64, pick *rng.RNG) {
-	if rs.wasDead == nil || !rs.wasDead[s] {
-		return
+	if rs.wasDead != nil && rs.wasDead[s] {
+		rs.revive(s, g, h, x, pick)
 	}
+}
+
+// revive is the resync exchange of onTick: x[s] adopts a random live
+// neighbour's value at a cost of 2 transmissions (request + response).
+// A lost draw (dead neighbour) just skips — the node retries on its
+// next tick.
+func (rs *resyncState) revive(s int32, g *graph.Graph, h *sim.Harness, x []float64, pick *rng.RNG) {
 	deg := g.Degree(s)
 	if deg == 0 {
 		rs.wasDead[s] = false
 		h.Tally.Churn(true)
-		h.Trace(trace.Event{Kind: trace.KindChurn, Square: -1, NodeA: s, NodeB: 1})
+		h.Trace(trace.KindChurn, -1, s, 1, 0)
 		return
 	}
 	v := g.Neighbors(s)[pick.IntN(deg)]
@@ -240,8 +244,8 @@ func (rs *resyncState) onTick(s int32, g *graph.Graph, h *sim.Harness, x []float
 	rs.count++
 	h.Tally.Churn(true)
 	h.Tally.Resync()
-	h.Trace(trace.Event{Kind: trace.KindChurn, Square: -1, NodeA: s, NodeB: 1})
-	h.Trace(trace.Event{Kind: trace.KindResync, Square: -1, NodeA: s, NodeB: v, Hops: 2})
+	h.Trace(trace.KindChurn, -1, s, 1, 0)
+	h.Trace(trace.KindResync, -1, s, v, 2)
 }
 
 // Sampling selects how geographic gossip chooses long-range partners.
@@ -491,13 +495,12 @@ func (e *geoRun) step() {
 				// preservation.
 				if back.Delivered {
 					avg := (e.x[s] + e.x[target]) / 2
-					h.Tracker.Set(target, avg)
-					h.Tracker.Set(s, avg)
+					h.Tracker.SetPair(target, s, avg, avg)
 				}
 			}
 		}
 		h.Tally.FarExchange(total)
-		h.Trace(trace.Event{Kind: trace.KindFar, Square: -1, NodeA: s, NodeB: target, Hops: total})
+		h.Trace(trace.KindFar, -1, s, target, total)
 	}
 	h.Sample()
 }

@@ -29,11 +29,12 @@ type tickBatch struct {
 }
 
 // draw is the pipeline's first phase: it draws the owners of the next
-// k = min(pipeDepth, MaxTicks − ticks) ticks from the clock stream
-// without counting them and, when ahead is set, their partners from
-// pick. Each dependent load — the owners' adjacency offsets, then the
-// partners' adjacency slots — runs in a loop of its own, so the misses
-// within a loop overlap. It returns k.
+// k = min(pipeDepth, MaxTicks − ticks) ticks from the clock stream in
+// one batch without counting them and, when ahead is set, their
+// partners from pick in a second batch over the owners' degrees. Each
+// dependent load — the owners' adjacency offsets, then the partners'
+// adjacency slots — runs in a loop of its own, so the misses within a
+// loop overlap. It returns k.
 //
 // Partners may be drawn ahead only when no node can go down: under
 // churn, liveness at tick t decides whether the partner draw (and
@@ -45,27 +46,31 @@ func (b *tickBatch) draw(h *sim.Harness, g *graph.Graph, pick *rng.RNG, ahead bo
 		k = int(left)
 	}
 	own := b.owner[:k]
-	for i := range own {
-		own[i] = h.Clock.Draw()
+	h.Clock.Draw(own)
+	var deg [pipeDepth]int32
+	sum := 0
+	for i, s := range own {
+		d := g.Degree(s)
+		deg[i] = int32(d)
+		sum += d
 	}
-	deg := 0
-	for _, s := range own {
-		deg += g.Degree(s)
-	}
-	b.sink += uint64(deg)
+	b.sink += uint64(sum)
 	if !ahead {
 		for i := range own {
 			b.partner[i] = -1
 		}
 		return k
 	}
-	// The pick draws need only the (now cached) degrees; the slots they
-	// select are loaded afterwards, all at once. slot lives on the stack,
-	// so no pointer into a graph outlives the call.
+	// The pick draws need only the (now cached) degrees: one batch draw
+	// over them, which draws nothing for a node without neighbours. The
+	// slots they select are loaded afterwards, all at once. slot lives on
+	// the stack, so no pointer into a graph outlives the call.
+	var idx [pipeDepth]int32
+	rng.IntNs(pick, idx[:k], deg[:k])
 	var slot [pipeDepth]*int32
 	for i, s := range own {
-		if d := g.Degree(s); d > 0 {
-			slot[i] = &g.Neighbors(s)[pick.IntN(d)]
+		if deg[i] > 0 {
+			slot[i] = &g.Neighbors(s)[idx[i]]
 		}
 	}
 	for i, p := range slot[:k] {

@@ -41,7 +41,7 @@ func (e *boydRun) step() {
 			h.Tracker.Set(s, avg)
 			h.Tracker.Set(v, avg)
 			h.Counter.Add(sim.CatNear, 2+paid)
-			h.Trace(trace.Event{Kind: trace.KindNear, Square: -1, NodeA: s, NodeB: v, Hops: 2 + paid})
+			h.Trace(trace.KindNear, -1, s, v, 2+paid)
 		}
 	}
 	h.Sample()
@@ -70,7 +70,7 @@ func (e *pushSumRun) step() {
 			h.Counter.Add(sim.CatNear, 1+paid)
 			h.Tracker.Set(i, e.s[i]/e.w[i])
 			h.Tracker.Set(j, e.s[j]/e.w[j])
-			h.Trace(trace.Event{Kind: trace.KindNear, Square: -1, NodeA: i, NodeB: j, Hops: 1 + paid})
+			h.Trace(trace.KindNear, -1, i, j, 1+paid)
 		}
 	}
 	h.Sample()

@@ -132,9 +132,8 @@ func (e *pushSumRun) tick(i, j int32) {
 			// paid is the transport layer's extra airtime (retransmissions,
 			// duplicates); zero without delay/arq.
 			h.Counter.Add(sim.CatNear, 1+paid)
-			h.Tracker.Set(i, e.s[i]/e.w[i])
-			h.Tracker.Set(j, e.s[j]/e.w[j])
-			h.Trace(trace.Event{Kind: trace.KindNear, Square: -1, NodeA: i, NodeB: j, Hops: 1 + paid})
+			h.Tracker.SetPair(i, j, e.s[i]/e.w[i], e.s[j]/e.w[j])
+			h.Trace(trace.KindNear, -1, i, j, 1+paid)
 		}
 	}
 	h.Sample()

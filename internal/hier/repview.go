@@ -114,9 +114,12 @@ func (v *RepView) Rep(id int) int32 { return v.rep[id] }
 
 // Roles returns the square IDs node i currently represents, in the same
 // order Hierarchy.RepRoles maintains. The slice is view-owned: read-only,
-// valid until the next ReelectSquare or Reset.
+// valid until the next ReelectSquare or Reset. A view with no
+// re-election this run skips the overlay: ReelectSquare sets dirty
+// (through write) before it touches any role, so no role of a clean view
+// lives in the overlay.
 func (v *RepView) Roles(i int32) []int32 {
-	if v.ovEpoch[i] == v.epoch {
+	if v.dirty && v.ovEpoch[i] == v.epoch {
 		return v.ovRoles[i]
 	}
 	return v.rolesBaseIDs[v.rolesBaseOff[i]:v.rolesBaseOff[i+1]]

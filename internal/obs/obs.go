@@ -19,6 +19,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -137,9 +138,13 @@ func (t metricType) String() string {
 // c/g/h is set, matching the family's type.
 type series struct {
 	labels string // rendered, sorted `k="v"` pairs joined by ","; "" when unlabelled
-	c      *Counter
-	g      *Gauge
-	h      *Histogram
+	// keys are the series' scalar names, rendered once at registration:
+	// a counter's or gauge's own name; a histogram's bucket names in
+	// bound order, then its +Inf bucket, count and sum names.
+	keys []string
+	c    *Counter
+	g    *Gauge
+	h    *Histogram
 }
 
 type family struct {
@@ -154,9 +159,13 @@ type family struct {
 // map. The zero value is not usable; call NewRegistry. All methods are
 // safe for concurrent use.
 type Registry struct {
-	mu         sync.Mutex
-	families   map[string]*family
-	collectors []func()
+	mu       sync.Mutex
+	families map[string]*family
+	// all holds every series in registration order, and flatKeys the
+	// number of keys Flatten reports for them.
+	all        []*series
+	flatKeys   int
+	collectors []*func()
 	scopes     map[string]*Scope
 }
 
@@ -171,19 +180,28 @@ func NewRegistry() *Registry {
 // OnScrape registers fn to run before every exposition (WritePrometheus,
 // Values, Handler) — the hook lazy metrics (cache hit rates, runtime
 // stats) refresh through. fn runs outside the registry lock, so it may
-// register and update metrics freely.
-func (r *Registry) OnScrape(fn func()) {
+// register and update metrics freely. The returned function removes fn
+// again: a collector that holds a finished run's state must be removed,
+// or a long-lived registry keeps that state reachable and runs fn on
+// every later scrape.
+func (r *Registry) OnScrape(fn func()) (remove func()) {
+	p := &fn
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.collectors = append(r.collectors, fn)
+	r.collectors = append(r.collectors, p)
+	return func() {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		r.collectors = slices.DeleteFunc(r.collectors, func(q *func()) bool { return q == p })
+	}
 }
 
 func (r *Registry) runCollectors() {
 	r.mu.Lock()
-	fns := append([]func(){}, r.collectors...)
+	fns := slices.Clone(r.collectors)
 	r.mu.Unlock()
 	for _, fn := range fns {
-		fn()
+		(*fn)()
 	}
 }
 
@@ -206,12 +224,22 @@ func (r *Registry) lookup(name, help string, typ metricType, upper []float64, la
 		switch typ {
 		case counterType:
 			s.c = &Counter{}
+			s.keys = []string{seriesName(name, rendered, "")}
+			r.flatKeys++
 		case gaugeType:
 			s.g = &Gauge{}
+			s.keys = []string{seriesName(name, rendered, "")}
 		case histogramType:
 			s.h = &Histogram{upper: f.upper, buckets: make([]atomic.Uint64, len(f.upper)+1)}
+			for _, ub := range f.upper {
+				s.keys = append(s.keys, seriesName(name+"_bucket", rendered, `le="`+formatFloat(ub)+`"`))
+			}
+			s.keys = append(s.keys, seriesName(name+"_bucket", rendered, `le="+Inf"`),
+				seriesName(name+"_count", rendered, ""), seriesName(name+"_sum", rendered, ""))
+			r.flatKeys += len(f.upper) + 2
 		}
 		f.series[rendered] = s
+		r.all = append(r.all, s)
 	}
 	return s
 }
@@ -358,20 +386,20 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		for _, s := range sortedSeries(f) {
 			switch f.typ {
 			case counterType:
-				fmt.Fprintf(&b, "%s %d\n", seriesName(f.name, s.labels, ""), s.c.Value())
+				fmt.Fprintf(&b, "%s %d\n", s.keys[0], s.c.Value())
 			case gaugeType:
-				fmt.Fprintf(&b, "%s %s\n", seriesName(f.name, s.labels, ""), formatFloat(s.g.Value()))
+				fmt.Fprintf(&b, "%s %s\n", s.keys[0], formatFloat(s.g.Value()))
 			case histogramType:
 				var cum uint64
-				for i, ub := range s.h.upper {
+				for i := range s.h.upper {
 					cum += s.h.buckets[i].Load()
-					le := `le="` + formatFloat(ub) + `"`
-					fmt.Fprintf(&b, "%s %d\n", seriesName(f.name+"_bucket", s.labels, le), cum)
+					fmt.Fprintf(&b, "%s %d\n", s.keys[i], cum)
 				}
 				count := s.h.Count()
-				fmt.Fprintf(&b, "%s %d\n", seriesName(f.name+"_bucket", s.labels, `le="+Inf"`), count)
-				fmt.Fprintf(&b, "%s %s\n", seriesName(f.name+"_sum", s.labels, ""), formatFloat(s.h.Sum()))
-				fmt.Fprintf(&b, "%s %d\n", seriesName(f.name+"_count", s.labels, ""), count)
+				k := len(s.h.upper)
+				fmt.Fprintf(&b, "%s %d\n", s.keys[k], count)
+				fmt.Fprintf(&b, "%s %s\n", s.keys[k+2], formatFloat(s.h.Sum()))
+				fmt.Fprintf(&b, "%s %d\n", s.keys[k+1], count)
 			}
 		}
 	}
@@ -385,27 +413,43 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // deliberately excluded — gauges are scrape-time state and float sums
 // accumulate in worker order, and Flatten feeds the sweep's
 // bit-identical aggregation (SweepReport.Metrics, Result.Metrics).
-// Collectors do not run.
+// Collectors do not run. Every key was rendered when its series was
+// registered, so a call costs one map entry per key and nothing more: a
+// sweep executor takes one per task for its metric deltas.
 func (r *Registry) Flatten() map[string]float64 {
-	out := make(map[string]float64)
-	for _, f := range r.snapshot() {
-		for _, s := range sortedSeries(f) {
-			switch f.typ {
-			case counterType:
-				out[seriesName(f.name, s.labels, "")] = float64(s.c.Value())
-			case histogramType:
-				var cum uint64
-				for i, ub := range s.h.upper {
-					cum += s.h.buckets[i].Load()
-					le := `le="` + formatFloat(ub) + `"`
-					out[seriesName(f.name+"_bucket", s.labels, le)] = float64(cum)
-				}
-				out[seriesName(f.name+"_bucket", s.labels, `le="+Inf"`)] = float64(s.h.Count())
-				out[seriesName(f.name+"_count", s.labels, "")] = float64(s.h.Count())
-			}
+	all, n := r.series()
+	out := make(map[string]float64, n)
+	for _, s := range all {
+		switch {
+		case s.c != nil:
+			out[s.keys[0]] = float64(s.c.Value())
+		case s.h != nil:
+			s.h.flatten(out, s.keys)
 		}
 	}
 	return out
+}
+
+// series returns every series in registration order and Flatten's key
+// count. Series are only ever appended, so the slice stays valid
+// outside the lock.
+func (r *Registry) series() ([]*series, int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.all, r.flatKeys
+}
+
+// flatten writes h's cumulative bucket counts and its observation count
+// into out under keys (see series.keys).
+func (h *Histogram) flatten(out map[string]float64, keys []string) {
+	var cum uint64
+	for i := range h.upper {
+		cum += h.buckets[i].Load()
+		out[keys[i]] = float64(cum)
+	}
+	count := h.Count()
+	out[keys[len(h.upper)]] = float64(count)
+	out[keys[len(h.upper)+1]] = float64(count)
 }
 
 // Values returns every scalar the registry holds — counters, gauges,
@@ -414,14 +458,13 @@ func (r *Registry) Flatten() map[string]float64 {
 func (r *Registry) Values() map[string]float64 {
 	r.runCollectors()
 	out := r.Flatten()
-	for _, f := range r.snapshot() {
-		for _, s := range sortedSeries(f) {
-			switch f.typ {
-			case gaugeType:
-				out[seriesName(f.name, s.labels, "")] = s.g.Value()
-			case histogramType:
-				out[seriesName(f.name+"_sum", s.labels, "")] = s.h.Sum()
-			}
+	all, _ := r.series()
+	for _, s := range all {
+		switch {
+		case s.g != nil:
+			out[s.keys[0]] = s.g.Value()
+		case s.h != nil:
+			out[s.keys[len(s.keys)-1]] = s.h.Sum()
 		}
 	}
 	return out

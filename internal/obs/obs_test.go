@@ -384,3 +384,81 @@ func TestFormatFloat(t *testing.T) {
 		}
 	}
 }
+
+// referenceFlatten is Flatten as it rendered every key on every call,
+// before keys were rendered at registration: families sorted by name,
+// series by labels, each name built from the family name, the labels and
+// the formatted bucket bound.
+func referenceFlatten(r *Registry) map[string]float64 {
+	out := make(map[string]float64)
+	for _, f := range r.snapshot() {
+		for _, s := range sortedSeries(f) {
+			switch f.typ {
+			case counterType:
+				out[seriesName(f.name, s.labels, "")] = float64(s.c.Value())
+			case histogramType:
+				var cum uint64
+				for i, ub := range s.h.upper {
+					cum += s.h.buckets[i].Load()
+					le := `le="` + formatFloat(ub) + `"`
+					out[seriesName(f.name+"_bucket", s.labels, le)] = float64(cum)
+				}
+				out[seriesName(f.name+"_bucket", s.labels, `le="+Inf"`)] = float64(s.h.Count())
+				out[seriesName(f.name+"_count", s.labels, "")] = float64(s.h.Count())
+			}
+		}
+	}
+	return out
+}
+
+// TestFlattenMatchesReference pins Flatten's registration-time keys to
+// the per-call rendering: labelled and unlabelled counters and
+// histograms (with bounds that format as exponents and fractions), a
+// gauge, escaped label values, and series registered after an earlier
+// Flatten, in a new family and in an existing one. Values still
+// follow the instruments after each Flatten.
+func TestFlattenMatchesReference(t *testing.T) {
+	r := NewRegistry()
+	check := func(stage string) {
+		t.Helper()
+		if got, want := r.Flatten(), referenceFlatten(r); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Flatten = %v, want %v", stage, got, want)
+		}
+	}
+	check("empty")
+	r.Counter("plain_total", "p").Add(4)
+	r.Counter("lab_total", "l", "engine", "boyd", "kind", `a"b\c`).Add(2)
+	r.Counter("lab_total", "l", "kind", "x", "engine", "push-sum").Inc()
+	r.Gauge("g", "g").Set(9)
+	h := r.Histogram("h", "h", []float64{1e-8, 0.25, 1, 64})
+	for _, v := range []float64{1e-9, 0.3, 2, 100, math.NaN()} {
+		h.Observe(v)
+	}
+	r.Histogram("lh", "lh", HopBuckets[:], "engine", "geographic").Observe(5)
+	check("registered")
+	r.Counter("plain_total", "p").Add(1)
+	h.Observe(0.1)
+	r.Counter("late_total", "late", "engine", "affine-async").Add(7)
+	r.Histogram("lh", "lh", HopBuckets[:], "engine", "boyd").Observe(300)
+	r.Histogram("late_h", "lh", ErrBuckets).Observe(1e-3)
+	check("after a Flatten")
+	if got := r.Flatten()["plain_total"]; got != 5 {
+		t.Fatalf("plain_total = %v after 4+1, want 5", got)
+	}
+}
+
+// TestOnScrapeRemove: the function OnScrape returns removes exactly its
+// own collector, and calling it twice is harmless.
+func TestOnScrapeRemove(t *testing.T) {
+	r := NewRegistry()
+	var a, b int
+	removeA := r.OnScrape(func() { a++ })
+	r.OnScrape(func() { b++ })
+	r.Values()
+	removeA()
+	removeA()
+	r.Values()
+	if a != 1 || b != 2 {
+		t.Fatalf("collector runs a=%d b=%d, want 1 and 2", a, b)
+	}
+}

@@ -13,30 +13,30 @@ import (
 	"math/rand/v2"
 )
 
-// RNG is a deterministic pseudo-random source (PCG-backed) that can be
+// RNG is a deterministic pseudo-random source (PCG-DXSM) that can be
 // split into independent named substreams.
 //
-// Uint64, Float64 and IntN (and Range, Bernoulli and IntNExcept through
-// them) read the PCG source directly with math/rand/v2's own reductions,
-// so every draw equals the rand.Rand draw it replaces without an
-// interface call per draw. NormFloat64, ExpFloat64, Perm and Shuffle stay
-// on rand.Rand over the same source, so interleaved draws share one
-// stream.
+// It holds the generator state itself, the two words rand.PCG holds,
+// and steps it exactly as rand.PCG does, so Uint64 and Float64 inline
+// into their callers. Uint64, Float64 and IntN (and Range, Bernoulli,
+// IntNExcept and the batch IntNs through them) use math/rand/v2's own
+// reductions, so every draw equals the rand.Rand draw it replaces. The
+// RNG is also the Source of its own rand.Rand, which serves
+// NormFloat64, ExpFloat64, Perm and Shuffle: interleaved draws share
+// one stream.
 type RNG struct {
-	rand *rand.Rand
-	src  *rand.PCG
-	seed uint64
+	hi, lo uint64
+	rand   *rand.Rand
+	seed   uint64
 }
 
 // New returns a generator seeded with seed. Two generators built from the
 // same seed produce identical sequences.
 func New(seed uint64) *RNG {
-	src := rand.NewPCG(seed, mix(seed, 0x9e3779b97f4a7c15))
-	return &RNG{
-		rand: rand.New(src),
-		src:  src,
-		seed: seed,
-	}
+	r := &RNG{}
+	r.rand = rand.New(r)
+	r.Reseed(seed)
+	return r
 }
 
 // Seed reports the seed this generator was created from.
@@ -47,7 +47,7 @@ func (r *RNG) Seed() uint64 { return r.seed }
 // their stream generators across runs through it: Reseed(s) followed by
 // any draw sequence is bit-identical to the same draws on New(s).
 func (r *RNG) Reseed(seed uint64) {
-	r.src.Seed(seed, mix(seed, 0x9e3779b97f4a7c15))
+	r.hi, r.lo = seed, mix(seed, 0x9e3779b97f4a7c15) // rand.NewPCG(seed1, seed2)
 	r.seed = seed
 }
 
@@ -103,9 +103,52 @@ func mix(a, b uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
+// PCG-DXSM constants, as math/rand/v2's PCG defines them: the 128-bit
+// LCG multiplier and increment, and the output multiplier.
+const (
+	mulHi    = 2549297995355413924
+	mulLo    = 4865540595714422341
+	incHi    = 6364136223846793005
+	incLo    = 1442695040888963407
+	cheapMul = 0xda942042e4dd58b5
+)
+
+// step advances the 128-bit LCG state (hi, lo) by one draw, as
+// rand.PCG's next does.
+func step(hi, lo uint64) (uint64, uint64) {
+	h, l := bits.Mul64(lo, mulLo)
+	h += hi*mulLo + lo*mulHi
+	l, c := bits.Add64(l, incLo, 0)
+	h, _ = bits.Add64(h, incHi, c)
+	return h, l
+}
+
+// output is rand.PCG's DXSM output function of a stepped state.
+func output(hi, lo uint64) uint64 {
+	hi ^= hi >> 32
+	hi *= cheapMul
+	hi ^= hi >> 48
+	return hi * (lo | 1)
+}
+
+// Uint64 returns a uniform 64-bit value: rand.PCG's Uint64 on the same
+// state. It spells out step and output rather than calling them, which
+// keeps it, and Float64 over it, within the inliner's budget.
+func (r *RNG) Uint64() uint64 {
+	hi, lo := bits.Mul64(r.lo, mulLo)
+	hi += r.hi*mulLo + r.lo*mulHi
+	lo, c := bits.Add64(lo, incLo, 0)
+	hi, _ = bits.Add64(hi, incHi, c)
+	r.hi, r.lo = hi, lo
+	hi ^= hi >> 32
+	hi *= cheapMul
+	hi ^= hi >> 48
+	return hi * (lo | 1)
+}
+
 // Float64 returns a uniform value in [0, 1): rand.Rand.Float64's low 53
 // bits of one draw over 2^53.
-func (r *RNG) Float64() float64 { return float64(r.src.Uint64()<<11>>11) / (1 << 53) }
+func (r *RNG) Float64() float64 { return float64(r.Uint64()<<11>>11) / (1 << 53) }
 
 // IntN returns a uniform int in [0, n). It panics if n <= 0, matching
 // math/rand/v2 semantics.
@@ -122,20 +165,63 @@ func (r *RNG) IntN(n int) int {
 // 2^64 mod n. (rand.Rand's 32-bit-platform path yields the same values.)
 func (r *RNG) uint64n(n uint64) uint64 {
 	if n&(n-1) == 0 {
-		return r.src.Uint64() & (n - 1)
+		return r.Uint64() & (n - 1)
 	}
-	hi, lo := bits.Mul64(r.src.Uint64(), n)
+	hi, lo := bits.Mul64(r.Uint64(), n)
 	if lo < n {
 		thresh := -n % n
 		for lo < thresh {
-			hi, lo = bits.Mul64(r.src.Uint64(), n)
+			hi, lo = bits.Mul64(r.Uint64(), n)
 		}
 	}
 	return hi
 }
 
-// Uint64 returns a uniform 64-bit value.
-func (r *RNG) Uint64() uint64 { return r.src.Uint64() }
+// IntNs fills dst with consecutive IntN draws from r: dst[i] is
+// IntN(n[i]) when n is as long as dst, and IntN(n[0]) for every i when n
+// has one element. A bound of 0 draws nothing and sets dst[i] to 0; a
+// negative bound panics, as IntN does. The values and the stream
+// position afterwards equal those of the IntN calls it replaces, but the
+// state stays in registers across the batch instead of going through
+// memory on every draw. Tick loops draw their clock owners and partner
+// picks through it.
+func IntNs[T int32 | int](r *RNG, dst, n []T) {
+	one := len(n) == 1
+	if !one && len(n) != len(dst) {
+		panic("rng: IntNs needs one bound or one per element")
+	}
+	hi, lo := r.hi, r.lo
+	for i := range dst {
+		b := n[0]
+		if !one {
+			b = n[i]
+		}
+		if b <= 0 {
+			if b < 0 {
+				r.hi, r.lo = hi, lo
+				panic("invalid argument to IntN")
+			}
+			dst[i] = 0
+			continue
+		}
+		u := uint64(b)
+		hi, lo = step(hi, lo)
+		if u&(u-1) == 0 {
+			dst[i] = T(output(hi, lo) & (u - 1))
+			continue
+		}
+		v, low := bits.Mul64(output(hi, lo), u)
+		if low < u {
+			thresh := -u % u
+			for low < thresh {
+				hi, lo = step(hi, lo)
+				v, low = bits.Mul64(output(hi, lo), u)
+			}
+		}
+		dst[i] = T(v)
+	}
+	r.hi, r.lo = hi, lo
+}
 
 // ExpFloat64 returns an exponentially distributed value with rate 1.
 func (r *RNG) ExpFloat64() float64 { return r.rand.ExpFloat64() }

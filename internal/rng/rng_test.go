@@ -531,3 +531,131 @@ func TestDrawsMatchMathRand(t *testing.T) {
 		}
 	}
 }
+
+// TestIntNsMatchesIntN pins the batch draw to the IntN calls it
+// replaces, on math/rand/v2's Rand over an identically seeded PCG, with
+// one bound for the batch and one per element, over the same n classes
+// as TestDrawsMatchMathRand (the bounds above 2^62 run the rejection
+// loop, and the test checks that some draw did) and with zero bounds,
+// which draw nothing. Float64, NormFloat64, ExpFloat64 and Shuffle are
+// interleaved between the batches, so any drift in the stream position
+// shows on the next draw. The int32 form is checked on the bounds that
+// fit it.
+func TestIntNsMatchesIntN(t *testing.T) {
+	ns := []int{1, 2, 3, 4, 5, 7, 10, 97, 1 << 10, 1000, 1<<31 - 1, 1 << 31, 1 << 40,
+		1<<62 + 1, 3 << 61, 5 << 60, 1<<63 - 3, 1<<63 - 1}
+	for _, seed := range []uint64{0, 1, 42, 1 << 40} {
+		got := New(seed)
+		src := &countingSource{pcg: rand.NewPCG(seed, mix(seed, 0x9e3779b97f4a7c15))}
+		want := rand.New(src)
+		rejected := 0 // reference IntN calls that took more than one draw
+		intN := func(n int) int {
+			before := src.draws
+			v := want.IntN(n)
+			if src.draws > before+1 {
+				rejected++
+			}
+			return v
+		}
+		interleave := func(round int) {
+			t.Helper()
+			if a, b := got.Float64(), want.Float64(); a != b {
+				t.Fatalf("seed %d round %d: Float64 = %v, want %v", seed, round, a, b)
+			}
+			if a, b := got.NormFloat64(), want.NormFloat64(); a != b {
+				t.Fatalf("seed %d round %d: NormFloat64 = %v, want %v", seed, round, a, b)
+			}
+			if a, b := got.ExpFloat64(), want.ExpFloat64(); a != b {
+				t.Fatalf("seed %d round %d: ExpFloat64 = %v, want %v", seed, round, a, b)
+			}
+			sg, sw := []int{0, 1, 2, 3, 4, 5}, []int{0, 1, 2, 3, 4, 5}
+			got.Shuffle(len(sg), func(i, j int) { sg[i], sg[j] = sg[j], sg[i] })
+			want.Shuffle(len(sw), func(i, j int) { sw[i], sw[j] = sw[j], sw[i] })
+			if !slices.Equal(sg, sw) {
+				t.Fatalf("seed %d round %d: Shuffle = %v, want %v", seed, round, sg, sw)
+			}
+		}
+		for round := range 200 {
+			// One bound for the whole batch.
+			n := ns[round%len(ns)]
+			dst := make([]int, 1+round%9)
+			IntNs(got, dst, []int{n})
+			for i, v := range dst {
+				if w := intN(n); v != w {
+					t.Fatalf("seed %d round %d: IntNs(n=%d)[%d] = %d, want %d", seed, round, n, i, v, w)
+				}
+			}
+			interleave(round)
+			// One bound per element, zeros among them.
+			bounds := make([]int, len(ns)+3)
+			for i := range bounds {
+				if i%6 != 5 {
+					bounds[i] = ns[(i+round)%len(ns)]
+				}
+			}
+			dst = make([]int, len(bounds))
+			for i := range dst {
+				dst[i] = -1
+			}
+			IntNs(got, dst, bounds)
+			for i, v := range dst {
+				w := 0
+				if bounds[i] > 0 {
+					w = intN(bounds[i])
+				}
+				if v != w {
+					t.Fatalf("seed %d round %d: IntNs bound %d at %d = %d, want %d", seed, round, bounds[i], i, v, w)
+				}
+			}
+			interleave(round)
+			// The int32 form, per element and shared.
+			b32 := []int32{1, 2, 3, 64, 97, 1<<31 - 1, 0, 1 << 30, 12345}
+			d32 := make([]int32, len(b32))
+			IntNs(got, d32, b32)
+			for i, v := range d32 {
+				var w int32
+				if b32[i] > 0 {
+					w = int32(want.IntN(int(b32[i])))
+				}
+				if v != w {
+					t.Fatalf("seed %d round %d: IntNs int32 bound %d = %d, want %d", seed, round, b32[i], v, w)
+				}
+			}
+			IntNs(got, d32, []int32{1<<31 - 1})
+			for _, v := range d32 {
+				if w := int32(want.IntN(1<<31 - 1)); v != w {
+					t.Fatalf("seed %d round %d: IntNs int32 shared bound = %d, want %d", seed, round, v, w)
+				}
+			}
+			interleave(round)
+		}
+		if rejected == 0 {
+			t.Fatalf("seed %d: no IntN draw reached the rejection loop", seed)
+		}
+		// A zero shared bound draws nothing at all.
+		dst := []int{7, 7, 7}
+		IntNs(got, dst, []int{0})
+		if !slices.Equal(dst, []int{0, 0, 0}) {
+			t.Fatalf("seed %d: IntNs with bound 0 = %v, want zeros", seed, dst)
+		}
+		if a, b := got.Uint64(), want.Uint64(); a != b {
+			t.Fatalf("seed %d: a zero bound drew: Uint64 = %d, want %d", seed, a, b)
+		}
+	}
+}
+
+// TestIntNsPanics checks the batch's argument rules: a negative bound
+// panics as IntN does, and so does a bound list that is neither one
+// bound nor one per element.
+func TestIntNsPanics(t *testing.T) {
+	for name, bounds := range map[string][]int{"negative": {3, -1}, "length": {3, 4, 5}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: IntNs did not panic", name)
+				}
+			}()
+			IntNs(New(1), make([]int, 2), bounds)
+		}()
+	}
+}

@@ -27,14 +27,14 @@ import (
 //	return h.Finish(name, &metrics.Result{...protocol counters...}), nil
 //
 // which keeps the clock/tracker/counter/curve wiring — and its exact
-// draw and sampling order — identical across engines. Tick is Clock.Draw
+// draw and sampling order — identical across engines. Tick is Clock.Next
 // followed by Advance; the boyd and push-sum engines split the two to
 // run the same body as a two-phase pipeline (DESIGN.md §7):
 //
 //	for i, k := 0, 0; !h.Done(); i++ {
 //	    if i == k { // phase 1: draw a batch ahead, touch its cache lines
 //	        i, k = 0, min(depth, h.Stop.MaxTicks-h.Clock.Ticks())
-//	        for j := range k { owner[j] = h.Clock.Draw() }
+//	        h.Clock.Draw(owner[:k])
 //	        ... draw partners (no churn only), read their state ...
 //	    }
 //	    h.Advance() // phase 2: apply the batch in tick order
@@ -175,9 +175,10 @@ func (h *Harness) Done() bool {
 }
 
 // Tick advances the clock and the medium together and returns the node
-// whose clock fired: Clock.Draw, then Advance.
+// whose clock fired: Clock.Next, drawing owners a batch ahead but never
+// past Stop.MaxTicks, then Advance.
 func (h *Harness) Tick() int32 {
-	s := h.Clock.Draw()
+	s := h.Clock.Next(h.Stop.MaxTicks)
 	h.Advance()
 	return s
 }
@@ -210,26 +211,40 @@ func (h *Harness) Alive(i int32) bool { return h.Medium.Alive(i) }
 // ticks advance one at a time, so comparing with the next multiple
 // replaces a division per tick.
 func (h *Harness) Sample() {
-	if t := h.Clock.Ticks(); t == h.next {
-		h.next += h.every
-		h.Curve.Record(t, h.Counter.Total(), h.Tracker.Err())
+	if h.Clock.Ticks() == h.next {
+		h.sample()
 	}
 }
 
-// Trace records ev when a tracer is attached.
-func (h *Harness) Trace(ev trace.Event) {
+// sample is Sample's record, out of line so that Sample inlines.
+//
+//go:noinline
+func (h *Harness) sample() {
+	t := h.Clock.Ticks()
+	h.next += h.every
+	h.Curve.Record(t, h.Counter.Total(), h.Tracker.Err())
+}
+
+// Trace records an event of the given fields when a tracer is attached.
+// It builds the event only then, so an untraced tick stores nothing.
+func (h *Harness) Trace(kind trace.Kind, square int, a, b int32, hops int) {
 	if h.Tracer != nil {
-		h.Tracer.Record(ev)
+		h.record(kind, square, a, b, hops)
 	}
+}
+
+// record is Trace's tracer call, out of line so that Trace inlines.
+//
+//go:noinline
+func (h *Harness) record(kind trace.Kind, square int, a, b int32, hops int) {
+	h.Tracer.Record(trace.Event{Kind: kind, Square: square, NodeA: a, NodeB: b, Hops: hops})
 }
 
 // TraceLoss records a lost data packet between a and b costing paid,
 // through both the tracer and the run's tally.
 func (h *Harness) TraceLoss(a, b int32, paid int) {
 	h.Tally.Loss(paid)
-	if h.Tracer != nil {
-		h.Tracer.Record(trace.Event{Kind: trace.KindLoss, Square: -1, NodeA: a, NodeB: b, Hops: paid})
-	}
+	h.Trace(trace.KindLoss, -1, a, b, paid)
 }
 
 // Finite reports whether a run's final error is finite. The engine

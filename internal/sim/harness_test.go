@@ -146,3 +146,84 @@ func TestHarnessDoneAndSampleMatchRules(t *testing.T) {
 		})
 	}
 }
+
+// TestTickMatchesPerTickDraw pins Harness.Tick, which draws owners a
+// batch ahead, to a per-tick Clock.Draw reference on a twin stream: the
+// same owner at every tick while MaxTicks is raised a few ticks at a
+// time (so batches are cut short at the limit), and again after a
+// pooled Reset that drops a batch part-way through.
+func TestTickMatchesPerTickDraw(t *testing.T) {
+	x := make([]float64, 37)
+	for i := range x {
+		x[i] = float64(i)
+	}
+	h := &Harness{}
+	ref := &Clock{}
+	var one [1]int32
+	check := func(clockSeed uint64, raises []uint64) {
+		t.Helper()
+		h.Reset(x, HarnessConfig{Stop: StopRule{MaxTicks: raises[0]}}, rng.New(clockSeed))
+		ref.Reset(len(x), rng.New(clockSeed))
+		for k, limit := range raises {
+			h.Stop.MaxTicks = limit
+			for h.Clock.Ticks() < limit {
+				ref.Draw(one[:])
+				if got := h.Tick(); got != one[0] {
+					t.Fatalf("seed %d, limit %d (raise %d), tick %d: Tick = %d, per-tick draw %d",
+						clockSeed, limit, k, h.Clock.Ticks(), got, one[0])
+				}
+			}
+		}
+	}
+	// Raises of 1, 5 and 31 ticks, and one past a full batch.
+	check(11, []uint64{1, 6, 37, 70, 71, 200})
+	// Reset mid-batch: 8 ticks into a 1000-tick run leave 24 owners of
+	// the first batch drawn and unused; the next run on the pooled
+	// harness must not see them.
+	h.Reset(x, HarnessConfig{Stop: StopRule{MaxTicks: 1000}}, rng.New(13))
+	for range 8 {
+		h.Tick()
+	}
+	check(14, []uint64{3, 90})
+}
+
+// TestSetPairMatchesTwoSets pins ErrTracker.SetPair to Set(i, vi)
+// followed by Set(j, vj) bit for bit — values, running deviation and
+// update count — for random pairs, for i == j, and with the exact
+// recomputation falling due on the first or the second of the two
+// updates.
+func TestSetPairMatchesTwoSets(t *testing.T) {
+	r := rng.New(21)
+	n := 16
+	xa, xb := make([]float64, n), make([]float64, n)
+	for i := range xa {
+		xa[i] = r.NormFloat64() * 1e3
+	}
+	copy(xb, xa)
+	a, b := NewErrTracker(xa), NewErrTracker(xb)
+	a.resyncEvery, b.resyncEvery = 7, 7
+	same := func(step int) {
+		t.Helper()
+		if math.Float64bits(a.dev2) != math.Float64bits(b.dev2) || a.updates != b.updates || !slices.Equal(xa, xb) {
+			t.Fatalf("step %d: SetPair dev2 %v (updates %d), two Sets %v (updates %d)", step, a.dev2, a.updates, b.dev2, b.updates)
+		}
+	}
+	resyncs := [2]int{}
+	for step := range 500 {
+		i, j := int32(r.IntN(n)), int32(r.IntN(n))
+		if step%11 == 0 {
+			j = i
+		}
+		vi, vj := r.NormFloat64()*1e3, r.NormFloat64()
+		if before := b.updates; before+2 >= b.resyncEvery {
+			resyncs[before+2-b.resyncEvery]++ // 0: on the second update, 1: on the first
+		}
+		a.SetPair(i, j, vi, vj)
+		b.Set(i, vi)
+		b.Set(j, vj)
+		same(step)
+	}
+	if resyncs[0] == 0 || resyncs[1] == 0 {
+		t.Fatalf("recomputations on the second / first update: %v, want both", resyncs)
+	}
+}

@@ -187,7 +187,7 @@ func Serve(ctx context.Context, ln net.Listener, spec sweep.Spec, opt CoordOptio
 		c.state[r.TaskID] = stateDone
 		c.results[r.TaskID] = &r
 	}
-	c.registerObs()
+	defer c.registerObs()()
 	c.mu.Lock()
 	c.advanceFrontier()
 	c.mu.Unlock()
@@ -247,10 +247,14 @@ func (c *coordinator) isFinished() bool {
 	return c.finished
 }
 
-func (c *coordinator) registerObs() {
+// registerObs registers the coordinator's gauges and its scrape-time
+// collector, and returns the function Serve defers: it removes the
+// collector, which holds the coordinator, and refreshes the gauges one
+// last time, so they keep the finished sweep's values.
+func (c *coordinator) registerObs() (unregister func()) {
 	reg := c.opt.Obs
 	if reg == nil {
-		return
+		return func() {}
 	}
 	reg.Gauge(obs.MetricSweepTasksTotal,
 		"Tasks scheduled in the current sweep run.").Set(float64(c.execTotal))
@@ -265,7 +269,7 @@ func (c *coordinator) registerObs() {
 		"Completed results buffered ahead of the canonical flush frontier.")
 	c.gaugeReiss = reg.Gauge(obs.MetricDistLeasesReissued,
 		"Leases returned to the pool after worker death or heartbeat timeout.")
-	reg.OnScrape(func() {
+	refresh := func() {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		now := time.Now()
@@ -276,7 +280,12 @@ func (c *coordinator) registerObs() {
 				"Seconds since each worker's last message.", "worker", w.key).Set(now.Sub(w.lastBeat).Seconds())
 		}
 		c.statsLocked().SetGauges(reg)
-	})
+	}
+	remove := reg.OnScrape(refresh)
+	return func() {
+		remove()
+		refresh()
+	}
 }
 
 // statsLocked sums the latest run statistics of every worker session,

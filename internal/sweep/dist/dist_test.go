@@ -418,3 +418,40 @@ func TestProtocolVersionMismatchRejected(t *testing.T) {
 	cancel()
 	<-serveCh
 }
+
+// TestServeRemovesScrapeCollector: coordinators that share one registry
+// leave no scrape collector behind (it holds the coordinator), and the
+// gauges keep the last sweep's values: its task count and its workers'
+// summed statistics.
+func TestServeRemovesScrapeCollector(t *testing.T) {
+	reg := obs.NewRegistry()
+	spec := testSpec()
+	var sum *Summary
+	for i := range 2 {
+		opt := coordOpts(nil)
+		opt.Obs = reg
+		addr, serveCh := serveAsync(t, context.Background(), spec, opt)
+		if err := Join(context.Background(), addr, WorkerOptions{Name: fmt.Sprintf("w%d", i), Slots: 2}); err != nil {
+			t.Fatalf("sweep %d: worker: %v", i, err)
+		}
+		sum = waitServe(t, serveCh)
+	}
+	vals := reg.Values()
+	hits := obs.MetricRouteCacheLookups + `{kind="route",result="hit"}`
+	for key, want := range map[string]float64{
+		obs.MetricSweepTasksDone:    float64(spec.TaskCount()),
+		obs.MetricChannelPoolBuilds: float64(sum.Stats.ChannelBuilds),
+		hits:                        float64(sum.Stats.Route.RouteHits),
+	} {
+		if got := vals[key]; got != want {
+			t.Errorf("%s reads %v after the sweeps, want the last sweep's %v", key, got, want)
+		}
+	}
+	if sum.Stats.Route.RouteHits == 0 {
+		t.Fatal("the last sweep had no route cache hits; the gauge check shows nothing")
+	}
+	reg.Gauge(obs.MetricChannelPoolBuilds, "").Set(-1)
+	if got := reg.Values()[obs.MetricChannelPoolBuilds]; got != -1 {
+		t.Fatalf("a finished coordinator's collector is still registered: it reset the gauge to %v", got)
+	}
+}

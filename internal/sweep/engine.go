@@ -50,11 +50,13 @@ type Options struct {
 	NetStore *netstore.Store
 	// Obs, when non-nil, receives the sweep's metrics: every engine run
 	// reports into a per-algorithm scope on this registry, and the run
-	// registers scrape-time collectors for task progress and its
-	// RunStats (see RunStats.SetGauges). All instruments are atomic, so
-	// the registry may be scraped (e.g. served over HTTP) while the sweep
-	// is running. Nil runs every engine with a nil scope — the
-	// zero-overhead default. Execution results are unaffected either way.
+	// keeps scrape-time gauges of task progress and its RunStats (see
+	// RunStats.SetGauges) current through a collector it removes on
+	// return, leaving the gauges at their final values. All instruments
+	// are atomic, so the registry may be scraped (e.g. served over HTTP)
+	// while the sweep is running. Nil runs every engine with a nil scope
+	// — the zero-overhead default. Execution results are unaffected
+	// either way.
 	Obs *obs.Registry
 }
 
@@ -89,7 +91,14 @@ func Run(ctx context.Context, spec Spec, opt Options) ([]TaskResult, error) {
 		doneGauge = reg.Gauge(obs.MetricSweepTasksDone,
 			"Tasks completed in the current sweep run.")
 		doneGauge.Set(0)
-		reg.OnScrape(func() { ex.Stats().SetGauges(reg) })
+		refresh := func() { ex.Stats().SetGauges(reg) }
+		remove := reg.OnScrape(refresh)
+		// The collector holds the executor and its networks: drop it
+		// when the run ends, leaving the gauges at the run's final values.
+		defer func() {
+			remove()
+			refresh()
+		}()
 	}
 	results := append(make([]TaskResult, 0, len(all)), opt.Resume...)
 	done := 0

@@ -662,3 +662,42 @@ func TestAsyncBudgetOverrides(t *testing.T) {
 		t.Fatalf("matching override rejected on resume: %v", err)
 	}
 }
+
+// TestRunRemovesScrapeCollector: sweeps that share one registry leave
+// no scrape collector of theirs behind (it holds the run's executor and
+// its networks), and the sweep gauges keep the last run's values. A
+// collector left behind would overwrite the sentinel on a later scrape,
+// and would run beside the test's own collector on every one.
+func TestRunRemovesScrapeCollector(t *testing.T) {
+	reg := obs.NewRegistry()
+	scrapes := 0
+	reg.OnScrape(func() { scrapes++ })
+	var stats RunStats
+	for _, seeds := range []int{1, 2, 1} {
+		spec := smallSpec()
+		spec.Seeds = seeds
+		if _, err := Run(context.Background(), spec, Options{Workers: 2, Obs: reg, Stats: &stats}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vals := reg.Values()
+	if scrapes != 1 {
+		t.Fatalf("one scrape ran the test's collector %d times", scrapes)
+	}
+	hits := obs.MetricRouteCacheLookups + `{kind="route",result="hit"}`
+	for key, want := range map[string]uint64{
+		obs.MetricChannelPoolBuilds: stats.ChannelBuilds,
+		hits:                        stats.Route.RouteHits,
+	} {
+		if got := vals[key]; got != float64(want) {
+			t.Errorf("%s reads %v after the sweeps, want the last run's %d", key, got, want)
+		}
+	}
+	if stats.Route.RouteHits == 0 {
+		t.Fatal("the last run had no route cache hits; the gauge check shows nothing")
+	}
+	reg.Gauge(obs.MetricChannelPoolBuilds, "").Set(-1)
+	if got := reg.Values()[obs.MetricChannelPoolBuilds]; got != -1 {
+		t.Fatalf("a finished sweep's collector is still registered: it reset the gauge to %v", got)
+	}
+}
