@@ -522,6 +522,9 @@ func printAggregation(w io.Writer, rep *geogossip.SweepReport) {
 				f.Algorithm, f.N, recLabel(f.Recover), f.Beta, f.Exponent, f.Constant, f.R2, f.Points)
 		}
 	}
+	if rep.UnconvergedCells > 0 {
+		fmt.Fprintf(w, "\nfits leave out %d cells in which a run missed the target error\n", rep.UnconvergedCells)
+	}
 }
 
 // recLabel renders the recovery column.

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"geogossip"
 )
 
 // TestMain runs the command itself when the test binary is re-executed
@@ -65,6 +67,7 @@ func TestErrorsCarryOnePrefix(t *testing.T) {
 		want string
 	}{
 		{[]string{"-betas", "-1"}, "sweep: Betas value -1 is negative"},
+		{[]string{"-seeds", "1099511627776"}, "sweep: grid expands to more than 1048576 tasks"},
 		{[]string{"-resume"}, "sweep: -resume needs -out FILE: stdout output cannot be re-read"},
 	} {
 		// The error is the last line; progress and phase lines precede it.
@@ -72,5 +75,23 @@ func TestErrorsCarryOnePrefix(t *testing.T) {
 		if got := lines[len(lines)-1]; got != tc.want {
 			t.Errorf("%v: error line %q, want %q", tc.args, got, tc.want)
 		}
+	}
+}
+
+// TestAggregationNamesUnconvergedCells checks that the summary names the
+// cells the fits left out, and prints nothing for them when every cell
+// converged, so a converged grid's summary keeps its bytes.
+func TestAggregationNamesUnconvergedCells(t *testing.T) {
+	var rep geogossip.SweepReport
+	var buf bytes.Buffer
+	printAggregation(&buf, &rep)
+	if strings.Contains(buf.String(), "leave out") {
+		t.Errorf("converged grid's summary names left-out cells:\n%s", buf.String())
+	}
+	rep.UnconvergedCells = 2
+	buf.Reset()
+	printAggregation(&buf, &rep)
+	if want := "\nfits leave out 2 cells in which a run missed the target error\n"; !strings.HasSuffix(buf.String(), want) {
+		t.Errorf("summary %q does not end with %q", buf.String(), want)
 	}
 }

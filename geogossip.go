@@ -58,7 +58,6 @@ import (
 
 	"geogossip/internal/channel"
 	"geogossip/internal/engine"
-	"geogossip/internal/gossip"
 	"geogossip/internal/graph"
 	"geogossip/internal/hier"
 	"geogossip/internal/metrics"
@@ -332,7 +331,7 @@ func WithBeta(beta float64) RunOption {
 // WithUniformSampling switches geographic gossip to idealized exact
 // uniform partner sampling instead of rejection sampling.
 func WithUniformSampling() RunOption {
-	return func(c *runConfig) { c.run.Sampling = gossip.SamplingUniformNode }
+	return func(c *runConfig) { c.run.Sampling = sim.SamplingUniformNode }
 }
 
 // WithThrottle sets the async protocol's round-serialization factor

@@ -8,14 +8,16 @@ import (
 	"geogossip/internal/graph"
 	"geogossip/internal/hier"
 	"geogossip/internal/metrics"
-	"geogossip/internal/obs"
 	"geogossip/internal/rng"
 	"geogossip/internal/routing"
 	"geogossip/internal/sim"
 	"geogossip/internal/trace"
 )
 
-// AsyncOptions configures RunAsync, the event-driven protocol of §4.
+// AsyncOptions configures RunAsync, the event-driven protocol of §4: the
+// engines' one options record over this package's pooled run state. The
+// engine reads Stop, Eps, Beta, Throttle, RoundsFactor, LeafTicks,
+// RecordEvery, Faults, Recover, Routes, State, Tracer and Obs.
 //
 // Budget model: the paper gives each square a round length
 // time(n, r, ε, δ) — a worst-case 16th-power polylog — and throttles
@@ -24,63 +26,20 @@ import (
 // structure and replace the constants: a leaf representative's round
 // lasts LeafTicks of its own clock; an internal square at depth r gets
 // budget(r) = ceil(RoundsFactor·ln(m/ε_r))·Throttle·budget(r+1) ticks
-// (m = its child count), and a depth-r square fires Far with probability
+// (m = its child count, ε_r from Eps by the schedule of DESIGN.md §4.1
+// at κ = 4), and a depth-r square fires Far with probability
 // 1/(Throttle·budget(r)) per tick. Throttle stands in for the paper's
 // n^a serialization factor; experiment E13 sweeps it and counts overlap
-// events.
-type AsyncOptions struct {
-	// Eps sizes the per-level budgets via the adaptive schedule
-	// ε_{r+1} = ε_r / (κ·sqrt(E#[□_r])), κ = 4 (DESIGN.md §4.1). Zero
-	// selects 1e-2.
-	Eps float64
-	// Beta scales the affine coefficient; zero selects DefaultBeta.
-	Beta float64
-	// Throttle is the round-serialization factor; zero selects 8.
-	Throttle float64
-	// RoundsFactor scales exchanges per round; zero selects 1.
-	RoundsFactor float64
-	// LeafTicks is a leaf representative's round budget in its own clock
-	// ticks; zero selects 64.
-	LeafTicks int
-	// Stop bundles global termination (the experiment-level oracle); its
-	// zero MaxTicks defaults to sim's defensive cap.
-	Stop sim.StopRule
-	// RecordEvery samples the convergence curve every RecordEvery ticks;
-	// zero selects n.
-	RecordEvery uint64
-	// Routes optionally supplies a shared deterministic route/flood
-	// cache bound to the run's graph (see RecursiveOptions.Routes).
-	Routes *routing.Cache
-	// Faults selects the radio fault model for the data plane (loss
-	// process, spatial jamming, partition cuts and/or node churn —
-	// including churn targeted at representatives). The zero Spec is the
-	// perfect medium. The control plane (activation floods and routes) is
-	// assumed reliable.
-	Faults channel.Spec
-	// Recover enables the recovery protocol: once per simulated time
-	// unit (n ticks) squares with dead representatives re-elect the
-	// nearest alive member (paying an election flood over the square's
-	// live members), and nodes that revived since the last sweep resync
-	// their control state from a live leaf neighbour (2 transmissions
-	// each). Off by default — enabling it changes behaviour under churn,
-	// so historical churn runs stay bit-identical without it. Takeovers
-	// happen on a copy-on-write representative view (hier.RepView); the
-	// shared hierarchy build is never mutated.
-	Recover bool
-	// State optionally supplies a reusable run state shared with the
-	// recursive engine (see RecursiveOptions.State). Nil gives the run a
-	// fresh private state.
-	State *RunState
-	// Tracer, when non-nil, receives structured protocol events
-	// (activations, deactivations, far exchanges, losses, resyncs,
-	// churn transitions).
-	Tracer trace.Tracer
-	// Obs, when non-nil, receives the run's metrics in one flush at run
-	// end (see obs.Scope). Nil costs nothing.
-	Obs *obs.Scope
-}
+// events. Stop is the experiment-level oracle that ends the run. Under
+// Recover, once per simulated time unit (n ticks) squares with dead
+// representatives re-elect, and nodes that revived since the last sweep
+// resync their control state from a live leaf neighbour; the control
+// plane (activation floods and routes) is assumed reliable.
+type AsyncOptions = sim.Options[RunState]
 
-func (o AsyncOptions) withDefaults() AsyncOptions {
+// asyncDefaults returns o with RunAsync's zero fields replaced by its
+// defaults.
+func asyncDefaults(o AsyncOptions) AsyncOptions {
 	if o.Eps <= 0 {
 		o.Eps = 1e-2
 	}
@@ -158,7 +117,7 @@ func RunAsync(g *graph.Graph, h *hier.Hierarchy, x []float64, opt AsyncOptions, 
 	if len(h.NodeLeaf) != g.N() {
 		return nil, fmt.Errorf("core: hierarchy covers %d nodes, graph has %d", len(h.NodeLeaf), g.N())
 	}
-	opt = opt.withDefaults()
+	opt = asyncDefaults(opt)
 	if g.N() == 0 {
 		return &Result{Result: sim.EmptyResult("affine-async")}, nil
 	}

@@ -47,66 +47,20 @@ const DefaultBeta = 2.0 / 5.0
 // hierarchy engines: ε_{r+1} = ε_r / (κ·sqrt(E#[□_r])) (DESIGN.md §4.1).
 const epsDecay = 4
 
-// RecursiveOptions configures RunRecursive.
-type RecursiveOptions struct {
-	// Eps is the target relative ℓ₂ accuracy ε₀ at the root. Zero selects
-	// 1e-4.
-	Eps float64
-	// EpsDecayFactor sets the per-level accuracy schedule
-	// ε_{r+1} = ε_r / (EpsDecayFactor·sqrt(E#[□_r])). The affine update
-	// amplifies residual intra-child error by ≈ Beta·sqrt(E#), so the
-	// next level's target must shrink by at least that factor — the
-	// practical core of the paper's ε_{r+1} = ε_r/(25·n^{7/2+a}) schedule
-	// (Lemma 2's noise floor). Zero selects 4; experiment E15 sweeps it.
-	EpsDecayFactor float64
-	// Beta scales the affine coefficient Beta·E#[child]. Zero selects
-	// DefaultBeta = 2/5. Experiment E11 sweeps it.
-	Beta float64
-	// Convex replaces the affine update with plain averaging of the two
-	// representative values (ablation E12).
-	Convex bool
-	// Routes optionally supplies a shared deterministic route/flood
-	// cache bound to the run's graph (see routing.Cache). Nil gives the
-	// run a fresh private cache; the sweep engine shares one cache per
-	// network build. Routing is a pure function of the immutable graph,
-	// so cache sharing cannot change results.
-	Routes *routing.Cache
-	// RecordEvery samples the convergence curve every RecordEvery far
-	// exchanges. Zero selects 16.
-	RecordEvery int
-	// Faults selects the radio fault model (loss process, spatial
-	// jamming, partition cuts and/or node churn — including churn
-	// targeted at hierarchy representatives). The zero Spec is the
-	// perfect medium. This engine has no global clock, so churn and
-	// field/cut schedules are measured in transmissions.
-	Faults channel.Spec
-	// Recover enables representative re-election: when a long-range
-	// exchange finds a square's representative dead, the member nearest
-	// the square's centre among the survivors takes over (paying an
-	// election flood over the square's live members) and the exchange
-	// proceeds with the new representative. Off by default — enabling it
-	// changes behaviour under churn, so historical churn runs stay
-	// bit-identical without it. Takeovers happen on a copy-on-write
-	// representative view (hier.RepView); the shared hierarchy build is
-	// never mutated.
-	Recover bool
-	// State optionally supplies a reusable run state (routing core,
-	// representative view, flattened adjacency/repair tables, channel
-	// pool, RNG streams, scratch), so repeat runs — the sweep engine
-	// pools one per worker — perform O(1) state allocations instead of
-	// re-allocating everything per run. Nil gives the run a fresh private
-	// state. Reuse cannot change results (see RunState).
-	State *RunState
-	// Tracer, when non-nil, receives structured protocol events (far
-	// exchanges, leaf completions, losses).
-	Tracer trace.Tracer
-	// Obs, when non-nil, receives the run's metrics in one flush at run
-	// end (see obs.Scope), so the ~100ns far-exchange hot path stays
-	// atomic-free. Nil costs nothing.
-	Obs *obs.Scope
-}
+// RecursiveOptions configures RunRecursive: the engines' one options
+// record over this package's pooled run state. The engine reads Eps,
+// EpsDecayFactor, Beta, Convex, RecordEvery (counted in far exchanges),
+// Faults, Recover, Routes, State, Tracer and Obs. It has no global
+// clock, so it ignores Stop, and churn and field or cut schedules run on
+// its transmission count. Under Recover, a long-range exchange that
+// finds a square's representative dead first hands the role to the
+// surviving member nearest the square's centre, paying an election
+// flood over the square's live members.
+type RecursiveOptions = sim.Options[RunState]
 
-func (o RecursiveOptions) withDefaults() RecursiveOptions {
+// recursiveDefaults returns o with RunRecursive's zero fields replaced
+// by its defaults.
+func recursiveDefaults(o RecursiveOptions) RecursiveOptions {
 	if o.Eps <= 0 {
 		o.Eps = 1e-4
 	}
@@ -116,7 +70,7 @@ func (o RecursiveOptions) withDefaults() RecursiveOptions {
 	if o.Beta == 0 {
 		o.Beta = DefaultBeta
 	}
-	if o.RecordEvery <= 0 {
+	if o.RecordEvery == 0 {
 		o.RecordEvery = 16
 	}
 	return o
@@ -183,7 +137,7 @@ func RunRecursive(g *graph.Graph, h *hier.Hierarchy, x []float64, opt RecursiveO
 	if len(h.NodeLeaf) != g.N() {
 		return nil, fmt.Errorf("core: hierarchy covers %d nodes, graph has %d", len(h.NodeLeaf), g.N())
 	}
-	opt = opt.withDefaults()
+	opt = recursiveDefaults(opt)
 	name := algorithmName(opt, h)
 	if g.N() == 0 {
 		return &Result{Result: sim.EmptyResult(name)}, nil
@@ -453,7 +407,7 @@ func (e *engine) farExchange(a, b *hier.Square) {
 	if e.opt.Tracer != nil {
 		e.opt.Tracer.Record(trace.Event{Kind: trace.KindFar, Square: a.ID, NodeA: ra, NodeB: rb, Hops: hops})
 	}
-	if e.res.FarExchanges%uint64(e.opt.RecordEvery) == 0 {
+	if e.res.FarExchanges%e.opt.RecordEvery == 0 {
 		e.curve.Record(e.res.FarExchanges, e.counter.Total(), e.tracker.Err())
 	}
 }

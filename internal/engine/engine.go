@@ -1,24 +1,20 @@
 // Package engine is the one table of the averaging engines. The facade,
 // the sweep, cmd/geogossip and the experiments look engines up here by
-// name. Each entry alone decides which Config fields its engine reads,
-// and returns its engine's *metrics.Result unchanged (DESIGN.md §7,
-// "Engine table").
+// name. Every entry hands the one options record to its engine, which
+// reads the fields that name it, and returns its engine's
+// *metrics.Result unchanged (DESIGN.md §7, "Engine table").
 package engine
 
 import (
 	"fmt"
 
-	"geogossip/internal/channel"
 	"geogossip/internal/core"
 	"geogossip/internal/gossip"
 	"geogossip/internal/graph"
 	"geogossip/internal/hier"
 	"geogossip/internal/metrics"
-	"geogossip/internal/obs"
 	"geogossip/internal/rng"
-	"geogossip/internal/routing"
 	"geogossip/internal/sim"
-	"geogossip/internal/trace"
 )
 
 // Engine names, as the facade, the sweep grid and its sink spell them.
@@ -30,29 +26,17 @@ const (
 	Async      = "affine-async"
 )
 
-// Config is every option an engine can read. Zero values select each
-// engine's defaults.
-type Config struct {
-	// Stop is the target error and tick cap; affine-hierarchical has no
-	// clock and reads only the target.
-	Stop   sim.StopRule
-	Faults channel.Spec
-	// Recover switches on re-election (affine engines) or
-	// restart-from-neighbor resync (boyd, geographic).
-	Recover bool
-	// Beta, Throttle and LeafTicks are the affine engines' knobs (the
-	// last two affine-async's only); Sampling is geographic's.
-	Beta      float64
-	Throttle  float64
-	LeafTicks int
-	Sampling  gossip.Sampling
-	Tracer    trace.Tracer
-	Obs       *obs.Scope
-	// Routes is the network's shared route/flood cache.
-	Routes *routing.Cache
-	// Gossip and Core are pooled run states; nil runs on fresh state.
-	Gossip *gossip.RunState
-	Core   *core.RunState
+// Config is every option an engine can read: the engines' one options
+// record (sim.Options), over the pair of pooled run states. Zero values
+// select each engine's defaults, except where Run fills one in.
+type Config = sim.Options[State]
+
+// State is the engine table's pooled run state: one reusable state per
+// engine family, so one sweep slot runs all five engines on its own
+// states. A nil Config.State runs each engine on a fresh private state.
+type State struct {
+	Gossip gossip.RunState
+	Core   core.RunState
 }
 
 // Engine is one entry of the table. Hierarchical engines run over the
@@ -75,7 +59,18 @@ var table = []Engine{
 // the values x. A run that ends at a NaN or infinite relative error
 // fails with an error naming the engine and the value: it neither
 // converged nor left a result anyone can aggregate or encode.
+//
+// Run fills in the table's two defaults, each only where c leaves a
+// zero: the affine engines' Eps is the stop rule's target, and
+// affine-async runs at RoundsFactor 2, because the engine's own default
+// of 1 stalls at the tick cap (DESIGN.md §7).
 func (e Engine) Run(g *graph.Graph, h *hier.Hierarchy, x []float64, c Config, r *rng.RNG) (*metrics.Result, error) {
+	if c.Eps == 0 {
+		c.Eps = c.Stop.TargetErr
+	}
+	if c.RoundsFactor == 0 {
+		c.RoundsFactor = 2
+	}
 	res, err := e.run(g, h, x, c, r)
 	if err != nil {
 		return nil, err
@@ -105,18 +100,22 @@ func Names() []string {
 	return names
 }
 
-// baseline is the options of the three gossip baselines. It leaves out
-// Routes: geographic's random endpoint pairs almost never recur, so the
-// shared cache would only grow, and boyd and push-sum do not route.
+// baseline and affine hand c to one engine family, over that family's
+// state from c's pair.
 func baseline(c Config) gossip.Options {
-	return gossip.Options{
-		Stop:   c.Stop,
-		Faults: c.Faults,
-		Resync: c.Recover,
-		State:  c.Gossip,
-		Tracer: c.Tracer,
-		Obs:    c.Obs,
+	var st *gossip.RunState
+	if c.State != nil {
+		st = &c.State.Gossip
 	}
+	return sim.WithState(c, st)
+}
+
+func affine(c Config) sim.Options[core.RunState] {
+	var st *core.RunState
+	if c.State != nil {
+		st = &c.State.Core
+	}
+	return sim.WithState(c, st)
 }
 
 func runBoyd(g *graph.Graph, _ *hier.Hierarchy, x []float64, c Config, r *rng.RNG) (*metrics.Result, error) {
@@ -124,29 +123,15 @@ func runBoyd(g *graph.Graph, _ *hier.Hierarchy, x []float64, c Config, r *rng.RN
 }
 
 func runGeographic(g *graph.Graph, _ *hier.Hierarchy, x []float64, c Config, r *rng.RNG) (*metrics.Result, error) {
-	return gossip.RunGeographic(g, x, gossip.GeoOptions{
-		Options:  baseline(c),
-		Sampling: c.Sampling,
-	}, r)
+	return gossip.RunGeographic(g, x, gossip.GeoOptions{Options: baseline(c)}, r)
 }
 
-// runPushSum passes Recover through as Resync, which push-sum ignores:
-// its mass bookkeeping already survives churn.
 func runPushSum(g *graph.Graph, _ *hier.Hierarchy, x []float64, c Config, r *rng.RNG) (*metrics.Result, error) {
 	return gossip.RunPushSum(g, x, baseline(c), r)
 }
 
 func runAffine(g *graph.Graph, h *hier.Hierarchy, x []float64, c Config, r *rng.RNG) (*metrics.Result, error) {
-	res, err := core.RunRecursive(g, h, x, core.RecursiveOptions{
-		Eps:     c.Stop.TargetErr,
-		Beta:    c.Beta,
-		Faults:  c.Faults,
-		Recover: c.Recover,
-		Routes:  c.Routes,
-		State:   c.Core,
-		Tracer:  c.Tracer,
-		Obs:     c.Obs,
-	}, r)
+	res, err := core.RunRecursive(g, h, x, affine(c), r)
 	if err != nil {
 		return nil, err
 	}
@@ -154,21 +139,7 @@ func runAffine(g *graph.Graph, h *hier.Hierarchy, x []float64, c Config, r *rng.
 }
 
 func runAsync(g *graph.Graph, h *hier.Hierarchy, x []float64, c Config, r *rng.RNG) (*metrics.Result, error) {
-	res, err := core.RunAsync(g, h, x, core.AsyncOptions{
-		Eps:       c.Stop.TargetErr,
-		Beta:      c.Beta,
-		Throttle:  c.Throttle,
-		LeafTicks: c.LeafTicks,
-		// The engine default of 1 stalls at the tick cap (DESIGN.md §7).
-		RoundsFactor: 2,
-		Stop:         c.Stop,
-		Faults:       c.Faults,
-		Recover:      c.Recover,
-		Routes:       c.Routes,
-		State:        c.Core,
-		Tracer:       c.Tracer,
-		Obs:          c.Obs,
-	}, r)
+	res, err := core.RunAsync(g, h, x, affine(c), r)
 	if err != nil {
 		return nil, err
 	}

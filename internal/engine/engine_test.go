@@ -18,7 +18,9 @@ import (
 // of its engine with the options the entry documents: the table hands
 // back the engine's own result, with nothing dropped or recomputed. The
 // Config sets every knob off its default, so an entry that failed to
-// pass one through would run a different protocol and differ.
+// pass one through would run a different protocol and differ. The last
+// Config also sets the two fields the table fills in, which it must
+// leave as the caller set them.
 func TestTablePassesResultsThrough(t *testing.T) {
 	g, err := graph.Generate(128, 2.0, rng.New(3))
 	if err != nil {
@@ -37,34 +39,46 @@ func TestTablePassesResultsThrough(t *testing.T) {
 		x0[i] = vr.NormFloat64()
 	}
 
+	// The table's two fills, each only where the caller left a zero.
+	eps := func(c Config) float64 {
+		if c.Eps != 0 {
+			return c.Eps
+		}
+		return c.Stop.TargetErr
+	}
+	rounds := func(c Config) float64 {
+		if c.RoundsFactor != 0 {
+			return c.RoundsFactor
+		}
+		return 2
+	}
 	direct := map[string]func(x []float64, c Config, r *rng.RNG) (*metrics.Result, error){
 		Boyd: func(x []float64, c Config, r *rng.RNG) (*metrics.Result, error) {
-			return gossip.RunBoyd(g, x, gossip.Options{Stop: c.Stop, Faults: c.Faults, Resync: c.Recover}, r)
+			return gossip.RunBoyd(g, x, gossip.Options{Stop: c.Stop, Faults: c.Faults, Recover: c.Recover, RecordEvery: c.RecordEvery}, r)
 		},
 		Geographic: func(x []float64, c Config, r *rng.RNG) (*metrics.Result, error) {
-			return gossip.RunGeographic(g, x, gossip.GeoOptions{
-				Options:  gossip.Options{Stop: c.Stop, Faults: c.Faults, Resync: c.Recover},
-				Sampling: c.Sampling,
-			}, r)
+			return gossip.RunGeographic(g, x, gossip.GeoOptions{Options: gossip.Options{
+				Stop: c.Stop, Faults: c.Faults, Recover: c.Recover, RecordEvery: c.RecordEvery, Sampling: c.Sampling,
+			}}, r)
 		},
-		// Push-sum ignores Recover: the direct call leaves Resync off.
+		// Push-sum ignores Recover: the direct call leaves it off.
 		PushSum: func(x []float64, c Config, r *rng.RNG) (*metrics.Result, error) {
-			return gossip.RunPushSum(g, x, gossip.Options{Stop: c.Stop, Faults: c.Faults}, r)
+			return gossip.RunPushSum(g, x, gossip.Options{Stop: c.Stop, Faults: c.Faults, RecordEvery: c.RecordEvery}, r)
 		},
 		Affine: func(x []float64, c Config, r *rng.RNG) (*metrics.Result, error) {
 			res, err := core.RunRecursive(g, h, x, core.RecursiveOptions{
-				Eps: c.Stop.TargetErr, Beta: c.Beta, Faults: c.Faults, Recover: c.Recover,
+				Eps: eps(c), EpsDecayFactor: c.EpsDecayFactor, Beta: c.Beta, Convex: c.Convex,
+				RecordEvery: c.RecordEvery, Faults: c.Faults, Recover: c.Recover,
 			}, r)
 			if err != nil {
 				return nil, err
 			}
 			return res.Result, nil
 		},
-		// The table runs affine-async at RoundsFactor 2.
 		Async: func(x []float64, c Config, r *rng.RNG) (*metrics.Result, error) {
 			res, err := core.RunAsync(g, h, x, core.AsyncOptions{
-				Eps: c.Stop.TargetErr, Beta: c.Beta, Throttle: c.Throttle, LeafTicks: c.LeafTicks,
-				RoundsFactor: 2, Stop: c.Stop, Faults: c.Faults, Recover: c.Recover,
+				Eps: eps(c), Beta: c.Beta, Throttle: c.Throttle, LeafTicks: c.LeafTicks,
+				RoundsFactor: rounds(c), RecordEvery: c.RecordEvery, Stop: c.Stop, Faults: c.Faults, Recover: c.Recover,
 			}, r)
 			if err != nil {
 				return nil, err
@@ -73,19 +87,32 @@ func TestTablePassesResultsThrough(t *testing.T) {
 		},
 	}
 
-	for _, medium := range []string{"perfect", "bernoulli:0.1"} {
+	for _, tc := range []struct {
+		medium      string
+		eps, rounds float64
+	}{
+		{"perfect", 0, 0},
+		{"bernoulli:0.1", 0, 0},
+		{"bernoulli:0.1", 2e-2, 3},
+	} {
+		medium := tc.medium
 		spec, err := channel.Parse(medium)
 		if err != nil {
 			t.Fatal(err)
 		}
 		c := Config{
-			Stop:      sim.StopRule{TargetErr: 1e-2, MaxTicks: 2_000_000},
-			Faults:    spec,
-			Recover:   true,
-			Beta:      0.35,
-			Throttle:  6,
-			LeafTicks: 48,
-			Sampling:  gossip.SamplingUniformNode,
+			Stop:           sim.StopRule{TargetErr: 1e-2, MaxTicks: 2_000_000},
+			Eps:            tc.eps,
+			EpsDecayFactor: 3,
+			Convex:         true,
+			RoundsFactor:   tc.rounds,
+			RecordEvery:    7,
+			Faults:         spec,
+			Recover:        true,
+			Beta:           0.35,
+			Throttle:       6,
+			LeafTicks:      48,
+			Sampling:       sim.SamplingUniformNode,
 		}
 		for _, name := range Names() {
 			e, _ := Lookup(name)

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"geogossip/internal/core"
 	"geogossip/internal/engine"
 	"geogossip/internal/geo"
-	"geogossip/internal/gossip"
 	"geogossip/internal/hier"
 	"geogossip/internal/metrics"
 	"geogossip/internal/rng"
@@ -442,11 +440,12 @@ func RunE12Ablation(cfg Config) (*Report, error) {
 	}
 	tb := table.New(fmt.Sprintf("Ablation at n=%d, eps=%.0e", n, eps),
 		"variant", "converged", "far exchanges", "transmissions", "final err")
-	results := map[string]*core.Result{}
+	results := map[string]*metrics.Result{}
+	affine, _ := engine.Lookup(engine.Affine)
 	for _, v := range variants {
 		x := append([]float64(nil), x0...)
-		res, err := core.RunRecursive(g, v.h, x, core.RecursiveOptions{
-			Eps:    eps,
+		res, err := affine.Run(g, v.h, x, engine.Config{
+			Stop:   sim.StopRule{TargetErr: eps},
 			Convex: v.convex,
 		}, rng.New(cfg.seed()+99))
 		if err != nil {
@@ -561,21 +560,20 @@ func RunE14Convergence(cfg Config) (*Report, error) {
 	x0 := gaussianValues(n, cfg.seed()+13)
 	stop := sim.StopRule{TargetErr: target, MaxTicks: 300_000_000}
 
-	xb := append([]float64(nil), x0...)
-	rb, err := gossip.RunBoyd(g, xb, gossip.Options{Stop: stop}, rng.New(cfg.seed()+100))
-	if err != nil {
-		return nil, err
+	var runs [3]*metrics.Result
+	for i, name := range []string{engine.Boyd, engine.Geographic, engine.Affine} {
+		c := engine.Config{Stop: stop}
+		if name == engine.Affine {
+			// Sampled every 4 far exchanges, so its curve has points to plot.
+			c.RecordEvery = 4
+		}
+		e, _ := engine.Lookup(name)
+		x := append([]float64(nil), x0...)
+		if runs[i], err = e.Run(g, h, x, c, rng.New(cfg.seed()+100*uint64(i+1))); err != nil {
+			return nil, err
+		}
 	}
-	xg := append([]float64(nil), x0...)
-	rg, err := gossip.RunGeographic(g, xg, gossip.GeoOptions{Options: gossip.Options{Stop: stop}}, rng.New(cfg.seed()+200))
-	if err != nil {
-		return nil, err
-	}
-	xa := append([]float64(nil), x0...)
-	ra, err := core.RunRecursive(g, h, xa, core.RecursiveOptions{Eps: target, RecordEvery: 4}, rng.New(cfg.seed()+300))
-	if err != nil {
-		return nil, err
-	}
+	rb, rg, ra := runs[0], runs[1], runs[2]
 
 	plot := &table.Plot{
 		Title:  fmt.Sprintf("Figure 9: relative error vs transmissions, n=%d (log-log)", n),
@@ -587,7 +585,7 @@ func RunE14Convergence(cfg Config) (*Report, error) {
 	}
 	tb := table.New(fmt.Sprintf("Transmissions to relative error %.0e at n=%d", target, n),
 		"algorithm", "transmissions", "converged")
-	for _, res := range []*metrics.Result{rb, rg, ra.Result} {
+	for _, res := range runs {
 		tb.AddRowf(res.Algorithm, res.Transmissions, res.Converged)
 		xs, ys := curveXY(res)
 		plot.Add(res.Algorithm, xs, ys)

@@ -3,9 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"geogossip/internal/core"
+	"geogossip/internal/engine"
 	"geogossip/internal/hier"
 	"geogossip/internal/rng"
+	"geogossip/internal/sim"
 	"geogossip/internal/table"
 )
 
@@ -37,10 +38,11 @@ func RunE15EpsSchedule(cfg Config) (*Report, error) {
 	smallKappaDegrades := false
 	largeKappaConverges := true
 	var cheapClean float64
+	affine, _ := engine.Lookup(engine.Affine)
 	for _, k := range kappas {
 		x := append([]float64(nil), x0...)
-		res, err := core.RunRecursive(g, h, x, core.RecursiveOptions{
-			Eps:            eps,
+		res, err := affine.Run(g, h, x, engine.Config{
+			Stop:           sim.StopRule{TargetErr: eps},
 			EpsDecayFactor: k,
 		}, rng.New(cfg.seed()+55))
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 	"geogossip/internal/hier"
 	"geogossip/internal/rng"
 	"geogossip/internal/routing"
+	"geogossip/internal/sim"
 	"geogossip/internal/stats"
 	"geogossip/internal/table"
 )
@@ -168,7 +169,7 @@ func RunE7Rejection(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		measure := func(mode gossip.Sampling, maxAttempts int) (tv float64, meanAttempts float64) {
+		measure := func(mode sim.Sampling, maxAttempts int) (tv float64, meanAttempts float64) {
 			ts := gossip.NewTargetSampler(g, mode, maxAttempts)
 			r := rng.New(cfg.seed() + 999)
 			srcR := rng.New(cfg.seed() + 998)
@@ -182,9 +183,9 @@ func RunE7Rejection(cfg Config) (*Report, error) {
 			}
 			return stats.TVDistanceUniform(counts), float64(totalAttempts) / float64(samples)
 		}
-		firstTV, _ := measure(gossip.SamplingRejection, 1)
-		rejTV, attempts := measure(gossip.SamplingRejection, 10)
-		uniTV, _ := measure(gossip.SamplingUniformNode, 1)
+		firstTV, _ := measure(sim.SamplingRejection, 1)
+		rejTV, attempts := measure(sim.SamplingRejection, 10)
+		uniTV, _ := measure(sim.SamplingUniformNode, 1)
 		tb.AddRowf(n, firstTV, rejTV, uniTV, attempts)
 		rep.check(fmt.Sprintf("rejection improves uniformity (n=%d)", n), rejTV < firstTV,
 			"TV: first-contact %v -> rejection %v (uniform-node reference %v)",

@@ -59,8 +59,9 @@ func BenchmarkBoydSteadyTick(b *testing.B) {
 // rejection sampling with greedy routing, round-trip delivery, average.
 func BenchmarkGeographicSteadyTick(b *testing.B) {
 	g := benchGraph(b, 2048)
-	opt := GeoOptions{Options: steadyOptions(), Sampling: SamplingRejection}
-	e, err := newGeoRun(g, benchValues(g.N(), 4), opt.withDefaults(), rng.New(5))
+	opt := steadyOptions()
+	opt.Sampling = sim.SamplingRejection
+	e, err := newGeoRun(g, benchValues(g.N(), 4), opt, rng.New(5))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -114,8 +115,9 @@ func BenchmarkBoydSteadyTickInstrumented(b *testing.B) {
 
 func BenchmarkGeographicSteadyTickInstrumented(b *testing.B) {
 	g := benchGraph(b, 2048)
-	opt := GeoOptions{Options: instrumentedSteadyOptions("geographic"), Sampling: SamplingRejection}
-	e, err := newGeoRun(g, benchValues(g.N(), 4), opt.withDefaults(), rng.New(5))
+	opt := instrumentedSteadyOptions("geographic")
+	opt.Sampling = sim.SamplingRejection
+	e, err := newGeoRun(g, benchValues(g.N(), 4), opt, rng.New(5))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -22,50 +22,21 @@ import (
 	"geogossip/internal/geo"
 	"geogossip/internal/graph"
 	"geogossip/internal/metrics"
-	"geogossip/internal/obs"
 	"geogossip/internal/rng"
 	"geogossip/internal/routing"
 	"geogossip/internal/sim"
 	"geogossip/internal/trace"
 )
 
-// Options configures a baseline run.
-type Options struct {
-	// Stop bundles the termination conditions.
-	Stop sim.StopRule
-	// RecordEvery samples the convergence curve every RecordEvery ticks.
-	// Zero selects n (≈ once per unit of simulated time).
-	RecordEvery uint64
-	// Faults selects the radio fault model (loss process, spatial
-	// jamming fields, partition cuts and/or node churn). The zero Spec is
-	// the perfect medium. A lost exchange pays the transmissions made
-	// before the loss and applies no update, so the sum invariant
-	// survives arbitrary loss. Rep-targeted churn is rejected: these
-	// engines have no hierarchy.
-	Faults channel.Spec
-	// Resync enables restart-from-neighbor state recovery: a node whose
-	// clock fires after it revived from a crash first pulls the current
-	// estimate from a random live neighbour (2 transmissions) before
-	// resuming the protocol, so long-dead nodes rejoin near the working
-	// consensus instead of dragging their stale pre-crash value back in.
-	// Off by default — enabling it changes the draw sequence, and exact
-	// sum preservation is traded for convergence under churn (push-sum
-	// ignores it: mass-conservation bookkeeping already survives churn).
-	Resync bool
-	// State optionally supplies a reusable run state (harness, channel
-	// pool, RNG streams, scratch slices), so repeat runs — the sweep
-	// engine pools one per worker — perform O(1) state allocations
-	// instead of re-allocating everything per run. Nil gives the run a
-	// fresh private state. Reuse cannot change results: a pooled run is
-	// draw- and result-identical to a fresh one (see RunState).
-	State *RunState
-	// Tracer, when non-nil, receives structured protocol events (near
-	// and far exchanges, losses, resyncs, churn transitions).
-	Tracer trace.Tracer
-	// Obs, when non-nil, receives the run's metrics in one flush at run
-	// end (see obs.Scope). Nil costs nothing.
-	Obs *obs.Scope
-}
+// Options configures a baseline run: the engines' one options record
+// over this package's pooled run state. The baselines read Stop,
+// RecordEvery, Faults, Recover (boyd and geographic), Sampling
+// (geographic), State, Tracer and Obs. Under Recover, a node whose clock
+// fires after it revived from a crash first pulls the current estimate
+// from a random live neighbour (2 transmissions), so it rejoins near
+// the working consensus instead of dragging its stale value back in;
+// exact sum preservation is traded for convergence under churn.
+type Options = sim.Options[RunState]
 
 // The run's radio channel is built by RunState.medium over the engine's
 // deterministic streams: losses draw from "loss", churn schedules from
@@ -200,7 +171,7 @@ type resyncState struct {
 func (rs *resyncState) reset(opt Options, st *RunState, n int) {
 	rs.count = 0
 	rs.wasDead = nil
-	if opt.Resync && opt.Faults.HasChurn() && opt.Faults.Churn.MeanDown > 0 {
+	if opt.Recover && opt.Faults.HasChurn() && opt.Faults.Churn.MeanDown > 0 {
 		st.wasDead = sim.GrowBool(st.wasDead, n)
 		rs.wasDead = st.wasDead
 	}
@@ -248,47 +219,11 @@ func (rs *resyncState) revive(s int32, g *graph.Graph, h *sim.Harness, x []float
 	h.Trace(trace.KindResync, -1, s, v, 2)
 }
 
-// Sampling selects how geographic gossip chooses long-range partners.
-type Sampling int
-
-const (
-	// SamplingRejection is the faithful mechanism of [5]: route toward a
-	// uniformly random position; the node nearest that position accepts
-	// with probability proportional to its local density estimate
-	// (degree), otherwise re-targets a fresh random position and the
-	// packet wanders on. This approximately uniformizes the partner
-	// distribution.
-	SamplingRejection Sampling = iota + 1
-	// SamplingUniformNode is the idealized mechanism rejection sampling
-	// approximates: the partner is an exact uniform random node.
-	SamplingUniformNode
-)
-
-// String implements fmt.Stringer.
-func (s Sampling) String() string {
-	switch s {
-	case SamplingRejection:
-		return "rejection"
-	case SamplingUniformNode:
-		return "uniform-node"
-	default:
-		return fmt.Sprintf("sampling(%d)", int(s))
-	}
-}
-
-// GeoOptions configures geographic gossip.
+// GeoOptions configures geographic gossip. It adds no field to Options;
+// it is kept only because the benchmark (bench/layers.go) names it, and
+// goes with the benchmark's next revision (ROADMAP item 6).
 type GeoOptions struct {
 	Options
-	// Sampling selects the partner mechanism; zero selects
-	// SamplingRejection.
-	Sampling Sampling
-}
-
-func (o GeoOptions) withDefaults() GeoOptions {
-	if o.Sampling == 0 {
-		o.Sampling = SamplingRejection
-	}
-	return o
 }
 
 // TargetSampler draws long-range partners for a source node, charging the
@@ -296,7 +231,7 @@ func (o GeoOptions) withDefaults() GeoOptions {
 type TargetSampler struct {
 	g           *graph.Graph
 	rt          *routing.Router
-	mode        Sampling
+	mode        sim.Sampling
 	maxAttempts int
 	// accept[i] is node i's rejection-sampling acceptance probability
 	// min(1, κ/(n·A_i)), where A_i is its locally computed Voronoi cell
@@ -319,17 +254,17 @@ const defaultMaxAttempts = 10
 // NewTargetSampler builds a sampler over g with a private uncached
 // routing core (sampled targets are random, so memoization cannot hit;
 // DESIGN.md §6).
-func NewTargetSampler(g *graph.Graph, mode Sampling, maxAttempts int) *TargetSampler {
+func NewTargetSampler(g *graph.Graph, mode sim.Sampling, maxAttempts int) *TargetSampler {
 	return NewTargetSamplerRouter(routing.NewRouter(g, routing.NoCache()), mode, maxAttempts)
 }
 
 // NewTargetSamplerRouter builds a sampler that routes through rt, so a
 // run's sampler and return routes share one memoized routing core.
-func NewTargetSamplerRouter(rt *routing.Router, mode Sampling, maxAttempts int) *TargetSampler {
+func NewTargetSamplerRouter(rt *routing.Router, mode sim.Sampling, maxAttempts int) *TargetSampler {
 	ts := &TargetSampler{}
 	var accept []float64
 	g := rt.Graph()
-	if mode == SamplingRejection && g.N() > 0 {
+	if mode == sim.SamplingRejection && g.N() > 0 {
 		accept = rejectionAccept(g, make([]float64, g.N()))
 	}
 	ts.reset(rt, mode, maxAttempts, accept)
@@ -354,7 +289,7 @@ func rejectionAccept(g *graph.Graph, buf []float64) []float64 {
 // reset re-initializes a (possibly pooled) sampler in place. accept is
 // the rejection acceptance table (nil for uniform-node sampling),
 // computed by rejectionAccept and owned by the caller.
-func (ts *TargetSampler) reset(rt *routing.Router, mode Sampling, maxAttempts int, accept []float64) {
+func (ts *TargetSampler) reset(rt *routing.Router, mode sim.Sampling, maxAttempts int, accept []float64) {
 	if maxAttempts <= 0 {
 		maxAttempts = defaultMaxAttempts
 	}
@@ -374,7 +309,7 @@ func (ts *TargetSampler) reset(rt *routing.Router, mode Sampling, maxAttempts in
 // exchanges.
 func (ts *TargetSampler) SampleFrom(src int32, r *rng.RNG) (target int32, hops, attempts int) {
 	switch ts.mode {
-	case SamplingUniformNode:
+	case sim.SamplingUniformNode:
 		if ts.g.N() < 2 {
 			return src, 0, 1
 		}
@@ -385,7 +320,7 @@ func (ts *TargetSampler) SampleFrom(src int32, r *rng.RNG) (target int32, hops, 
 			return res.Last, res.Hops, 1
 		}
 		return t, res.Hops, 1
-	case SamplingRejection:
+	case sim.SamplingRejection:
 		cur := src
 		for attempts = 1; ; attempts++ {
 			y := geo.Pt(r.Float64(), r.Float64())
@@ -414,9 +349,9 @@ type geoRun struct {
 	resync  resyncState
 }
 
-func newGeoRun(g *graph.Graph, x []float64, opt GeoOptions, r *rng.RNG) (*geoRun, error) {
-	st := stateOf(opt.Options)
-	medium, spec, err := st.medium(opt.Options, g, r)
+func newGeoRun(g *graph.Graph, x []float64, opt Options, r *rng.RNG) (*geoRun, error) {
+	st := stateOf(opt)
+	medium, spec, err := st.medium(opt, g, r)
 	if err != nil {
 		return nil, err
 	}
@@ -439,7 +374,7 @@ func newGeoRun(g *graph.Graph, x []float64, opt GeoOptions, r *rng.RNG) (*geoRun
 		Timeline:    &st.tline,
 	}, st.stream(&st.clockRNG, r, "clock"))
 	var accept []float64
-	if opt.Sampling == SamplingRejection {
+	if opt.Sampling == sim.SamplingRejection {
 		accept = st.accept(g)
 	}
 	st.sampler.reset(&st.router, opt.Sampling, defaultMaxAttempts, accept)
@@ -451,7 +386,7 @@ func newGeoRun(g *graph.Graph, x []float64, opt GeoOptions, r *rng.RNG) (*geoRun
 		sampler: &st.sampler,
 		sample:  st.stream(&st.sampleRNG, r, "sample"),
 	}
-	e.resync.reset(opt.Options, st, g.N())
+	e.resync.reset(opt, st, g.N())
 	return e, nil
 }
 
@@ -508,14 +443,17 @@ func (e *geoRun) step() {
 // RunGeographic runs Dimakis-style geographic gossip: on each tick the
 // owner samples a long-range partner, the pair averages, and the new
 // value is routed back. x is mutated in place.
-func RunGeographic(g *graph.Graph, x []float64, opt GeoOptions, r *rng.RNG) (*metrics.Result, error) {
+func RunGeographic(g *graph.Graph, x []float64, geo GeoOptions, r *rng.RNG) (*metrics.Result, error) {
 	if g.N() != len(x) {
 		return nil, fmt.Errorf("gossip: %d nodes but %d values", g.N(), len(x))
 	}
 	if err := sim.CheckFinite(x); err != nil {
 		return nil, err
 	}
-	opt = opt.withDefaults()
+	opt := geo.Options
+	if opt.Sampling == 0 {
+		opt.Sampling = sim.SamplingRejection
+	}
 	name := "geographic-" + opt.Sampling.String()
 	if g.N() == 0 {
 		return sim.EmptyResult(name), nil

@@ -22,6 +22,13 @@ func generate(t *testing.T, n int, c float64, seed uint64) *graph.Graph {
 	return g
 }
 
+// geoOpts returns opt as geographic gossip's options with sampling
+// mode m.
+func geoOpts(opt Options, m sim.Sampling) GeoOptions {
+	opt.Sampling = m
+	return GeoOptions{Options: opt}
+}
+
 func randomValues(n int, seed uint64) []float64 {
 	r := rng.New(seed)
 	x := make([]float64, n)
@@ -119,15 +126,12 @@ func TestRunBoydRespectsMaxTicks(t *testing.T) {
 }
 
 func TestRunGeographicConvergesBothSamplings(t *testing.T) {
-	for _, mode := range []Sampling{SamplingRejection, SamplingUniformNode} {
+	for _, mode := range []sim.Sampling{sim.SamplingRejection, sim.SamplingUniformNode} {
 		t.Run(mode.String(), func(t *testing.T) {
 			g := generate(t, 300, 2.0, 90)
 			x := randomValues(g.N(), 91)
 			mean := meanOf(x)
-			res, err := RunGeographic(g, x, GeoOptions{
-				Options:  Options{Stop: sim.StopRule{TargetErr: 1e-3, MaxTicks: 200_000}},
-				Sampling: mode,
-			}, rng.New(92))
+			res, err := RunGeographic(g, x, geoOpts(Options{Stop: sim.StopRule{TargetErr: 1e-3, MaxTicks: 200_000}}, mode), rng.New(92))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,10 +169,7 @@ func TestGeographicBeatsBoydOnTransmissions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resG, err := RunGeographic(g, xG, GeoOptions{
-			Options:  Options{Stop: sim.StopRule{TargetErr: target, MaxTicks: 100_000_000}},
-			Sampling: SamplingUniformNode,
-		}, rng.New(seed+30))
+		resG, err := RunGeographic(g, xG, geoOpts(Options{Stop: sim.StopRule{TargetErr: target, MaxTicks: 100_000_000}}, sim.SamplingUniformNode), rng.New(seed+30))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +186,7 @@ func TestGeographicBeatsBoydOnTransmissions(t *testing.T) {
 
 func TestSamplerUniformNodeExact(t *testing.T) {
 	g := generate(t, 200, 2.0, 97)
-	ts := NewTargetSampler(g, SamplingUniformNode, 0)
+	ts := NewTargetSampler(g, sim.SamplingUniformNode, 0)
 	r := rng.New(98)
 	counts := make([]int, g.N())
 	const trials = 20000
@@ -213,7 +214,7 @@ func TestSamplerRejectionImprovesUniformity(t *testing.T) {
 	// plain accept-first-node sampling (maxAttempts = 1).
 	g := generate(t, 300, 1.6, 99)
 	tv := func(maxAttempts int) float64 {
-		ts := NewTargetSampler(g, SamplingRejection, maxAttempts)
+		ts := NewTargetSampler(g, sim.SamplingRejection, maxAttempts)
 		r := rng.New(100)
 		src := rng.New(101)
 		counts := make([]float64, g.N())
@@ -239,7 +240,7 @@ func TestSamplerRejectionImprovesUniformity(t *testing.T) {
 
 func TestSamplerRejectionHopsPositive(t *testing.T) {
 	g := generate(t, 200, 2.0, 102)
-	ts := NewTargetSampler(g, SamplingRejection, 10)
+	ts := NewTargetSampler(g, sim.SamplingRejection, 10)
 	r := rng.New(103)
 	sawHops := false
 	for i := 0; i < 100; i++ {
@@ -263,7 +264,7 @@ func TestSamplerSmallGraphs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := NewTargetSampler(g, SamplingUniformNode, 0)
+	ts := NewTargetSampler(g, sim.SamplingUniformNode, 0)
 	target, hops, _ := ts.SampleFrom(0, rng.New(105))
 	if target != 0 || hops != 0 {
 		t.Fatalf("singleton sample = (%d, %d)", target, hops)
@@ -271,12 +272,12 @@ func TestSamplerSmallGraphs(t *testing.T) {
 }
 
 func TestSamplingString(t *testing.T) {
-	if SamplingRejection.String() != "rejection" ||
-		SamplingUniformNode.String() != "uniform-node" {
+	if sim.SamplingRejection.String() != "rejection" ||
+		sim.SamplingUniformNode.String() != "uniform-node" {
 		t.Fatal("sampling names wrong")
 	}
-	if Sampling(9).String() != "sampling(9)" {
-		t.Fatalf("unknown sampling name: %s", Sampling(9))
+	if sim.Sampling(9).String() != "sampling(9)" {
+		t.Fatalf("unknown sampling name: %s", sim.Sampling(9))
 	}
 }
 
@@ -329,13 +330,13 @@ func TestGeographicEmptyGraphName(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		sampling Sampling
+		sampling sim.Sampling
 		want     string
 	}{
 		{0, "geographic-rejection"},
-		{SamplingUniformNode, "geographic-uniform-node"},
+		{sim.SamplingUniformNode, "geographic-uniform-node"},
 	} {
-		res, err := RunGeographic(g, nil, GeoOptions{Sampling: tc.sampling}, rng.New(1))
+		res, err := RunGeographic(g, nil, geoOpts(Options{}, tc.sampling), rng.New(1))
 		if err != nil {
 			t.Fatal(err)
 		}

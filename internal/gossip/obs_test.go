@@ -47,7 +47,7 @@ func TestInstrumentedPooledBitIdentical(t *testing.T) {
 			return RunBoyd(g, randomValues(g.N(), 901), opt, r)
 		}},
 		{"geographic", func(opt Options, r *rng.RNG) (*metrics.Result, error) {
-			return RunGeographic(g, randomValues(g.N(), 902), GeoOptions{Options: opt, Sampling: SamplingRejection}, r)
+			return RunGeographic(g, randomValues(g.N(), 902), geoOpts(opt, sim.SamplingRejection), r)
 		}},
 		{"push-sum", func(opt Options, r *rng.RNG) (*metrics.Result, error) {
 			return RunPushSum(g, randomValues(g.N(), 903), opt, r)
@@ -57,7 +57,7 @@ func TestInstrumentedPooledBitIdentical(t *testing.T) {
 	for _, cfg := range stateConfigs {
 		for _, rn := range runners {
 			label := fmt.Sprintf("%s/%s", rn.name, cfg.name)
-			base := Options{Stop: stop, Faults: parseSpec(t, cfg.faults), Resync: cfg.resync}
+			base := Options{Stop: stop, Faults: parseSpec(t, cfg.faults), Recover: cfg.resync}
 
 			freshObs := &instrumented{reg: obs.NewRegistry()}
 			fresh, err := rn.run(freshObs.options(rn.name, base), rng.New(905))
@@ -150,10 +150,11 @@ func TestSteadyStateTicksAllocFreeInstrumented(t *testing.T) {
 		}
 
 		x = randomValues(g.N(), 923)
-		geoOpt := GeoOptions{Options: opt, Sampling: SamplingRejection}
+		geoOpt := opt
+		geoOpt.Sampling = sim.SamplingRejection
 		geoOpt.State = NewRunState()
 		geoOpt.Obs = reg.Scope("geographic")
-		geo, err := newGeoRun(g, x, geoOpt.withDefaults(), rng.New(924))
+		geo, err := newGeoRun(g, x, geoOpt, rng.New(924))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,9 +37,9 @@ type tickBatch struct {
 // loop overlap. It returns k.
 //
 // Partners may be drawn ahead only when no node can go down: under
-// churn, liveness at tick t decides whether the partner draw (and
-// Resync's extra draw) happens at all, so the caller leaves ahead unset
-// and the apply phase draws them in tick order.
+// churn, liveness at tick t decides whether the partner draw (and the
+// resync exchange's extra draw) happens at all, so the caller leaves
+// ahead unset and the apply phase draws them in tick order.
 func (b *tickBatch) draw(h *sim.Harness, g *graph.Graph, pick *rng.RNG, ahead bool) int {
 	k := pipeDepth
 	if left := h.Stop.MaxTicks - h.Clock.Ticks(); left < pipeDepth {

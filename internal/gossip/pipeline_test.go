@@ -117,7 +117,7 @@ func oneBatch(h *sim.Harness, run func()) func() {
 
 // pipelineMedia is the identity suite's medium matrix: every loss
 // process, both spatial components (which read packet positions), the
-// transport chain, and churn with and without Resync (where partners
+// transport chain, and churn with and without Recover (where partners
 // are drawn at apply time).
 var pipelineMedia = []struct {
 	name, faults string
@@ -191,7 +191,7 @@ func TestPipelineMatchesPerTickReference(t *testing.T) {
 				Stop:        sc.stop,
 				RecordEvery: sc.every,
 				Faults:      parseSpec(t, m.faults),
-				Resync:      m.resync,
+				Recover:     m.resync,
 				State:       pooled,
 			}
 			label := fmt.Sprintf("boyd/%s/%s", m.name, sc.name)

@@ -52,7 +52,7 @@ type pushSumRun struct {
 func newPushSumRun(g *graph.Graph, x []float64, opt Options, r *rng.RNG) (*pushSumRun, error) {
 	st := stateOf(opt)
 	// Push-sum needs no resync recovery: the mass-conservation invariants
-	// already survive churn, so Options.Resync is ignored here.
+	// already survive churn, so Options.Recover is ignored here.
 	medium, spec, err := st.medium(opt, g, r)
 	if err != nil {
 		return nil, err

@@ -24,9 +24,9 @@ func TestBoydResyncFiresOnRevival(t *testing.T) {
 	run := func(resync bool) (*resultStats, []float64) {
 		x := append([]float64(nil), x0...)
 		res, err := RunBoyd(g, x, Options{
-			Stop:   sim.StopRule{TargetErr: 1e-3, MaxTicks: 300_000},
-			Faults: parseSpec(t, "churn:2000/1000"),
-			Resync: resync,
+			Stop:    sim.StopRule{TargetErr: 1e-3, MaxTicks: 300_000},
+			Faults:  parseSpec(t, "churn:2000/1000"),
+			Recover: resync,
 		}, rng.New(502))
 		if err != nil {
 			t.Fatal(err)
@@ -40,7 +40,7 @@ func TestBoydResyncFiresOnRevival(t *testing.T) {
 	if math.IsNaN(withR.finalErr) || math.IsInf(withR.finalErr, 0) {
 		t.Fatalf("resync run produced invalid error %v", withR.finalErr)
 	}
-	// Resync trades exact sum preservation for local recovery; the drift
+	// Recovery trades exact sum preservation for local resync; the drift
 	// it introduces must stay small relative to the initial spread.
 	drift := math.Abs(meanOf(x) - meanOf(x0))
 	var spread float64
@@ -54,7 +54,7 @@ func TestBoydResyncFiresOnRevival(t *testing.T) {
 	}
 	without, _ := run(false)
 	if without.resyncs != 0 {
-		t.Fatal("resyncs fired with Resync disabled")
+		t.Fatal("resyncs fired with Recover off")
 	}
 }
 

@@ -70,12 +70,12 @@ func TestPooledStateBitIdentical(t *testing.T) {
 		}},
 		{"geographic-rejection", func(opt Options, r *rng.RNG) (*metrics.Result, []float64, error) {
 			x := randomValues(g.N(), 902)
-			res, err := RunGeographic(g, x, GeoOptions{Options: opt, Sampling: SamplingRejection}, r)
+			res, err := RunGeographic(g, x, geoOpts(opt, sim.SamplingRejection), r)
 			return res, x, err
 		}},
 		{"geographic-uniform", func(opt Options, r *rng.RNG) (*metrics.Result, []float64, error) {
 			x := randomValues(g.N(), 903)
-			res, err := RunGeographic(g, x, GeoOptions{Options: opt, Sampling: SamplingUniformNode}, r)
+			res, err := RunGeographic(g, x, geoOpts(opt, sim.SamplingUniformNode), r)
 			return res, x, err
 		}},
 		{"push-sum", func(opt Options, r *rng.RNG) (*metrics.Result, []float64, error) {
@@ -88,7 +88,7 @@ func TestPooledStateBitIdentical(t *testing.T) {
 	for _, cfg := range stateConfigs {
 		for _, rn := range runners {
 			label := fmt.Sprintf("%s/%s", rn.name, cfg.name)
-			freshOpt := Options{Stop: stop, Faults: parseSpec(t, cfg.faults), Resync: cfg.resync}
+			freshOpt := Options{Stop: stop, Faults: parseSpec(t, cfg.faults), Recover: cfg.resync}
 			fresh, xFresh, err := rn.run(freshOpt, rng.New(905))
 			if err != nil {
 				t.Fatalf("%s: fresh: %v", label, err)
@@ -169,9 +169,10 @@ func TestSteadyStateTicksAllocFree(t *testing.T) {
 		}
 
 		x = randomValues(g.N(), 923)
-		geoOpt := GeoOptions{Options: opt, Sampling: SamplingRejection}
+		geoOpt := opt
+		geoOpt.Sampling = sim.SamplingRejection
 		geoOpt.State = NewRunState()
-		geo, err := newGeoRun(g, x, geoOpt.withDefaults(), rng.New(924))
+		geo, err := newGeoRun(g, x, geoOpt, rng.New(924))
 		if err != nil {
 			t.Fatal(err)
 		}

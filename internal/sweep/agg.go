@@ -102,13 +102,23 @@ type Summary struct {
 	Cells    []CellStats  `json:"cells"`
 	Fits     []ScalingFit `json:"fits"`
 	LossFits []LossFit    `json:"loss_fits,omitempty"`
+	// UnconvergedCells counts the cells no fit includes because a run in
+	// them missed the target error (see fitted).
+	UnconvergedCells int `json:"unconverged_cells,omitempty"`
 }
+
+// fitted reports whether a cell enters the fits: it has runs, and every
+// one of them reached the target error. A diverged run's transmissions
+// are what it spent before a guard or the tick cap stopped it, not a
+// cost to ε, and dropping only a cell's unconverged seeds would keep its
+// lucky ones and bias the fit low.
+func fitted(cs CellStats) bool { return cs.Count > 0 && cs.ConvergedCount == cs.Count }
 
 // Aggregate groups per-task results into grid cells, summarizes each, and
 // fits transmissions ~ C·n^p for every parameter line with at least two
-// network sizes. Input order does not matter; output order is canonical
-// (sorted by cell key), so aggregation of a sweep is as deterministic as
-// the sweep itself.
+// network sizes whose cells converged. Input order does not matter;
+// output order is canonical (sorted by cell key), so aggregation of a
+// sweep is as deterministic as the sweep itself.
 func Aggregate(results []TaskResult) *Summary {
 	type acc struct {
 		tx, err   []float64
@@ -158,10 +168,12 @@ func Aggregate(results []TaskResult) *Summary {
 
 	lines := make(map[CellKey][]CellStats)
 	for _, cs := range sum.Cells {
-		if cs.Count > 0 {
+		if fitted(cs) {
 			lk := cs.CellKey
 			lk.N = 0
 			lines[lk] = append(lines[lk], cs)
+		} else if cs.Count > 0 {
+			sum.UnconvergedCells++
 		}
 	}
 	for lk, lcells := range lines {
@@ -218,14 +230,14 @@ func effectiveLoss(k CellKey) (float64, bool) {
 }
 
 // lossFits fits transmissions ≈ C·(1/(1−p))^q per algorithm/size line
-// across every cell whose effective loss differs — the cost-vs-loss
-// scaling exponents of the fault grid. Lines with fewer than two
-// distinct loss points produce no fit.
+// across every converged cell whose effective loss differs — the
+// cost-vs-loss scaling exponents of the fault grid. Lines with fewer
+// than two distinct loss points produce no fit.
 func lossFits(cells []CellStats) []LossFit {
 	type pt struct{ x, tx float64 }
 	lines := make(map[CellKey][]pt)
 	for _, cs := range cells {
-		if cs.Count == 0 || cs.Transmissions.Mean <= 0 {
+		if !fitted(cs) || cs.Transmissions.Mean <= 0 {
 			continue
 		}
 		if cs.Transport != "" {

@@ -96,6 +96,29 @@ func TestLossFitsAcrossFaultGrid(t *testing.T) {
 	}
 }
 
+// TestLossFitsSkipUnconvergedCells: a loss cell in which a run missed
+// the target stays out of its line's fit, as in the scaling fits.
+func TestLossFitsSkipUnconvergedCells(t *testing.T) {
+	var results []TaskResult
+	for i, loss := range []float64{0, 0.1, 0.2, 0.3} {
+		for seed := 0; seed < 2; seed++ {
+			results = append(results, TaskResult{
+				TaskID:        len(results),
+				Params:        Params{Algorithm: AlgoPushSum, N: 100, SeedIndex: seed, LossRate: loss},
+				Converged:     i < 3 || seed == 0,
+				Transmissions: uint64(1000 * (i + 1)),
+			})
+		}
+	}
+	sum := Aggregate(results)
+	if len(sum.LossFits) != 1 || sum.LossFits[0].Points != 3 {
+		t.Fatalf("loss fits %+v, want one over the 3 converged cells", sum.LossFits)
+	}
+	if sum.UnconvergedCells != 1 {
+		t.Fatalf("%d cells left out, want 1", sum.UnconvergedCells)
+	}
+}
+
 func TestLossFitsAbsentWithoutLossAxis(t *testing.T) {
 	spec := Spec{Algorithms: []string{AlgoBoyd}, Ns: []int{96}, TargetErr: 5e-2}
 	results, err := Run(context.Background(), spec, Options{})

@@ -8,9 +8,7 @@ import (
 	"time"
 
 	"geogossip/internal/channel"
-	"geogossip/internal/core"
 	"geogossip/internal/engine"
-	"geogossip/internal/gossip"
 	"geogossip/internal/graph"
 	"geogossip/internal/hier"
 	"geogossip/internal/netstore"
@@ -208,8 +206,7 @@ func (t Task) faults() (channel.Spec, error) {
 // results — pooled and fresh execution are bit-identical (asserted by
 // the pooled-vs-fresh suite).
 type runStates struct {
-	gossip gossip.RunState
-	core   core.RunState
+	pooled engine.State
 	x      []float64
 	runRNG *rng.RNG
 	// reg is the registry the slot's engines report into: Run's shared
@@ -232,7 +229,7 @@ func (st *runStates) scope(engine string) *obs.Scope {
 // channelBuilds reports the pooled channel builds this slot's states
 // have served (see channel.Pool.Builds).
 func (st *runStates) channelBuilds() uint64 {
-	return st.gossip.ChannelBuilds() + st.core.ChannelBuilds()
+	return st.pooled.Gossip.ChannelBuilds() + st.pooled.Core.ChannelBuilds()
 }
 
 // rng returns the task's protocol generator, reusing the slot's pooled
@@ -276,9 +273,9 @@ func executeWith(t Task, cache *netCache, st *runStates) TaskResult {
 		out.Error = fmt.Sprintf("sweep: unknown algorithm %q", t.Algorithm)
 		return out
 	}
-	sampling := gossip.SamplingRejection
+	sampling := sim.SamplingRejection
 	if t.Sampling == SamplingUniform {
-		sampling = gossip.SamplingUniformNode
+		sampling = sim.SamplingUniformNode
 	}
 	res, err := e.Run(g, h, x, engine.Config{
 		Stop:      sim.StopRule{TargetErr: t.TargetErr, MaxTicks: t.MaxTicks},
@@ -290,8 +287,7 @@ func executeWith(t Task, cache *netCache, st *runStates) TaskResult {
 		Sampling:  sampling,
 		Obs:       st.scope(t.Algorithm),
 		Routes:    routes,
-		Gossip:    &st.gossip,
-		Core:      &st.core,
+		State:     &st.pooled,
 	}, st.rng(out.RunSeed))
 	if err != nil {
 		out.Error = err.Error()

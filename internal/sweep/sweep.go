@@ -228,6 +228,12 @@ func (s Spec) Validate() error {
 	if s.AsyncLeafTicks < 0 {
 		return fmt.Errorf("sweep: AsyncLeafTicks value %d is negative", s.AsyncLeafTicks)
 	}
+	// Checked before the loops below, which visit every medium of the
+	// grid: a spec that arrives over the wire must not buy unbounded work
+	// with a few bytes.
+	if _, ok := s.taskCount(); !ok {
+		return fmt.Errorf("sweep: grid expands to more than %d tasks", maxTasks)
+	}
 	// A non-finite value would run, then fail the sink's JSON encoding on
 	// the first result line. Zero selects a default; a negative value
 	// would run where the facade's options reject it (a negative Betas
@@ -285,6 +291,16 @@ func (s Spec) Validate() error {
 	return nil
 }
 
+// maxTasks bounds the tasks one grid may expand to. Expand lists every
+// task in memory, 192 bytes each, so a grid at the bound holds 192 MiB
+// of tasks before its first run; at a millisecond per task, about the
+// fastest run of the smallest network, it is already 17 minutes of one
+// core. The bound is for specs that arrive from outside the process
+// (cmd/sweep -config, a distributed worker's spec off the wire): with 4
+// algorithms × 2 sizes, Seeds = 2^40 would ask Expand for 1.7·10^15
+// bytes, and Seeds = 2^62 would wrap the product to 0.
+const maxTasks = 1 << 20
+
 // TaskCount returns the number of tasks the normalized spec expands to,
 // or 0 when Validate rejects it.
 func (s Spec) TaskCount() int {
@@ -292,8 +308,22 @@ func (s Spec) TaskCount() int {
 	if s.Validate() != nil {
 		return 0
 	}
-	return len(s.Algorithms) * len(s.Ns) * s.Seeds * len(s.LossRates) *
-		len(s.FaultModels) * len(s.Transports) * len(s.Recovery) * len(s.Betas) * len(s.Samplings) * len(s.Hierarchies)
+	n, _ := s.taskCount()
+	return n
+}
+
+// taskCount returns the product of the spec's axis lengths and true, or
+// false once the product exceeds maxTasks; no step can overflow.
+func (s Spec) taskCount() (int, bool) {
+	n := 1
+	for _, k := range []int{len(s.Algorithms), len(s.Ns), s.Seeds, len(s.LossRates),
+		len(s.FaultModels), len(s.Transports), len(s.Recovery), len(s.Betas), len(s.Samplings), len(s.Hierarchies)} {
+		if k > 0 && n > maxTasks/k {
+			return 0, false
+		}
+		n *= k
+	}
+	return n, true
 }
 
 // Params are what one task is: its grid coordinates and the run-level

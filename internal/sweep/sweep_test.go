@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"math"
 	"reflect"
 	"sort"
@@ -85,6 +86,7 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 }
 
 func TestValidateRejectsBadSpecs(t *testing.T) {
+	four := []string{AlgoBoyd, AlgoGeographic, AlgoPushSum, AlgoAffine}
 	bad := []struct {
 		spec Spec
 		want string // a substring of the error; empty accepts any error
@@ -106,6 +108,12 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{Spec{Algorithms: []string{AlgoBoyd}, Ns: []int{64}, LossRates: []float64{-0.1}}, "LossRates"},
 		{Spec{Algorithms: []string{AlgoAsync}, Ns: []int{64}, AsyncThrottle: -1}, "AsyncThrottle"},
 		{Spec{Algorithms: []string{AlgoAsync}, Ns: []int{64}, AsyncLeafTicks: -1}, "AsyncLeafTicks"},
+		// Grids too large to expand: with 4 algorithms × 2 sizes, 2^62
+		// seeds wrap an unchecked product to 0 tasks and 2^40 seeds count
+		// 8.8·10^12 of them.
+		{Spec{Algorithms: four, Ns: []int{64, 128}, Seeds: 1 << 62}, "tasks"},
+		{Spec{Algorithms: four, Ns: []int{64, 128}, Seeds: 1 << 40}, "tasks"},
+		{Spec{Algorithms: []string{AlgoBoyd}, Ns: []int{64}, Seeds: maxTasks + 1}, "tasks"},
 	}
 	for i, b := range bad {
 		err := b.spec.Normalized().Validate()
@@ -121,6 +129,40 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 	if err := smallSpec().Normalized().Validate(); err != nil {
 		t.Fatalf("good spec rejected: %v", err)
 	}
+	if n := (Spec{Algorithms: []string{AlgoBoyd}, Ns: []int{64}, Seeds: maxTasks}).TaskCount(); n != maxTasks {
+		t.Fatalf("a grid of maxTasks tasks counts %d", n)
+	}
+}
+
+// FuzzSpecJSON decodes arbitrary bytes into a Spec, as a distributed
+// worker decodes the spec it receives over TCP, and runs the checks
+// every caller runs before Expand: Normalized, Validate and TaskCount
+// must never panic, and a spec that validates counts at most maxTasks
+// tasks.
+func FuzzSpecJSON(f *testing.F) {
+	for _, seed := range []string{
+		`{"Algorithms":["boyd","affine-hierarchical"],"Ns":[96,128],"Seeds":2,"LossRates":[0,0.1]}`,
+		`{"Algorithms":["boyd","geographic","push-sum","affine-hierarchical"],"Ns":[64,128],"Seeds":4611686018427387904}`,
+		`{"Algorithms":["affine-async"],"Ns":[64],"FaultModels":["bernoulli:0.1+churn:4000/1000"],"Transports":["delay:exp/0.5+arq:3/1/2"],"Recovery":[false,true]}`,
+		`{"Algorithms":["boyd"],"Ns":[-1],"Seeds":-2,"Samplings":["psychic"]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s Spec
+		if json.Unmarshal(data, &s) != nil {
+			return
+		}
+		n := s.Normalized()
+		err := n.Validate()
+		count := s.TaskCount()
+		if count < 0 || count > maxTasks {
+			t.Fatalf("spec counts %d tasks", count)
+		}
+		if err != nil && count != 0 {
+			t.Fatalf("rejected spec (%v) counts %d tasks", err, count)
+		}
+	})
 }
 
 func TestSeedsIgnoreAlgorithmButNotCell(t *testing.T) {
@@ -450,17 +492,30 @@ func TestMapHonorsCancellation(t *testing.T) {
 
 func TestAggregateCellsAndFits(t *testing.T) {
 	// Synthetic results: tx = n² exactly, two seeds per cell, one errored
-	// task that must not poison its cell.
+	// task that must not poison its cell. A fourth boyd size is mixed
+	// (one of its two runs missed the target) and the affine line
+	// diverged in every run; neither may enter a fit, whose cost would
+	// then not be a cost to ε.
 	var results []TaskResult
+	add := func(algo string, n, seed int, converged bool, tx uint64) {
+		results = append(results, TaskResult{
+			TaskID:        len(results),
+			Params:        Params{Algorithm: algo, N: n, SeedIndex: seed},
+			Converged:     converged,
+			FinalErr:      1e-3,
+			Transmissions: tx,
+		})
+	}
 	for _, n := range []int{100, 200, 400} {
 		for seed := 0; seed < 2; seed++ {
-			results = append(results, TaskResult{
-				TaskID:        len(results),
-				Params:        Params{Algorithm: AlgoBoyd, N: n, SeedIndex: seed},
-				Converged:     true,
-				FinalErr:      1e-3,
-				Transmissions: uint64(n) * uint64(n),
-			})
+			add(AlgoBoyd, n, seed, true, uint64(n)*uint64(n))
+		}
+	}
+	add(AlgoBoyd, 800, 0, true, 800*800)
+	add(AlgoBoyd, 800, 1, false, 5)
+	for _, n := range []int{100, 200} {
+		for seed := 0; seed < 2; seed++ {
+			add(AlgoAffine, n, seed, false, uint64(n))
 		}
 	}
 	results = append(results, TaskResult{
@@ -468,10 +523,13 @@ func TestAggregateCellsAndFits(t *testing.T) {
 		Error: "no connected instance",
 	})
 	sum := Aggregate(results)
-	if len(sum.Cells) != 3 {
+	if len(sum.Cells) != 6 {
 		t.Fatalf("got %d cells: %+v", len(sum.Cells), sum.Cells)
 	}
-	first := sum.Cells[0]
+	if sum.UnconvergedCells != 3 {
+		t.Fatalf("%d cells left out of the fits, want 3 (boyd n=800, both affine cells)", sum.UnconvergedCells)
+	}
+	first := sum.Cells[2]
 	if first.N != 100 || first.Count != 2 || first.ConvergedCount != 2 || first.Errors != 1 {
 		t.Fatalf("first cell = %+v", first)
 	}
@@ -479,11 +537,11 @@ func TestAggregateCellsAndFits(t *testing.T) {
 		t.Fatalf("first cell transmissions = %+v", first.Transmissions)
 	}
 	if len(sum.Fits) != 1 {
-		t.Fatalf("got %d fits", len(sum.Fits))
+		t.Fatalf("got %d fits, want boyd's alone: %+v", len(sum.Fits), sum.Fits)
 	}
 	fit := sum.Fits[0]
-	if fit.Points != 3 || fit.Exponent < 1.999 || fit.Exponent > 2.001 {
-		t.Fatalf("fit = %+v, want exponent 2", fit)
+	if fit.Algorithm != AlgoBoyd || fit.Points != 3 || fit.Exponent < 1.999 || fit.Exponent > 2.001 {
+		t.Fatalf("fit = %+v, want boyd's over its 3 converged sizes, exponent 2", fit)
 	}
 	// Aggregation must not depend on input order.
 	shuffled := append([]TaskResult(nil), results...)

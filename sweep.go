@@ -284,6 +284,10 @@ type SweepReport struct {
 	// LossFits reports cost-vs-loss scaling exponents across the fault
 	// grid (empty without at least two distinct effective loss rates).
 	LossFits []SweepLossFit
+	// UnconvergedCells counts the cells left out of Fits and LossFits
+	// because a run in them missed the target error: a diverged run's
+	// transmissions are not a cost to ε.
+	UnconvergedCells int
 	// RouteCache summarizes the shared route/flood cache counters.
 	RouteCache SweepRouteCacheStats
 	// NetBuild summarizes the construct phase: distinct network builds,
@@ -476,6 +480,7 @@ func buildReport(results []sweep.TaskResult, metrics map[string]float64, stats s
 		rep.Results = append(rep.Results, fromInternalResult(r))
 	}
 	agg := sweep.Aggregate(results)
+	rep.UnconvergedCells = agg.UnconvergedCells
 	for _, c := range agg.Cells {
 		cell := SweepCell{
 			SweepCoords:    SweepCoords(c.CellKey),
