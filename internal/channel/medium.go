@@ -8,11 +8,11 @@ import (
 
 // Medium is the radio medium a Spec builds (Spec.BuildWith): one
 // concrete pipeline that runs the spec's stages with direct calls, in
-// place on a Pool. Engines hold a *Medium and call Advance, Alive and
-// Deliver* on every exchange, whatever the spec (DESIGN.md §7); a stage
-// the spec lacks costs a flag test. The zero Medium is the perfect
-// medium: every packet delivered, every node alive, no randomness
-// consumed.
+// place on a Pool. Engines hold a *Medium and call Advance and Alive on
+// every exchange, whatever the spec, and Deliver* on every exchange over
+// a medium that is not Perfect (DESIGN.md §7); a stage the spec lacks
+// costs a flag test. The zero Medium is the perfect medium: every
+// packet delivered, every node alive, no randomness consumed.
 //
 // A delivery runs the stages in one order (DESIGN.md §12):
 //
@@ -118,6 +118,12 @@ func (m *Medium) Alive(i int32) bool {
 	return m.stages&stageChurn == 0 || m.up(i)
 }
 
+// Perfect reports whether m is the perfect medium, whose Deliver*
+// verdict is always (true, 0) and draws nothing. An exchange loop reads
+// that verdict through it, inline, and calls Deliver* only when it does
+// not hold (DESIGN.md §7, "Fixed per-exchange cost").
+func (m *Medium) Perfect() bool { return m.stages == 0 }
+
 // DeliverHop implements Channel.
 //
 // The Deliver* methods are not inlined. Inlined, a call copies the
@@ -129,8 +135,9 @@ func (m *Medium) Alive(i int32) bool {
 // method stores it once and the stages read it through a pointer.
 //
 // Each method tests the stage flags once. The perfect medium returns at
-// once; a medium with no stage outside the attempt runs the attempt; the
-// rest enter deliver.
+// once (the engines' exchange loops test Perfect first and skip the
+// call); a medium with no stage outside the attempt runs the attempt;
+// the rest enter deliver.
 //
 //go:noinline
 func (m *Medium) DeliverHop(p Packet) (bool, int) {

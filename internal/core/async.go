@@ -186,9 +186,7 @@ func RunAsync(g *graph.Graph, h *hier.Hierarchy, x []float64, opt AsyncOptions, 
 		Timeline:    &st.tline,
 	}, st.stream(&st.clockRNG, r, "clock"))
 	e.run = &st.harness
-	for !e.run.Done() {
-		e.step()
-	}
+	e.loop()
 	// The engine lives inside a pooled state: hand out a copy so a later
 	// run's reset cannot touch the caller's counters.
 	res := e.res
@@ -196,18 +194,35 @@ func RunAsync(g *graph.Graph, h *hier.Hierarchy, x []float64, opt AsyncOptions, 
 	return &Result{Result: e.run.Finish("affine-async", &res)}, nil
 }
 
-// step executes one clock tick of the §4.2 protocol: the owner's
-// representative roles run their square protocol, then the owner
-// performs a Near exchange when its local.state is on. Zero allocations
-// in steady state (warm routes and floods are served by the routing
-// core's cache and scratch).
-func (e *asyncEngine) step() {
-	s := e.run.Tick()
-	if e.healEvery > 0 && e.run.Clock.Ticks()%e.healEvery == 0 {
-		e.heal()
+// loop runs the §4.2 protocol's clock ticks until the stop rule fires.
+// An owner is idle when it holds no representative role and its
+// local.state is off: its tick does nothing but take the curve sample,
+// whether it is alive or dead. Idle owners are most ticks of a run, so
+// the loop handles them itself, with the clock draw, the tick count and
+// a few compares, and hands every other owner to busy. It is the one
+// tick loop under every medium, Recover and churn included (DESIGN.md
+// §7). Zero allocations in steady state.
+func (e *asyncEngine) loop() {
+	h := e.run
+	for !h.Done() {
+		s := h.Clock.Next()
+		h.Advance()
+		if e.healEvery > 0 && h.Clock.Ticks()%e.healEvery == 0 {
+			e.heal()
+		}
+		if e.localOn[s] || e.view.HasRoles(s) {
+			e.busy(s)
+		}
+		h.Sample()
 	}
+}
+
+// busy runs the tick of an owner s that is not idle: when s is alive,
+// its representative roles run their square protocol, then s performs a
+// Near exchange when its local.state is on (warm routes and floods are
+// served by the routing core's cache and scratch).
+func (e *asyncEngine) busy(s int32) {
 	if !e.run.Alive(s) {
-		e.run.Sample()
 		return
 	}
 	for _, sqID := range e.view.Roles(s) {
@@ -216,7 +231,6 @@ func (e *asyncEngine) step() {
 	if e.localOn[s] {
 		e.near(s)
 	}
-	e.run.Sample()
 }
 
 // heal runs the periodic recovery sweep: re-elect representatives of
@@ -528,14 +542,22 @@ func (e *asyncEngine) near(s int32) {
 	default:
 		return
 	}
-	ok, paid := e.run.Medium.DeliverHop(channel.NewPacket(e.run.Points, s, v, 1, e.run.Clock.Ticks()))
+	// The perfect medium's verdict is read inline (DESIGN.md §7).
+	ok, paid := true, 0
+	if !e.run.Medium.Perfect() {
+		ok, paid = e.run.Medium.DeliverHop(channel.NewPacket(e.run.Points, s, v, 1, e.run.Clock.Ticks()))
+	}
 	if !ok {
 		e.run.Counter.Add(sim.CatNear, paid) // lost outbound value
 		e.run.TraceLoss(s, v, paid)
 		return
 	}
 	avg := (e.x[s] + e.x[v]) / 2
-	e.run.Tracker.SetPair(s, v, avg, avg)
+	if t := e.run.Tracker; t.PairDue() {
+		t.SetPair(s, v, avg, avg)
+	} else {
+		t.SetPairClear(s, v, avg, avg)
+	}
 	// paid on success is the transport layer's extra airtime
 	// (retransmissions, duplicates); zero without delay/arq.
 	e.run.Counter.Add(sim.CatNear, cost+paid)

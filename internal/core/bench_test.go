@@ -40,10 +40,11 @@ func benchValues(n int, seed uint64) []float64 {
 func BenchmarkAsyncSteadyTick(b *testing.B) { benchAsyncSteadyTick(b, nil) }
 
 // benchAsyncSteadyTick warms the async engine with a 200000-tick run,
-// then times b.N further ticks of it with scope attached. The warm-up
-// stops short of the cap the timed ticks run under: lifting the run's
-// cap before timing makes them ticks a run with a larger cap reaches,
-// not steps of a finished run past its limit.
+// then times b.N further ticks of it with scope attached, through the
+// engine's own tick loop. The warm-up stops short of the cap the timed
+// ticks run under: lifting the run's cap before timing makes them ticks
+// a run with a larger cap reaches, not steps of a finished run past its
+// limit.
 func benchAsyncSteadyTick(b *testing.B, scope *obs.Scope) {
 	g, h := benchNetwork(b, 2048)
 	st := NewRunState()
@@ -58,15 +59,22 @@ func benchAsyncSteadyTick(b *testing.B, scope *obs.Scope) {
 		b.Fatal(err)
 	}
 	e := &st.async
-	e.run.Stop.MaxTicks = math.MaxUint64
-	for i := 0; i < 1000; i++ {
-		e.step()
-	}
+	e.run.Stop.MaxTicks = e.run.Clock.Ticks() + 1000
+	e.loop()
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.step()
-	}
+	e.run.Stop.MaxTicks = e.run.Clock.Ticks() + uint64(b.N)
+	e.loop()
+}
+
+// step runs one tick of a warm async engine through its tick loop,
+// whatever its stop rule says: the steady-state allocation tests tick a
+// finished run through it.
+func (e *asyncEngine) step() {
+	limit := e.run.Stop.MaxTicks
+	e.run.Stop.MaxTicks = e.run.Clock.Ticks() + 1
+	e.loop()
+	e.run.Stop.MaxTicks = limit
 }
 
 // BenchmarkRecursiveFarExchange measures the recursive engine's
@@ -95,6 +103,46 @@ func BenchmarkRecursiveFarExchange(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.farExchange(ka, kb)
 	}
+}
+
+// BenchmarkRecursiveRun times whole runs of the recursive engine at
+// n = 1024 (the larger grid-ref size: perfect medium, Eps 1e-2) on one
+// pooled state, each from the same start: leaf Near gossip, which
+// carries nearly all of the engine's transmissions, the far exchanges
+// and the oracle's square scans, up to the run-end metrics flush but
+// not the result RunRecursive builds after it. BenchmarkRecursiveFarExchange
+// times a far exchange alone and never reaches the leaf loop. It
+// reports the run's time per Near exchange (two Near transmissions) and
+// per far exchange; steady state is 0 allocs/op.
+func BenchmarkRecursiveRun(b *testing.B) { benchRecursiveRun(b, nil) }
+
+func benchRecursiveRun(b *testing.B, scope *obs.Scope) {
+	g, h := benchNetwork(b, 1024)
+	st := NewRunState()
+	x0 := benchValues(g.N(), 6)
+	x := make([]float64, len(x0))
+	opt := recursiveDefaults(RecursiveOptions{Eps: 1e-2, State: st, Obs: scope})
+	r := rng.New(7)
+	run := func() *engine {
+		copy(x, x0)
+		e, _, _, err := st.recursive(g, h, x, opt, r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return e
+	}
+	run() // binds the state and warms its route and flood cache
+	var near, far uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := run()
+		near += e.counter.Get(sim.CatNear) / 2
+		far += e.res.FarExchanges
+	}
+	ns := float64(b.Elapsed().Nanoseconds())
+	b.ReportMetric(ns/float64(near), "ns/near")
+	b.ReportMetric(ns/float64(far), "ns/far")
 }
 
 // Instrumented variants: the same steady-state work units with a live
@@ -130,4 +178,8 @@ func BenchmarkRecursiveFarExchangeInstrumented(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.farExchange(ka, kb)
 	}
+}
+
+func BenchmarkRecursiveRunInstrumented(b *testing.B) {
+	benchRecursiveRun(b, obs.NewRegistry().Scope("affine-hierarchical"))
 }

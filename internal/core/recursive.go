@@ -150,6 +150,35 @@ func RunRecursive(g *graph.Graph, h *hier.Hierarchy, x []float64, opt RecursiveO
 	if st == nil {
 		st = &RunState{}
 	}
+	e, finalErr, converged, err := st.recursive(g, h, x, opt, r)
+	if err != nil {
+		return nil, err
+	}
+	// The engine lives inside a pooled state: hand out a copy so a later
+	// run's reset cannot touch the caller's counters.
+	res := e.res
+	res.Algorithm = name
+	res.N = g.N()
+	res.Converged = converged
+	res.FinalErr = finalErr
+	res.Ticks = res.FarExchanges
+	res.Transmissions = e.counter.Total()
+	res.TransmissionsByCategory = e.counter.Breakdown()
+	res.Curve = e.curve.Snapshot()
+	res.Alive = sim.AliveMask(e.ch, g.N())
+	// This engine's clock is the transmission counter, so its simulated
+	// seconds are denominated in transmissions per node rather than Poisson
+	// ticks per node; zero without transport components, like the others.
+	res.SimSeconds = sim.SimSeconds(&st.tline, e.counter.Total(), g.N())
+	return &Result{Result: &res}, nil
+}
+
+// recursive makes one run of the recursive engine on st, over checked
+// inputs with opt's defaults applied, up to and including its run-end
+// metrics flush; RunRecursive builds the result from the engine it
+// returns. It allocates nothing once st is warm.
+func (st *RunState) recursive(g *graph.Graph, h *hier.Hierarchy, x []float64, opt RecursiveOptions, r *rng.RNG) (e *engine, finalErr float64, converged bool, err error) {
+	spec := opt.Faults
 	// Re-elections (under Recover) write to the state's representative
 	// view, never to the shared hierarchy build; bind also resets the
 	// view and the copy-on-write repair table for this run.
@@ -158,9 +187,9 @@ func RunRecursive(g *graph.Graph, h *hier.Hierarchy, x []float64, opt RecursiveO
 	ch, err := spec.BuildWith(&st.ch, g.N(), st.faultEnv(g, h, spec, &st.rec.tally, opt.Tracer),
 		st.stream(&st.lossRNG, r, "loss"), st.stream(&st.churnRNG, r, "churn"))
 	if err != nil {
-		return nil, err
+		return nil, 0, false, err
 	}
-	e := &st.rec
+	e = &st.rec
 	samples := e.curve.Samples[:0] // keep the curve's storage across runs
 	*e = engine{
 		st:      st,
@@ -186,10 +215,10 @@ func RunRecursive(g *graph.Graph, h *hier.Hierarchy, x []float64, opt RecursiveO
 		e.avg(h.Root(), opt.Eps)
 	}
 	e.tracker.Resync()
-	finalErr := e.tracker.Err()
+	finalErr = e.tracker.Err()
 	atConsensus := e.scale0 <= 1e-12*(math.Abs(e.tracker.Mean())+1)
 	e.curve.Record(e.res.FarExchanges, e.counter.Total(), finalErr)
-	converged := finalErr <= opt.Eps || atConsensus
+	converged = finalErr <= opt.Eps || atConsensus
 	// This engine has no harness, so it flushes its run totals itself:
 	// the tally with the far-exchange count added (the exchange hot path
 	// counts only in the result), category counts and convergence.
@@ -201,23 +230,7 @@ func RunRecursive(g *graph.Graph, h *hier.Hierarchy, x []float64, opt RecursiveO
 			e.counter.Get(sim.CatControl), e.counter.Get(sim.CatFlood),
 			e.res.FarExchanges, converged, finalErr)
 	}
-	// The engine lives inside a pooled state: hand out a copy so a later
-	// run's reset cannot touch the caller's counters.
-	res := e.res
-	res.Algorithm = name
-	res.N = g.N()
-	res.Converged = converged
-	res.FinalErr = finalErr
-	res.Ticks = res.FarExchanges
-	res.Transmissions = e.counter.Total()
-	res.TransmissionsByCategory = e.counter.Breakdown()
-	res.Curve = e.curve.Snapshot()
-	res.Alive = sim.AliveMask(e.ch, g.N())
-	// This engine's clock is the transmission counter, so its simulated
-	// seconds are denominated in transmissions per node rather than Poisson
-	// ticks per node; zero without transport components, like the others.
-	res.SimSeconds = sim.SimSeconds(&st.tline, e.counter.Total(), g.N())
-	return &Result{Result: &res}, nil
+	return e, finalErr, converged, nil
 }
 
 // faultEnv assembles the network context spatial, targeted and transport
@@ -529,7 +542,11 @@ func (e *engine) leafAverage(sq *hier.Square, eps float64) {
 		default:
 			continue
 		}
-		ok, paid := e.ch.DeliverHop(channel.NewPacket(e.pts, u, v, 1, e.counter.Total()))
+		// The perfect medium's verdict is read inline (DESIGN.md §7).
+		ok, paid := true, 0
+		if !e.ch.Perfect() {
+			ok, paid = e.ch.DeliverHop(channel.NewPacket(e.pts, u, v, 1, e.counter.Total()))
+		}
 		if !ok {
 			e.counter.Add(sim.CatNear, paid) // lost outbound value
 			charged += paid
@@ -540,7 +557,11 @@ func (e *engine) leafAverage(sq *hier.Square, eps float64) {
 		avg := (xu + xv) / 2
 		du, dv, da := xu-mean, xv-mean, avg-mean
 		dev2 += 2*da*da - du*du - dv*dv
-		e.tracker.SetPair(u, v, avg, avg)
+		if t := e.tracker; t.PairDue() {
+			t.SetPair(u, v, avg, avg)
+		} else {
+			t.SetPairClear(u, v, avg, avg)
+		}
 		// paid on success is the transport layer's extra airtime
 		// (retransmissions, duplicates); zero without delay/arq.
 		e.counter.Add(sim.CatNear, cost+paid)

@@ -119,13 +119,22 @@ func (e *boydRun) tick(s, v int32) {
 		v = partner(e.g, s, e.pick)
 	}
 	if v >= 0 {
-		if ok, paid := h.Medium.DeliverHop(channel.NewPacket(h.Points, s, v, 1, h.Clock.Ticks())); !ok {
+		// The perfect medium's verdict is read inline (DESIGN.md §7).
+		ok, paid := true, 0
+		if !h.Medium.Perfect() {
+			ok, paid = h.Medium.DeliverHop(channel.NewPacket(h.Points, s, v, 1, h.Clock.Ticks()))
+		}
+		if !ok {
 			// The outbound value was transmitted but lost; no update.
 			h.Counter.Add(sim.CatNear, paid)
 			h.TraceLoss(s, v, paid)
 		} else {
 			avg := (e.x[s] + e.x[v]) / 2
-			h.Tracker.SetPair(s, v, avg, avg)
+			if t := h.Tracker; t.PairDue() {
+				t.SetPair(s, v, avg, avg)
+			} else {
+				t.SetPairClear(s, v, avg, avg)
+			}
 			// paid is the transport layer's extra airtime (retransmissions,
 			// duplicates); zero without delay/arq, keeping the charge — and
 			// the event — byte-identical to the transport-free run.

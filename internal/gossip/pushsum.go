@@ -119,7 +119,12 @@ func (e *pushSumRun) tick(i, j int32) {
 		j = partner(e.g, i, e.pick)
 	}
 	if j >= 0 {
-		if ok, paid := h.Medium.DeliverHop(channel.NewPacket(h.Points, i, j, 1, h.Clock.Ticks())); !ok {
+		// The perfect medium's verdict is read inline (DESIGN.md §7).
+		ok, paid := true, 0
+		if !h.Medium.Perfect() {
+			ok, paid = h.Medium.DeliverHop(channel.NewPacket(h.Points, i, j, 1, h.Clock.Ticks()))
+		}
+		if !ok {
 			// Unacknowledged push: the sender rolls its halves back, so
 			// no mass moves — only the transmission is paid.
 			h.Counter.Add(sim.CatNear, paid)
@@ -132,7 +137,12 @@ func (e *pushSumRun) tick(i, j int32) {
 			// paid is the transport layer's extra airtime (retransmissions,
 			// duplicates); zero without delay/arq.
 			h.Counter.Add(sim.CatNear, 1+paid)
-			h.Tracker.SetPair(i, j, e.s[i]/e.w[i], e.s[j]/e.w[j])
+			ei, ej := e.s[i]/e.w[i], e.s[j]/e.w[j]
+			if t := h.Tracker; t.PairDue() {
+				t.SetPair(i, j, ei, ej)
+			} else {
+				t.SetPairClear(i, j, ei, ej)
+			}
 			h.Trace(trace.KindNear, -1, i, j, 1+paid)
 		}
 	}

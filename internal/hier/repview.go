@@ -125,6 +125,16 @@ func (v *RepView) Roles(i int32) []int32 {
 	return v.rolesBaseIDs[v.rolesBaseOff[i]:v.rolesBaseOff[i+1]]
 }
 
+// HasRoles reports whether node i currently represents a square:
+// len(Roles(i)) > 0, without building the slice. The async engine tests
+// it on every tick to tell an idle owner (DESIGN.md §7).
+func (v *RepView) HasRoles(i int32) bool {
+	if v.dirty && v.ovEpoch[i] == v.epoch {
+		return len(v.ovRoles[i]) > 0
+	}
+	return v.rolesBaseOff[i] != v.rolesBaseOff[i+1]
+}
+
 // write records a representative change, copying the base table on the
 // run's first write.
 func (v *RepView) write(id int, rep int32) {

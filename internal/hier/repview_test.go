@@ -6,8 +6,8 @@ import (
 	"geogossip/internal/rng"
 )
 
-// checkViewMatchesClone asserts the view's representative table and role
-// lists agree with a mutated clone everywhere.
+// checkViewMatchesClone asserts the view's representative table, role
+// lists and HasRoles agree with a mutated clone everywhere.
 func checkViewMatchesClone(t *testing.T, v *RepView, hc *Hierarchy) {
 	t.Helper()
 	for _, sq := range hc.Squares {
@@ -21,6 +21,9 @@ func checkViewMatchesClone(t *testing.T, v *RepView, hc *Hierarchy) {
 		want := hc.RepRoles[i]
 		if len(got) != len(want) {
 			t.Fatalf("node %d: view roles %v, clone roles %v", i, got, want)
+		}
+		if v.HasRoles(i) != (len(want) > 0) {
+			t.Fatalf("node %d: HasRoles %v, clone roles %v", i, v.HasRoles(i), want)
 		}
 		for k := range want {
 			if int(got[k]) != want[k] {

@@ -175,10 +175,9 @@ func (h *Harness) Done() bool {
 }
 
 // Tick advances the clock and the medium together and returns the node
-// whose clock fired: Clock.Next, drawing owners a batch ahead but never
-// past Stop.MaxTicks, then Advance.
+// whose clock fired: Clock.Next, then Advance.
 func (h *Harness) Tick() int32 {
-	s := h.Clock.Next(h.Stop.MaxTicks)
+	s := h.Clock.Next()
 	h.Advance()
 	return s
 }

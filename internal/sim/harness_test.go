@@ -147,11 +147,11 @@ func TestHarnessDoneAndSampleMatchRules(t *testing.T) {
 	}
 }
 
-// TestTickMatchesPerTickDraw pins Harness.Tick, which draws owners a
-// batch ahead, to a per-tick Clock.Draw reference on a twin stream: the
-// same owner at every tick while MaxTicks is raised a few ticks at a
-// time (so batches are cut short at the limit), and again after a
-// pooled Reset that drops a batch part-way through.
+// TestTickMatchesPerTickDraw pins Harness.Tick, which draws its owner
+// through Clock.Next, to a per-tick Clock.Draw reference, the batch draw
+// the tick pipeline makes, on a twin stream: the same owner at every
+// tick while MaxTicks is raised a few ticks at a time, and again after a
+// pooled Reset part-way through a run.
 func TestTickMatchesPerTickDraw(t *testing.T) {
 	x := make([]float64, 37)
 	for i := range x {
@@ -175,11 +175,10 @@ func TestTickMatchesPerTickDraw(t *testing.T) {
 			}
 		}
 	}
-	// Raises of 1, 5 and 31 ticks, and one past a full batch.
+	// Raises of 1, 5, 31, 33, 1 and 129 ticks.
 	check(11, []uint64{1, 6, 37, 70, 71, 200})
-	// Reset mid-batch: 8 ticks into a 1000-tick run leave 24 owners of
-	// the first batch drawn and unused; the next run on the pooled
-	// harness must not see them.
+	// Reset 8 ticks into a 1000-tick run: the next run on the pooled
+	// harness draws from its own stream alone.
 	h.Reset(x, HarnessConfig{Stop: StopRule{MaxTicks: 1000}}, rng.New(13))
 	for range 8 {
 		h.Tick()
@@ -225,5 +224,64 @@ func TestSetPairMatchesTwoSets(t *testing.T) {
 	}
 	if resyncs[0] == 0 || resyncs[1] == 0 {
 		t.Fatalf("recomputations on the second / first update: %v, want both", resyncs)
+	}
+}
+
+// TestPairUpdateAtRecomputation pins the pair update the exchange loops
+// make, SetPairClear or SetPair when PairDue holds, to Set(i, vi)
+// followed by Set(j, vj) bit for bit: x, Dev2, Err and the update count.
+// It starts the pair at every count from resyncEvery−4 to resyncEvery−1,
+// reached after an even and after an odd number of single Set calls,
+// with i ≠ j and with i == j, so the exact recomputation falls due on
+// neither update, on the second and on the first.
+func TestPairUpdateAtRecomputation(t *testing.T) {
+	const n = 9
+	r := rng.New(31)
+	x0 := make([]float64, n)
+	for i := range x0 {
+		x0[i] = r.NormFloat64() * 1e3
+	}
+	every := NewErrTracker(x0).resyncEvery
+	for _, singles := range []int{2, 3} {
+		for start := every - 4; start < every; start++ {
+			for _, same := range []bool{false, true} {
+				xa, xb := slices.Clone(x0), slices.Clone(x0)
+				a, b := NewErrTracker(xa), NewErrTracker(xb)
+				// Drift the running deviation away from the exact one, so a
+				// recomputation on the wrong update shows in its bits.
+				for k := range 200 {
+					i, v := int32(r.IntN(n)), r.NormFloat64()*1e3
+					a.Set(i, v)
+					b.Set(i, v)
+					if k == 199-singles {
+						a.updates, b.updates = start-singles, start-singles
+					}
+				}
+				if a.updates != start || a.PairDue() != (start+2 >= every) {
+					t.Fatalf("start %d: updates %d, PairDue %v", start, a.updates, a.PairDue())
+				}
+				i, j := int32(r.IntN(n)), int32(r.IntN(n-1))
+				if j >= i && !same {
+					j++
+				}
+				if same {
+					j = i
+				}
+				vi, vj := r.NormFloat64()*1e3, r.NormFloat64()
+				if a.PairDue() {
+					a.SetPair(i, j, vi, vj)
+				} else {
+					a.SetPairClear(i, j, vi, vj)
+				}
+				b.Set(i, vi)
+				b.Set(j, vj)
+				if !slices.Equal(xa, xb) || a.updates != b.updates ||
+					math.Float64bits(a.Dev2()) != math.Float64bits(b.Dev2()) ||
+					math.Float64bits(a.Err()) != math.Float64bits(b.Err()) {
+					t.Fatalf("singles %d, start %d, i %d, j %d: pair update Dev2 %v Err %v (updates %d), two Sets Dev2 %v Err %v (updates %d)",
+						singles, start, i, j, a.Dev2(), a.Err(), a.updates, b.Dev2(), b.Err(), b.updates)
+				}
+			}
+		}
 	}
 }

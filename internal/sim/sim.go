@@ -18,24 +18,16 @@ import (
 	"geogossip/internal/rng"
 )
 
-// clockBatch is the most owners Clock.Next draws at once.
-const clockBatch = 32
-
 // Clock assigns global clock ticks to nodes uniformly at random,
-// equivalent to per-node unit-rate Poisson clocks.
-//
-// Owners are drawn in batches (DESIGN.md §7): the clock stream feeds
-// nothing but owners, so drawing a tick's owner before the tick comes
-// changes no draw, and owners drawn ahead of a run's stop are simply
-// discarded.
+// equivalent to per-node unit-rate Poisson clocks. Its stream feeds
+// nothing but owners, so the tick pipeline draws a batch of owners
+// before their ticks come (DESIGN.md §7) and discards what is left when
+// its run stops.
 type Clock struct {
 	// bound holds n, the one IntNs bound of every owner draw.
 	bound [1]int32
 	r     *rng.RNG
 	ticks uint64
-	// ahead[next:end] are owners Next drew ahead and has not handed out.
-	ahead     [clockBatch]int32
-	next, end uint32
 }
 
 // NewClock builds a clock over n nodes drawing from r. It panics if
@@ -47,15 +39,13 @@ func NewClock(n int, r *rng.RNG) *Clock {
 }
 
 // Reset re-initializes the clock in place for a new run over n nodes
-// drawing from r, so pooled run states reuse one Clock across runs; owners
-// drawn ahead for the last run are dropped. It panics if n <= 0, like
-// NewClock.
+// drawing from r, so pooled run states reuse one Clock across runs. It
+// panics if n <= 0, like NewClock.
 func (c *Clock) Reset(n int, r *rng.RNG) {
 	if n <= 0 {
 		panic("sim: NewClock with n <= 0")
 	}
 	c.bound[0], c.r, c.ticks = int32(n), r, 0
-	c.next, c.end = 0, 0
 }
 
 // Draw fills dst with the owners of the next len(dst) ticks without
@@ -65,29 +55,11 @@ func (c *Clock) Reset(n int, r *rng.RNG) {
 // through Draw or through Next, never both.
 func (c *Clock) Draw(dst []int32) { rng.IntNs(c.r, dst, c.bound[:]) }
 
-// Next returns the owner of the next tick without counting it, drawing
-// owners clockBatch at a time but, while tick limit lies ahead, never
-// past it: Harness.Tick counts the tick right away. Raising limit
-// between ticks changes no owner. Next is written to stay within the
-// inliner's budget, so Tick pays no call for it.
-func (c *Clock) Next(limit uint64) int32 {
-	if c.next == c.end {
-		c.refill(limit)
-	}
-	c.next++
-	return c.ahead[(c.next-1)%clockBatch]
-}
-
-// refill draws the owners of the next min(clockBatch, limit − ticks)
-// ticks, or of the next clockBatch once the limit is reached.
-func (c *Clock) refill(limit uint64) {
-	k := uint32(clockBatch)
-	if limit > c.ticks && limit-c.ticks < clockBatch {
-		k = uint32(limit - c.ticks)
-	}
-	c.Draw(c.ahead[:k])
-	c.next, c.end = 0, k
-}
+// Next returns the owner of the next tick without counting it: one IntN
+// draw, the draw Draw makes for each owner. It inlines around IntN's
+// out-of-line reduction. On the async engine's ticks a draw per tick
+// measured faster than drawing owners a batch ahead (DESIGN.md §7).
+func (c *Clock) Next() int32 { return int32(c.r.IntN(int(c.bound[0]))) }
 
 // Ticks returns the number of ticks issued so far.
 func (c *Clock) Ticks() uint64 { return c.ticks }
@@ -244,25 +216,36 @@ func (t *ErrTracker) Set(i int32, v float64) {
 // SetPair is Set(i, vi) followed by Set(j, vj), the update of a pairwise
 // exchange: the same two additions in the same order, and the same exact
 // recomputation wherever one of the two updates falls due for it. It
-// loads and stores the running deviation once instead of twice.
+// does not inline, so the hottest exchange loops make the pair through
+// PairDue and SetPairClear, and call SetPair only when PairDue holds.
 func (t *ErrTracker) SetPair(i, j int32, vi, vj float64) {
-	if t.updates+2 >= t.resyncEvery {
+	if t.PairDue() {
 		t.Set(i, vi)
 		t.Set(j, vj)
 		return
 	}
-	x, mean := t.x, t.mean
+	t.SetPairClear(i, j, vi, vj)
+}
+
+// PairDue reports whether one of the next two updates falls due for the
+// exact recomputation.
+func (t *ErrTracker) PairDue() bool { return t.updates+2 >= t.resyncEvery }
+
+// SetPairClear is SetPair when PairDue does not hold: it loads and
+// stores the running deviation once, and inlines (DESIGN.md §7, "Fixed
+// per-exchange cost"). It has no room left in the inliner's budget for
+// the PairDue test and its out-of-line branch, so the caller makes the
+// test: a pair that falls due goes through SetPair. The deviations are
+// written out in place rather than named, which keeps it within that
+// budget; the compiler computes each of them once.
+func (t *ErrTracker) SetPairClear(i, j int32, vi, vj float64) {
+	t.updates += 2
+	x, m := t.x, t.mean
 	oi := x[i]
 	x[i] = vi
 	oj := x[j] // vi when j == i, as the second Set reads it
 	x[j] = vj
-	dOld, dNew := oi-mean, vi-mean
-	d := t.dev2
-	d += dNew*dNew - dOld*dOld
-	dOld, dNew = oj-mean, vj-mean
-	d += dNew*dNew - dOld*dOld
-	t.dev2 = d
-	t.updates += 2
+	t.dev2 = t.dev2 + ((vi-m)*(vi-m) - (oi-m)*(oi-m)) + ((vj-m)*(vj-m) - (oj-m)*(oj-m))
 }
 
 // Dev2 returns the current squared deviation Σ(x_i − x̄)² (never negative;

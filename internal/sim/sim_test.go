@@ -13,7 +13,7 @@ func TestClockUniform(t *testing.T) {
 	c := NewClock(n, rng.New(70))
 	counts := make([]int, n)
 	for i := 0; i < ticks; i++ {
-		v := c.Next(ticks)
+		v := c.Next()
 		c.Bump(1)
 		if v < 0 || int(v) >= n {
 			t.Fatalf("tick returned %d", v)
